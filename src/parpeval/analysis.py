@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .engine import PropState, body_call_patterns, propagate_success
+from .engine import PropState, body_call_patterns, may_share_pairs, propagate_success
 from .patterns import (
     GroundnessPattern,
     PatternKey,
@@ -124,6 +124,20 @@ class Analyzer:
         self, pred: str, arity: int, gr: GroundnessPattern, sh: SharingPattern
     ) -> SuccessPattern:
         key: PatternKey = (pred, arity, gr, sh)
+        row = self._known(key, keep_undefined=True)
+        if row is None:
+            self._solve(key)
+            row = self.rows.get(key)
+        return row
+
+    def _known(self, key: PatternKey, keep_undefined: bool) -> Optional[SuccessPattern]:
+        """The lookup chain short of a fixpoint run; None when one is needed.
+
+        `keep_undefined` stores an undefined predicate's identity row in
+        `rows`, as a top-level request does and a callee lookup inside a
+        fixpoint does not.
+        """
+        pred, arity, gr, sh = key
         if self.overrides is not None:
             row = self.overrides.get(key)
             if row is not None:
@@ -136,10 +150,10 @@ class Analyzer:
             return row
         if not self.program.defines(pred, arity):
             row = SuccessPattern(gr, sh)
-            self.rows.put(key, row)
+            if keep_undefined:
+                self.rows.put(key, row)
             return row
-        self._solve(key)
-        return self.rows.get(key)
+        return None
 
     def table(self) -> PatternTable:
         """Computed rows with overrides winning on key collisions."""
@@ -197,18 +211,9 @@ class Analyzer:
         class _LocalOracle:
             def success(self, p, a, g, s):
                 inner: PatternKey = (p, a, g, s)
-                if analyzer.overrides is not None:
-                    row = analyzer.overrides.get(inner)
-                    if row is not None:
-                        return row
-                model = analyzer.builtins.get((p, a))
-                if model is not None:
-                    return model(g, s)
-                row = analyzer.rows.get(inner)
+                row = analyzer._known(inner, keep_undefined=False)
                 if row is not None:
                     return row
-                if not analyzer.program.defines(p, a):
-                    return SuccessPattern(g, s)
                 deps.setdefault(inner, set()).add(key)
                 return ensure(inner)
 
@@ -222,17 +227,9 @@ class Analyzer:
                 set(shared_pairs(sh, clause.head)),
             )
             _, _, end = propagate_success(equery, (), oracle, state)
-            head = clause.head
-            cground = frozenset(
-                i
-                for i in range(1, arity + 1)
-                if term_vars(head.args[i - 1]) <= end.ground
-            )
-            cpairs = set()
-            for i in range(1, arity + 1):
-                for j in range(i + 1, arity + 1):
-                    if _head_positions_share(head, i, j, end):
-                        cpairs.add((i, j))
+            free = [term_vars(t) - end.ground for t in clause.head.args]
+            cground = frozenset(i for i in range(1, arity + 1) if not free[i - 1])
+            cpairs = may_share_pairs(free, end.aliases)
             exit_ground = cground if exit_ground is None else exit_ground & cground
             exit_pairs |= cpairs
         if exit_ground is None:
@@ -242,18 +239,6 @@ class Analyzer:
             GroundnessPattern(arity, frozenset(gr.ground | exit_ground)),
             sharing_from_pairs(arity, exit_pairs),
         )
-
-
-def _head_positions_share(head, i: int, j: int, state: PropState) -> bool:
-    v1 = term_vars(head.args[i - 1]) - state.ground
-    v2 = term_vars(head.args[j - 1]) - state.ground
-    if v1 & v2:
-        return True
-    for x in v1:
-        for y in v2:
-            if x != y and (min(x, y), max(x, y)) in state.aliases:
-                return True
-    return False
 
 
 def infer_patterns(

@@ -19,13 +19,7 @@ from .codegen import (
     format_residual,
 )
 from .engine import ExtendedAtom, PELimitExceeded, format_trace, partially_evaluate
-from .interp import (
-    SolverError,
-    check_equivalence,
-    check_independence,
-    check_safeness,
-    parse_step_limit_env,
-)
+from .interp import CHECKS, SolverError, parse_step_limit_env, verify
 from .parser import ParseError, parse_program, parse_query_file
 from .terms import Atom, Var
 
@@ -35,8 +29,6 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_ANALYSIS = 4
 EXIT_VERIFY = 5
-
-_CHECKS = ("eq", "indep", "safe")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -136,8 +128,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.verify:
         for name in args.verify.split(","):
             name = name.strip()
-            if name not in _CHECKS:
-                return _usage_error(f"unknown check {name!r} (choose from {','.join(_CHECKS)})")
+            if name not in CHECKS:
+                return _usage_error(f"unknown check {name!r} (choose from {','.join(CHECKS)})")
             checks.append(name)
         if not args.queries:
             return _usage_error("--verify needs --queries")
@@ -195,24 +187,15 @@ def _run(args: argparse.Namespace) -> int:
             all_ok = False
             continue
         try:
-            if "eq" in checks:
-                report = check_equivalence(program, residual, e.gr, e.sh, mine, max_steps)
-                for line in report.lines():
-                    print(line)
-                all_ok &= report.ok
-            if "indep" in checks:
-                ireport = check_independence(residual, e.gr, e.sh, mine, max_steps)
-                for line in ireport.lines():
-                    print(line)
-                all_ok &= ireport.ok
-            if "safe" in checks:
-                sreport = check_safeness(table, program, mine, max_steps)
-                for line in sreport.lines():
-                    print(line)
-                all_ok &= sreport.ok
+            reports = verify(program, residual, table, e.gr, e.sh, mine, checks, max_steps)
         except SolverError as exc:
             print(f"verify {e.pred}/{e.arity}: {exc}")
             all_ok = False
+            continue
+        for report in reports.values():
+            for line in report.lines():
+                print(line)
+            all_ok &= report.ok
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 

@@ -130,14 +130,25 @@ def _claim_vars(ea: ExtendedAtom) -> set[str]:
     return out
 
 
-def _args_may_share(t1, t2, ground: set[str], aliases: set[tuple[str, str]]) -> bool:
-    v1 = term_vars(t1) - ground
-    v2 = term_vars(t2) - ground
+def may_share_pairs(
+    free: Sequence[set[str]], aliases: set[tuple[str, str]]
+) -> set[tuple[int, int]]:
+    """Position pairs (i<j) that may share, given each position's free
+    variables: a variable in common, or two variables `aliases` links."""
+    out = set()
+    for i in range(len(free)):
+        for j in range(i + 1, len(free)):
+            if _may_share(free[i], free[j], aliases):
+                out.add((i + 1, j + 1))
+    return out
+
+
+def _may_share(v1: set[str], v2: set[str], aliases: set[tuple[str, str]]) -> bool:
     if v1 & v2:
         return True
     for x in v1:
         for y in v2:
-            if x != y and (min(x, y), max(x, y)) in aliases:
+            if (min(x, y), max(x, y)) in aliases:  # x != y: no variable in common
                 return True
     return False
 
@@ -163,14 +174,9 @@ def body_call_patterns(
     out = []
     for batom in clause.body_atoms():
         n = batom.arity
-        positions = frozenset(
-            j for j in range(1, n + 1) if term_vars(batom.args[j - 1]) <= ground
-        )
-        pairs = set()
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                if _args_may_share(batom.args[j - 1], batom.args[k - 1], set(), alias):
-                    pairs.add((j, k))
+        vs = [term_vars(t) for t in batom.args]
+        positions = frozenset(j for j in range(1, n + 1) if vs[j - 1] <= ground)
+        pairs = may_share_pairs(vs, alias)
         out.append(
             ExtendedAtom(batom, GroundnessPattern(n, positions), sharing_from_pairs(n, pairs))
         )
@@ -211,20 +217,10 @@ def _refresh(ea: ExtendedAtom, state: PropState, extra_ground: set[str]) -> Exte
     known = state.ground | extra_ground | _claim_vars(ea)
     atom = ea.atom
     n = atom.arity
-    positions = set(ea.gr.ground)
-    for j in range(1, n + 1):
-        if j not in positions and term_vars(atom.args[j - 1]) <= known:
-            positions.add(j)
-    pairs = set(sharing_pairs(ea.sh))
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            if (j, k) not in pairs and _args_may_share(
-                atom.args[j - 1], atom.args[k - 1], known, state.aliases
-            ):
-                pairs.add((j, k))
-    return ExtendedAtom(
-        atom, GroundnessPattern(n, frozenset(positions)), sharing_from_pairs(n, pairs)
-    )
+    free = [term_vars(t) - known for t in atom.args]
+    positions = ea.gr.ground | {j for j in range(1, n + 1) if not free[j - 1]}
+    pairs = sharing_pairs(ea.sh) | may_share_pairs(free, state.aliases)
+    return ExtendedAtom(atom, GroundnessPattern(n, positions), sharing_from_pairs(n, pairs))
 
 
 def _absorb(ea: ExtendedAtom, success: SuccessPattern, state: PropState) -> None:

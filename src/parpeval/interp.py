@@ -6,7 +6,8 @@ conjunctions — the annotations claim independence, they do not change
 sequential meaning — but entering one fires a hook so callers can
 inspect the instantiation of both sides at fork time.  A second hook
 reports every (call, answer) pair of user predicates, which is what the
-safeness check consumes.
+safeness check consumes.  `verify` runs the equivalence, independence
+and safeness checks together, in one pass over the queries.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Optional, Sequence, Union
 
 from .patterns import (
     GroundnessPattern,
+    PatternKey,
     PatternTable,
     SharingPattern,
+    SuccessPattern,
     format_groundness,
     format_sharing,
 )
@@ -36,11 +39,9 @@ from .terms import (
     Subst,
     Term,
     Var,
-    apply_subst,
     canonical,
     format_atom,
     format_term,
-    mgu,
     rename_all,
     resolve,
     term_vars,
@@ -209,14 +210,6 @@ class Solver:
         return ev(t)
 
 
-def plain_sld_step(atom: Atom, clause: Clause) -> Optional[tuple[Subst, tuple[Atom, ...]]]:
-    """One resolution step against an already renamed-apart clause."""
-    sigma = mgu(atom, clause.head)
-    if sigma is None:
-        return None
-    return sigma, tuple(apply_subst(b, sigma) for b in clause.body_atoms())
-
-
 # ---------------------------------------------------------------------------
 # answer comparison
 
@@ -231,14 +224,30 @@ def answer_multiset(
     query: Sequence[Atom],
     max_steps: int = DEFAULT_STEP_LIMIT,
     max_solutions: Optional[int] = None,
+    on_answer: Optional[OnAnswer] = None,
+    on_par: Optional[OnPar] = None,
 ) -> Counter:
     qvars = sorted(term_vars(tuple(query)))
-    solver = Solver(program, max_steps=max_steps, max_solutions=max_solutions)
+    solver = Solver(program, max_steps, max_solutions, on_answer, on_par)
     return Counter(answer_key(qvars, a) for a in solver.solve(query))
 
 
 # ---------------------------------------------------------------------------
 # query validation
+
+
+def _unlicensed_sharing(
+    atom: Atom, sh: SharingPattern
+) -> Optional[tuple[int, int, set[str]]]:
+    """The lowest position pair (i, j) of `atom` with variables in common
+    that `sh` does not let share, and those variables; None if none."""
+    vs = [term_vars(t) for t in atom.args]
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            common = vs[i] & vs[j]
+            if common and not sh.shares(i + 1, j + 1):
+                return i + 1, j + 1, common
+    return None
 
 
 def conformance_issue(
@@ -259,11 +268,10 @@ def conformance_issue(
             return f"position {i} must be ground"
         if i not in gr and ground:
             return f"position {i} must be non-ground"
-    for i in range(1, atom.arity + 1):
-        for j in range(i + 1, atom.arity + 1):
-            common = term_vars(atom.args[i - 1]) & term_vars(atom.args[j - 1])
-            if common and not sh.shares(i, j):
-                return f"positions {i} and {j} share {sorted(common)[0]}"
+    shared = _unlicensed_sharing(atom, sh)
+    if shared is not None:
+        i, j, common = shared
+        return f"positions {i} and {j} share {sorted(common)[0]}"
     return None
 
 
@@ -296,41 +304,17 @@ class EquivalenceReport:
         out += ["rejected %s (%s)" % (format_atom(a), why) for a, why in self.rejected]
         return out
 
-
-def check_equivalence(
-    source: Program,
-    residual: "ResidualProgram",
-    gr: GroundnessPattern,
-    sh: SharingPattern,
-    queries: Sequence[Atom],
-    max_steps: int = DEFAULT_STEP_LIMIT,
-) -> EquivalenceReport:
-    """Compare answer multisets of source vs. residual on each query.
-
-    Queries must instantiate the entry patterns; ill-patterned ones are
-    rejected rather than run, since nothing is claimed about them.
-    """
-    if residual.guarded:
-        raise SolverError("guarded output is not interpretable here; verify the plain form")
-    report = EquivalenceReport()
-    for query in queries:
-        issue = conformance_issue(query, gr, sh)
-        if issue is not None:
-            report.rejected.append((query, issue))
-            continue
-        want = answer_multiset(source, [query], max_steps=max_steps)
-        renamed = residual.rename_query(query, gr, sh)
-        got = answer_multiset(residual.program(), [renamed], max_steps=max_steps)
+    def compare(self, query: Atom, want: Counter, got: Counter) -> None:
+        """Record the outcome of one query from both answer multisets."""
         if want == got:
             detail = " (%d answers)" % sum(want.values())
-            report.outcomes.append(QueryOutcome(query, True, detail))
+            self.outcomes.append(QueryOutcome(query, True, detail))
         else:
             missing = list((want - got).keys())[:3]
             extra = list((got - want).keys())[:3]
-            report.outcomes.append(
+            self.outcomes.append(
                 QueryOutcome(query, False, f" missing={missing} extra={extra}")
             )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -359,26 +343,14 @@ class IndependenceReport:
             for (ci, gi), s in sorted(self.sites.items())
         ]
 
+    def on_par(self, site: Site, left: tuple[Atom, ...], right: tuple[Atom, ...]) -> None:
+        """Solver hook: test strict independence at a fork being entered.
 
-def check_independence(
-    residual: "ResidualProgram",
-    gr: GroundnessPattern,
-    sh: SharingPattern,
-    queries: Sequence[Atom],
-    max_steps: int = DEFAULT_STEP_LIMIT,
-) -> IndependenceReport:
-    """Run queries and test strict independence at every fork entered.
-
-    At fork time the two sides must not share a single free variable:
-    any aliasing or shared unbound position shows up as a common
-    variable once both sides are resolved against current bindings.
-    """
-    report = IndependenceReport()
-    for ci_gi in residual.par_sites():
-        report.sites[ci_gi] = SiteStats()
-
-    def on_par(site: Site, left: tuple[Atom, ...], right: tuple[Atom, ...]) -> None:
-        stats = report.sites.setdefault(site if site else (-1, -1), SiteStats())
+        The two sides must not share a single free variable: any aliasing
+        or shared unbound position shows up as a common variable once both
+        sides are resolved against current bindings.
+        """
+        stats = self.sites.setdefault(site if site else (-1, -1), SiteStats())
         stats.checked += 1
         shared = term_vars(left) & term_vars(right)
         if shared:
@@ -392,14 +364,6 @@ def check_independence(
                         sorted(shared)[0],
                     )
                 )
-
-    program = residual.program()
-    for query in queries:
-        renamed = residual.rename_query(query, gr, sh)
-        solver = Solver(program, max_steps=max_steps, on_par=on_par)
-        solver.solve([renamed])
-        report.queries += 1
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +380,14 @@ class RowStats:
 @dataclass
 class SafenessReport:
     rows: dict[tuple, RowStats] = field(default_factory=dict)
+    table: PatternTable = field(default_factory=PatternTable, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # the table's rows grouped by predicate, for the answer hook
+        self._rows_for: dict[tuple[str, int], list[tuple[PatternKey, SuccessPattern]]] = {}
+        for key, success in self.table:
+            self.rows.setdefault(key, RowStats())
+            self._rows_for.setdefault(key[:2], []).append((key, success))
 
     @property
     def ok(self) -> bool:
@@ -439,6 +411,21 @@ class SafenessReport:
             )
         return out
 
+    def on_answer(self, call: Atom, answer: Atom) -> None:
+        """Solver hook: every row whose call patterns the call honours
+        must have its success patterns honoured by the answer."""
+        for key, success in self._rows_for.get(call.key, ()):
+            _, _, gr, sh = key
+            if not _call_conforms(call, gr, sh):
+                continue
+            stats = self.rows[key]
+            stats.checked += 1
+            issue = _answer_violation(answer, success.ground, success.share)
+            if issue is not None:
+                stats.violations += 1
+                if len(stats.examples) < 3:
+                    stats.examples.append(issue)
+
 
 def _call_conforms(call: Atom, gr: GroundnessPattern, sh: SharingPattern) -> bool:
     # a table row applies when the call honours its claims; extra
@@ -446,28 +433,103 @@ def _call_conforms(call: Atom, gr: GroundnessPattern, sh: SharingPattern) -> boo
     for i in gr:
         if term_vars(call.args[i - 1]):
             return False
-    for i in range(1, call.arity + 1):
-        for j in range(i + 1, call.arity + 1):
-            if (
-                term_vars(call.args[i - 1]) & term_vars(call.args[j - 1])
-                and not sh.shares(i, j)
-            ):
-                return False
-    return True
+    return _unlicensed_sharing(call, sh) is None
 
 
 def _answer_violation(answer: Atom, gr: GroundnessPattern, sh: SharingPattern) -> Optional[str]:
     for i in gr:
         if term_vars(answer.args[i - 1]):
             return f"answer position {i} not ground in {format_atom(answer)}"
-    for i in range(1, answer.arity + 1):
-        for j in range(i + 1, answer.arity + 1):
-            if (
-                term_vars(answer.args[i - 1]) & term_vars(answer.args[j - 1])
-                and not sh.shares(i, j)
-            ):
-                return f"answer positions {i},{j} share in {format_atom(answer)}"
+    shared = _unlicensed_sharing(answer, sh)
+    if shared is not None:
+        i, j, _ = shared
+        return f"answer positions {i},{j} share in {format_atom(answer)}"
     return None
+
+
+# ---------------------------------------------------------------------------
+# the verification pass
+
+CHECKS = ("eq", "indep", "safe")
+
+Report = Union[EquivalenceReport, IndependenceReport, SafenessReport]
+
+
+def verify(
+    source: Program,
+    residual: "ResidualProgram",
+    table: PatternTable,
+    gr: GroundnessPattern,
+    sh: SharingPattern,
+    queries: Sequence[Atom],
+    checks: Collection[str],
+    max_steps: int = DEFAULT_STEP_LIMIT,
+) -> dict[str, Report]:
+    """Run the requested checks of `CHECKS` in one pass over the queries.
+
+    - `eq`: source and residual give the same answer multiset.
+    - `indep`: at every fork entered, the two sides share no variable.
+    - `safe`: every (call, answer) pair of the source honours `table`.
+
+    Queries must instantiate the entry patterns; ill-patterned ones are
+    rejected and run by no check, since nothing is claimed about them.
+    A conforming query runs the source at most once, its `on_answer`
+    hook feeding the safeness rows, and the residual at most once, its
+    `on_par` hook feeding the fork sites.  Returns the reports keyed by
+    check name, in `CHECKS` order.
+    """
+    eq = EquivalenceReport() if "eq" in checks else None
+    indep = None
+    if "indep" in checks:
+        indep = IndependenceReport({s: SiteStats() for s in residual.par_sites()})
+    safe = SafenessReport(table=table) if "safe" in checks else None
+    if eq is not None and residual.guarded:
+        raise SolverError("guarded output is not interpretable here; verify the plain form")
+    program = residual.program()
+    for query in queries:
+        issue = conformance_issue(query, gr, sh)
+        if issue is not None:
+            if eq is not None:
+                eq.rejected.append((query, issue))
+            continue
+        if eq is not None or safe is not None:
+            on_answer = safe.on_answer if safe is not None else None
+            want = answer_multiset(source, [query], max_steps, on_answer=on_answer)
+        if eq is not None or indep is not None:
+            on_par = indep.on_par if indep is not None else None
+            renamed = residual.rename_query(query, gr, sh)
+            got = answer_multiset(program, [renamed], max_steps, on_par=on_par)
+        if indep is not None:
+            indep.queries += 1
+        if eq is not None:
+            eq.compare(query, want, got)
+    reports = {"eq": eq, "indep": indep, "safe": safe}
+    return {name: report for name, report in reports.items() if report is not None}
+
+
+def check_equivalence(
+    source: Program,
+    residual: "ResidualProgram",
+    gr: GroundnessPattern,
+    sh: SharingPattern,
+    queries: Sequence[Atom],
+    max_steps: int = DEFAULT_STEP_LIMIT,
+) -> EquivalenceReport:
+    """Compare answer multisets of source vs. residual on each query."""
+    return verify(source, residual, PatternTable(), gr, sh, queries, ("eq",), max_steps)["eq"]
+
+
+def check_independence(
+    residual: "ResidualProgram",
+    gr: GroundnessPattern,
+    sh: SharingPattern,
+    queries: Sequence[Atom],
+    max_steps: int = DEFAULT_STEP_LIMIT,
+) -> IndependenceReport:
+    """Run the residual on each query and test every fork entered."""
+    return verify(
+        residual.source, residual, PatternTable(), gr, sh, queries, ("indep",), max_steps
+    )["indep"]
 
 
 def check_safeness(
@@ -478,32 +540,12 @@ def check_safeness(
 ) -> SafenessReport:
     """Check that every observed (call, answer) pair honours the table.
 
-    For each matching row — same predicate, and the call satisfies the
-    row's call patterns — the answer must satisfy the row's success
-    patterns.
+    There is no entry pattern here to reject queries by, so every query
+    runs.
     """
-    report = SafenessReport()
-    rows = list(table)
-    for key, _ in rows:
-        report.rows[key] = RowStats()
-
-    def on_answer(call: Atom, answer: Atom) -> None:
-        for (pred, arity, gr, sh), success in rows:
-            if (pred, arity) != call.key:
-                continue
-            if not _call_conforms(call, gr, sh):
-                continue
-            stats = report.rows[(pred, arity, gr, sh)]
-            stats.checked += 1
-            issue = _answer_violation(answer, success.ground, success.share)
-            if issue is not None:
-                stats.violations += 1
-                if len(stats.examples) < 3:
-                    stats.examples.append(issue)
-
+    report = SafenessReport(table=table)
     for query in queries:
-        solver = Solver(program, max_steps=max_steps, on_answer=on_answer)
-        solver.solve([query])
+        Solver(program, max_steps=max_steps, on_answer=report.on_answer).solve([query])
     return report
 
 

@@ -44,20 +44,6 @@ def groundness(arity: int, positions: Iterable[int] = ()) -> GroundnessPattern:
     return GroundnessPattern(arity, frozenset(positions))
 
 
-def strengthen(p1: GroundnessPattern, p2: GroundnessPattern) -> GroundnessPattern:
-    """Meet in the precision order: both claims hold, so positions union."""
-    if p1.arity != p2.arity:
-        raise ValueError("arity mismatch")
-    return GroundnessPattern(p1.arity, p1.ground | p2.ground)
-
-
-def weaken(p1: GroundnessPattern, p2: GroundnessPattern) -> GroundnessPattern:
-    """Join: only positions both patterns claim survive."""
-    if p1.arity != p2.arity:
-        raise ValueError("arity mismatch")
-    return GroundnessPattern(p1.arity, p1.ground & p2.ground)
-
-
 @dataclass(frozen=True)
 class SharingPattern:
     groups: tuple[frozenset[int], ...]
@@ -99,14 +85,6 @@ def worst_sharing(arity: int) -> SharingPattern:
     return sharing(arity, [range(1, arity + 1)])
 
 
-def merge_sharing(s1: SharingPattern, s2: SharingPattern) -> SharingPattern:
-    """Join: pointwise union of may-share sets, then renormalise."""
-    if s1.arity != s2.arity:
-        raise ValueError("arity mismatch")
-    pairs = sharing_pairs(s1) | sharing_pairs(s2)
-    return sharing_from_pairs(s1.arity, pairs)
-
-
 def sharing_pairs(s: SharingPattern) -> frozenset[tuple[int, int]]:
     """The unordered position pairs (i<j) the pattern allows to share."""
     out = set()
@@ -119,11 +97,6 @@ def sharing_pairs(s: SharingPattern) -> frozenset[tuple[int, int]]:
 
 def sharing_from_pairs(arity: int, pairs: Iterable[tuple[int, int]]) -> SharingPattern:
     return sharing(arity, [{i, j} for i, j in pairs])
-
-
-def refines(s1: SharingPattern, s2: SharingPattern) -> bool:
-    """True when s1 allows at most the sharing s2 allows."""
-    return sharing_pairs(s1) <= sharing_pairs(s2)
 
 
 # ---------------------------------------------------------------------------

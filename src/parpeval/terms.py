@@ -249,19 +249,6 @@ def apply_subst(x, s: Subst):
     raise TypeError(f"cannot substitute into {type(x).__name__}")
 
 
-def compose_subst(s1: Subst, s2: Subst) -> Subst:
-    """s1 then s2, normalised so self-bindings are dropped."""
-    out: Subst = {}
-    for v, t in s1.items():
-        t2 = apply_subst(t, s2)
-        if not (isinstance(t2, Var) and t2.name == v):
-            out[v] = t2
-    for v, t in s2.items():
-        if v not in s1 and not (isinstance(t, Var) and t.name == v):
-            out[v] = t
-    return out
-
-
 # ---------------------------------------------------------------------------
 # unification
 
@@ -422,10 +409,6 @@ def canonical(x):
         raise TypeError(f"cannot canonicalise {type(t).__name__}")
 
     return go(x)
-
-
-def is_variant(a: Atom, b: Atom) -> bool:
-    return canonical(a) == canonical(b)
 
 
 def nonlinear_argument_positions(atom: Atom) -> list[int]:

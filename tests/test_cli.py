@@ -1,10 +1,13 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import parpeval
+from parpeval import interp
 from parpeval.cli import main
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -80,10 +83,43 @@ def test_verify_all_checks_pass(tmp_path, capsys):
 
 
 def test_verify_reports_nonconforming_queries(tmp_path, capsys):
-    queries = write(tmp_path / "q.pl", "fibonacci(3, N).\nfibonacci(M, N).\n")
-    assert main(fib_args("--verify", "eq", "--queries", queries)) == 0
-    out = capsys.readouterr().out
-    assert "rejected fibonacci(M,N) (position 1 must be ground)" in out
+    def run(checks, *goals):
+        queries = write(tmp_path / "q.pl", "".join(g + ".\n" for g in goals))
+        code = main(fib_args("--verify", checks, "--queries", queries))
+        return code, capsys.readouterr().out
+
+    for checks in ("eq", "eq,indep,safe"):
+        code, out = run(checks, "fibonacci(3, N)", "fibonacci(M, N)")
+        assert code == 0
+        assert "rejected fibonacci(M,N) (position 1 must be ground)" in out
+
+    # no check runs a rejected query: fibonacci(N, 8) would do arithmetic
+    # over N, and fibonacci(3, 2) would add its forks and rows
+    def counts(checks, *goals):
+        code, out = run(checks, *goals)
+        return code, [l for l in out.splitlines() if l.startswith(("site ", "row "))]
+
+    for checks in ("eq,indep,safe", "indep", "safe"):
+        alone = counts(checks, "fibonacci(3, N)")
+        assert alone[0] == 0
+        assert counts(checks, "fibonacci(3, N)", "fibonacci(N, 8)", "fibonacci(3, 2)") == alone
+
+
+def test_verify_solves_each_query_once_per_program(tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = interp.Solver.solve
+
+    def counting(self, query):
+        calls.append(query)
+        return solve(self, query)
+
+    monkeypatch.setattr(interp.Solver, "solve", counting)
+    queries = write(
+        tmp_path / "q.pl", "fibonacci(2, N).\nfibonacci(4, N).\nfibonacci(6, N).\n"
+    )
+    assert main(fib_args("--verify", "eq,indep,safe", "--queries", queries)) == 0
+    capsys.readouterr()
+    assert len(calls) == 6  # one source and one residual run per query
 
 
 def test_verify_without_matching_queries_fails(tmp_path, capsys):
@@ -174,11 +210,17 @@ def run_cli(args, cwd):
         "from parpeval.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
+    # the child runs elsewhere, so a relative PYTHONPATH would not find
+    # the package; put the root it was imported from first
+    root = str(pathlib.Path(parpeval.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, inherited])))
     return subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
         check=True,
     )
 

@@ -18,7 +18,6 @@ from parpeval.engine import (
     split_independent,
     unfold_step,
 )
-from parpeval.interp import plain_sld_step
 from parpeval.patterns import (
     format_groundness,
     format_sharing,
@@ -357,9 +356,7 @@ def replay(transition: Transition) -> None:
     sigma = mgu(subject, rclause.head)
     assert sigma is not None
     assert apply_subst(rclause.head, sigma) == transition.head_instance
-    step = plain_sld_step(subject, rclause)
-    assert step is not None
-    _, body = step
+    body = tuple(apply_subst(b, sigma) for b in rclause.body_atoms())
     recorded = tuple(occ.ea.atom for occ in transition.body)
     if transition.quad is not None:
         recorded = tuple(

@@ -10,7 +10,6 @@ from parpeval.interp import (
     answer_key,
     conformance_issue,
     parse_step_limit_env,
-    plain_sld_step,
 )
 from parpeval.patterns import (
     groundness,
@@ -18,7 +17,7 @@ from parpeval.patterns import (
     parse_sharing,
     worst_sharing,
 )
-from parpeval.terms import Atom, Int, Struct, Var, format_atom, rename_all
+from parpeval.terms import Atom, Int, Struct, Var, format_atom
 
 FIB = """
 fibonacci(0, 1).
@@ -247,21 +246,6 @@ def test_answer_key_ignores_variable_names():
     assert answer_key(["X", "Y"], one) == answer_key(["X", "Y"], two)
     three = {"X": f(Var("Q"), Var("R")), "Y": Var("R")}
     assert answer_key(["X", "Y"], one) != answer_key(["X", "Y"], three)
-
-
-# -- single resolution steps (used by the trace replay)
-
-
-def test_plain_sld_step():
-    prog = parse_program("append([], Ys, Ys). append([H|T], Ys, [H|R]) :- append(T, Ys, R).")
-    atom = parse_query("append([1], Y, Z)")[0]
-    clause = rename_all(prog.clauses[1], ("Y", "Z"))
-    out = plain_sld_step(atom, clause)
-    assert out is not None
-    sigma, body = out
-    assert len(body) == 1 and body[0].pred == "append"
-    assert format_atom(body[0]).startswith("append([],")
-    assert plain_sld_step(atom, rename_all(prog.clauses[0], ("Y", "Z"))) is None
 
 
 # -- the step budget can come from the environment

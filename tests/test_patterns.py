@@ -20,15 +20,11 @@ from parpeval.patterns import (
     format_sharing,
     groundness,
     independent_sharing,
-    merge_sharing,
     parse_pattern_table,
-    refines,
     shared_pairs,
     sharing,
     sharing_from_pairs,
     sharing_pairs,
-    strengthen,
-    weaken,
     worst_sharing,
 )
 
@@ -41,13 +37,6 @@ def test_groundness_validates_positions():
         groundness(2, (3,))
     with pytest.raises(ValueError):
         groundness(2, (0,))
-
-
-def test_strengthen_weaken_are_set_union_intersection():
-    a, b = groundness(3, (1,)), groundness(3, (1, 2))
-    assert strengthen(a, b) == groundness(3, (1, 2))
-    assert weaken(a, b) == groundness(3, (1,))
-    assert a <= b
 
 
 def test_sharing_normalizes_but_is_not_transitive():
@@ -76,19 +65,14 @@ def test_independent_and_worst():
         frozenset({3}),
     )
     assert worst_sharing(2).groups == (frozenset({1, 2}), frozenset({1, 2}))
-    assert refines(independent_sharing(3), worst_sharing(3))
-    assert not refines(worst_sharing(3), independent_sharing(3))
+    assert sharing_pairs(independent_sharing(3)) == frozenset()
+    assert sharing_pairs(worst_sharing(3)) == frozenset({(1, 2), (1, 3), (2, 3)})
 
 
 def test_pairs_round_trip():
     mu = sharing_from_pairs(4, [(1, 3), (2, 3)])
     assert sharing_pairs(mu) == frozenset({(1, 3), (2, 3)})
     assert sharing_from_pairs(4, sharing_pairs(mu)) == mu
-
-
-def test_merge_unions_links():
-    m = merge_sharing(sharing(3, [{1, 2}]), sharing(3, [{2, 3}]))
-    assert sharing_pairs(m) == frozenset({(1, 2), (2, 3)})
 
 
 def test_claimed_ground_vars_reads_argument_variables():
@@ -146,14 +130,6 @@ sharings = st.lists(
 ).map(lambda gs: sharing(arity, gs))
 
 
-@given(grounds, grounds)
-def test_prop_strengthen_weaken_lattice(a, b):
-    assert weaken(a, b) <= a <= strengthen(a, b)
-    assert strengthen(a, b) == strengthen(b, a)
-    assert weaken(a, b) == weaken(b, a)
-    assert strengthen(a, a) == a == weaken(a, a)
-
-
 @given(grounds)
 def test_prop_groundness_text_round_trip(g):
     assert parse_groundness(format_groundness(g), arity) == g
@@ -167,10 +143,3 @@ def test_prop_sharing_text_round_trip(mu):
 @given(sharings)
 def test_prop_sharing_pairs_round_trip(mu):
     assert sharing_from_pairs(arity, sharing_pairs(mu)) == mu
-
-
-@given(sharings, sharings)
-def test_prop_merge_is_upper_bound(a, b):
-    m = merge_sharing(a, b)
-    assert refines(a, m) and refines(b, m)
-    assert merge_sharing(a, a) == a

@@ -11,11 +11,9 @@ from parpeval.terms import (
     NonlinearArgumentWarning,
     apply_subst,
     canonical,
-    compose_subst,
     format_atom,
     format_clause,
     format_term,
-    is_variant,
     make_list,
     mgu,
     rename_apart,
@@ -74,12 +72,6 @@ def test_walk_follows_chains_resolve_goes_deep():
     binds = {"X": V("Y"), "Y": S("f", V("Z")), "Z": Int(1)}
     assert walk(V("X"), binds) == S("f", V("Z"))
     assert resolve(V("X"), binds) == S("f", Int(1))
-
-
-def test_compose_applies_later_bindings_inside_earlier_ones():
-    s = compose_subst({"X": S("f", V("Y"))}, {"Y": Int(2)})
-    assert s["X"] == S("f", Int(2))
-    assert s["Y"] == Int(2)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +133,7 @@ def test_canonical_numbers_by_first_occurrence():
     a = Atom("p", (V("Q"), V("R"), V("Q")))
     b = Atom("p", (V("Z"), V("A"), V("Z")))
     assert canonical(a) == canonical(b)
-    assert is_variant(a, b)
-    assert not is_variant(a, Atom("p", (V("Q"), V("R"), V("R"))))
+    assert canonical(a) != canonical(Atom("p", (V("Q"), V("R"), V("R"))))
 
 
 # ---------------------------------------------------------------------------
