@@ -13,10 +13,9 @@ and safeness checks together, in one pass over the queries.
 from __future__ import annotations
 
 import os
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Collection, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Collection, Optional, Sequence, Union
 
 from .patterns import (
     GroundnessPattern,
@@ -39,13 +38,15 @@ from .terms import (
     Subst,
     Term,
     Var,
+    apply_subst,
     canonical,
     format_atom,
     format_term,
-    rename_all,
+    fresh_var_names,
     resolve,
     term_vars,
-    unify,
+    unify_in_place,
+    walk,
 )
 
 if TYPE_CHECKING:
@@ -79,7 +80,49 @@ _COMPARE = {
 }
 
 
+class _Choice:
+    """Clauses still to try for one call, and what to restore first."""
+
+    __slots__ = ("atom", "call_shot", "alternatives", "next", "rest", "mark")
+
+    def __init__(self, atom: Atom, call_shot: Optional[Atom],
+                 alternatives: list["_ClauseEntry"], rest: "Goals", mark: int) -> None:
+        self.atom = atom
+        self.call_shot = call_shot
+        self.alternatives = alternatives
+        self.next = 0
+        self.rest = rest
+        self.mark = mark
+
+
+class _Exit:
+    """Marks the end of a clause body: the call's answer hook fires here."""
+
+    __slots__ = ("call", "atom")
+
+    def __init__(self, call: Atom, atom: Atom) -> None:
+        self.call = call
+        self.atom = atom
+
+
+# (clause number, clause, its variables sorted, the same as a set)
+_ClauseEntry = tuple[int, Clause, list[str], frozenset[str]]
+
+# the continuation: a linked list of (goal, site, rest) ending in (); a
+# goal that fails leaves None in its place
+Goals = Optional[tuple]
+
+
 class Solver:
+    """Depth-first, left-to-right SLD resolution with the occurs check.
+
+    A solve keeps one binding store and a trail of the variables bound
+    in it; backtracking pops the trail back to the mark saved in a
+    choicepoint.  Goals wait in a linked continuation and open
+    alternatives on an explicit choicepoint stack, so derivation length
+    is not bounded by Python's recursion limit.
+    """
+
     def __init__(
         self,
         program: Program,
@@ -93,27 +136,37 @@ class Solver:
         self.max_solutions = max_solutions
         self.on_answer = on_answer
         self.on_par = on_par
-        self._index: dict[tuple[str, int], list[tuple[int, Clause]]] = {}
+        self._index: dict[tuple[str, int], list[_ClauseEntry]] = {}
         for ci, clause in enumerate(program.clauses):
-            self._index.setdefault(clause.head.key, []).append((ci, clause))
+            own = term_vars(clause)
+            entry = (ci, clause, sorted(own), frozenset(own))
+            self._index.setdefault(clause.head.key, []).append(entry)
         self._steps = 0
+        self._binds: Subst = {}
+        self._trail: list[str] = []
+        self._choices: list[_Choice] = []
 
     def solve(self, query: Sequence[Atom]) -> list[Subst]:
         """All answers, restricted to the query's variables, fully resolved."""
         qvars = sorted(term_vars(tuple(query)))
         self._steps = 0
+        self._binds = {}
+        self._trail = []
+        self._choices = []
         answers: list[Subst] = []
-        items = tuple((a, None) for a in query)
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 200_000))
-        try:
-            for binds in self._goals(items, {}):
-                answers.append({v: resolve(Var(v), binds) for v in qvars})
+        goals: Goals = ()
+        for atom in reversed(query):
+            goals = (atom, None, goals)
+        while True:
+            while goals:
+                goals = self._step(goals)
+            if goals is not None:
+                answers.append({v: resolve(Var(v), self._binds) for v in qvars})
                 if self.max_solutions is not None and len(answers) >= self.max_solutions:
-                    break
-        finally:
-            sys.setrecursionlimit(old_limit)
-        return answers
+                    return answers
+            if not self._choices:
+                return answers
+            goals = self._retry()
 
     # -- resolution
 
@@ -122,13 +175,18 @@ class Solver:
         if self._steps > self.max_steps:
             raise StepLimitExceeded(f"exceeded {self.max_steps} resolution steps")
 
-    def _goals(
-        self, goals: tuple[tuple[Atom | ParGroup, Site], ...], binds: Subst
-    ) -> Iterator[Subst]:
-        if not goals:
-            yield binds
-            return
-        (goal, site), rest = goals[0], goals[1:]
+    def _undo(self, mark: int) -> None:
+        trail, binds = self._trail, self._binds
+        while len(trail) > mark:
+            del binds[trail.pop()]
+
+    def _step(self, goals: tuple) -> Goals:
+        """Run the first goal: the continuation after it, or None if it fails."""
+        goal, site, rest = goals
+        binds = self._binds
+        if isinstance(goal, _Exit):
+            self.on_answer(goal.call, resolve(goal.atom, binds))
+            return rest
         if isinstance(goal, ParGroup):
             if self.on_par is not None:
                 self.on_par(
@@ -136,78 +194,112 @@ class Solver:
                     tuple(resolve(a, binds) for a in goal.left),
                     tuple(resolve(a, binds) for a in goal.right),
                 )
-            inner = tuple((a, site) for a in goal.left + goal.right)
-            yield from self._goals(inner + rest, binds)
-            return
-        atom = goal
-        if atom.key in BUILTIN_KEYS:
+            for a in reversed(goal.left + goal.right):
+                rest = (a, site, rest)
+            return rest
+        if goal.key in BUILTIN_KEYS:
             self._tick()
-            out = self._builtin(atom, binds)
-            if out is not None:
-                yield from self._goals(rest, out)
-            return
-        call_shot = resolve(atom, binds) if self.on_answer is not None else None
-        for ci, clause in self._index.get(atom.key, ()):
+            return rest if self._builtin(goal) else None
+        alternatives = self._index.get(goal.key)
+        if not alternatives:
+            return None
+        call_shot = resolve(goal, binds) if self.on_answer is not None else None
+        return self._try(_Choice(goal, call_shot, alternatives, rest, len(self._trail)))
+
+    def _retry(self) -> Goals:
+        """Resume the newest choicepoint at its next clause."""
+        choice = self._choices.pop()
+        self._undo(choice.mark)
+        return self._try(choice)
+
+    def _try(self, choice: _Choice) -> Goals:
+        """Try the choice's clauses in order from `choice.next`.
+
+        Each try is one step.  The clause's variables get a block of
+        fresh names, the head is renamed and unified, and only a head
+        that unifies has its body renamed.  If clauses remain after the
+        one that matched, the choicepoint goes back on the stack.
+        """
+        atom, alternatives = choice.atom, choice.alternatives
+        while choice.next < len(alternatives):
+            ci, clause, own, taken = alternatives[choice.next]
+            choice.next += 1
             self._tick()
-            rclause = rename_all(clause, ())
-            b2 = unify(atom, rclause.head, binds)
-            if b2 is None:
+            names = fresh_var_names(len(own), taken)
+            mapping = {v: Var(name) for v, name in zip(own, names)}
+            if not unify_in_place(atom, apply_subst(clause.head, mapping), self._binds, self._trail):
+                self._undo(choice.mark)
                 continue
-            body = tuple(
-                (g.atom if isinstance(g, SeqAtom) else g, (ci, pos))
-                for pos, g in enumerate(rclause.body)
-            )
-            for b3 in self._goals(body, b2):
-                if self.on_answer is not None:
-                    self.on_answer(call_shot, resolve(atom, b3))
-                yield from self._goals(rest, b3)
+            if choice.next < len(alternatives):
+                self._choices.append(choice)
+            goals = choice.rest
+            if self.on_answer is not None:
+                goals = (_Exit(choice.call_shot, atom), None, goals)
+            for pos in range(len(clause.body) - 1, -1, -1):
+                g = apply_subst(clause.body[pos], mapping)
+                goals = (g.atom if isinstance(g, SeqAtom) else g, (ci, pos), goals)
+            return goals
+        return None
 
     # -- builtins
 
-    def _builtin(self, atom: Atom, binds: Subst) -> Optional[Subst]:
+    def _builtin(self, atom: Atom) -> bool:
         pred = atom.pred
         if pred == "is":
-            value = self._eval(atom.args[1], binds)
+            value = self._eval(atom.args[1])
             if value is None:
-                return None
-            return unify(atom.args[0], Int(value), binds)
+                return False
+            return unify_in_place(atom.args[0], Int(value), self._binds, self._trail)
         if pred == "=":
-            return unify(atom.args[0], atom.args[1], binds)
-        lhs = self._eval(atom.args[0], binds)
-        rhs = self._eval(atom.args[1], binds)
+            return unify_in_place(atom.args[0], atom.args[1], self._binds, self._trail)
+        lhs = self._eval(atom.args[0])
+        rhs = self._eval(atom.args[1])
         if lhs is None or rhs is None:
-            return None
-        return binds if _COMPARE[pred](lhs, rhs) else None
+            return False
+        return _COMPARE[pred](lhs, rhs)
 
-    def _eval(self, t: Term, binds: Subst) -> Optional[int]:
-        t = resolve(t, binds)
+    def _eval(self, t: Term) -> Optional[int]:
+        """Value of an arithmetic term, None if it is not arithmetic.
 
-        def ev(t: Term) -> Optional[int]:
+        Operands evaluate left to right and in full, so an unbound
+        variable anywhere raises even beside a non-arithmetic operand.
+        """
+        todo: list[Union[Term, str]] = [t]  # subterms, and operators to apply
+        values: list[Optional[int]] = []
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                b = values.pop()
+                a = values.pop()
+                values.append(_arith(t, a, b))
+                continue
+            t = walk(t, self._binds)
             if isinstance(t, Int):
-                return t.value
-            if isinstance(t, Var):
-                raise InstantiationError(
-                    f"arithmetic over unbound variable {t.name}"
-                )
-            if isinstance(t, Struct) and len(t.args) == 2:
-                op = t.functor
-                if op in ("+", "-", "*", "//"):
-                    a = ev(t.args[0])
-                    b = ev(t.args[1])
-                    if a is None or b is None:
-                        return None
-                    if op == "+":
-                        return a + b
-                    if op == "-":
-                        return a - b
-                    if op == "*":
-                        return a * b
-                    if b == 0:
-                        raise SolverError("integer division by zero")
-                    return a // b
-            return None  # ground but not arithmetic: the goal just fails
+                values.append(t.value)
+            elif isinstance(t, Var):
+                raise InstantiationError(f"arithmetic over unbound variable {t.name}")
+            elif isinstance(t, Struct) and len(t.args) == 2 and t.functor in _ARITH:
+                todo += [t.functor, t.args[1], t.args[0]]
+            else:
+                values.append(None)  # not arithmetic: the goal just fails
+        return values[0]
 
-        return ev(t)
+
+_ARITH = frozenset({"+", "-", "*", "//"})
+
+
+def _arith(op: str, a: Optional[int], b: Optional[int]) -> Optional[int]:
+    if a is None or b is None:
+        return None
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if b == 0:
+        raise SolverError("integer division by zero")
+    return a // b
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, Collection, Iterable, Optional, Union
 
 
 class NonlinearArgumentWarning(UserWarning):
@@ -37,10 +37,23 @@ class Int:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Struct:
     functor: str
     args: tuple[Term, ...] = ()
+    #: no variable occurs in the term; lets the traversals below skip it
+    ground: bool = field(init=False, compare=False, repr=False)
+
+    def __init__(self, functor: str, args: tuple[Term, ...] = ()) -> None:
+        # the hottest constructor: fill the frozen instance's dict directly
+        d = self.__dict__
+        d["functor"] = functor
+        d["args"] = args
+        d["ground"] = True
+        for a in args:
+            if isinstance(a, Var) or (isinstance(a, Struct) and not a.ground):
+                d["ground"] = False
+                break
 
     def __repr__(self) -> str:
         return format_term(self)
@@ -147,36 +160,38 @@ Subst = dict[str, Term]
 
 def term_vars(x: object) -> set[str]:
     """Free variable names of a term, atom, clause or iterable of those."""
+    if isinstance(x, Var):
+        return {x.name}
     out: set[str] = set()
     _collect_vars(x, out)
     return out
 
 
 def _collect_vars(x: object, out: set[str]) -> None:
-    if isinstance(x, Var):
-        out.add(x.name)
-    elif isinstance(x, Int):
-        pass
-    elif isinstance(x, Struct):
-        for a in x.args:
-            _collect_vars(a, out)
-    elif isinstance(x, Atom):
-        for a in x.args:
-            _collect_vars(a, out)
-    elif isinstance(x, SeqAtom):
-        _collect_vars(x.atom, out)
-    elif isinstance(x, ParGroup):
-        for a in x.left + x.right:
-            _collect_vars(a, out)
-    elif isinstance(x, Clause):
-        _collect_vars(x.head, out)
-        for g in x.body:
-            _collect_vars(g, out)
-    elif isinstance(x, (list, tuple)):
-        for item in x:
-            _collect_vars(item, out)
-    else:
-        raise TypeError(f"cannot collect variables from {type(x).__name__}")
+    todo = [x]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Var):
+            out.add(x.name)
+        elif isinstance(x, Struct):
+            if not x.ground:
+                todo.extend(x.args)
+        elif isinstance(x, Atom):
+            todo.extend(x.args)
+        elif isinstance(x, Int):
+            pass
+        elif isinstance(x, SeqAtom):
+            todo.append(x.atom)
+        elif isinstance(x, ParGroup):
+            todo.extend(x.left)
+            todo.extend(x.right)
+        elif isinstance(x, Clause):
+            todo.append(x.head)
+            todo.extend(x.body)
+        elif isinstance(x, (list, tuple)):
+            todo.extend(x)
+        else:
+            raise TypeError(f"cannot collect variables from {type(x).__name__}")
 
 
 class _FreshNames:
@@ -190,13 +205,15 @@ class _FreshNames:
     def __init__(self) -> None:
         self.n = 0
 
-    def next(self, avoid: Iterable[str] = ()) -> str:
-        avoid = set(avoid)
-        while True:
+    def block(self, k: int, avoid: Collection[str]) -> list[str]:
+        """The next `k` names in counter order, skipping those in `avoid`."""
+        out: list[str] = []
+        while len(out) < k:
             self.n += 1
             name = f"_G{self.n}"
             if name not in avoid:
-                return name
+                out.append(name)
+        return out
 
     def reserve_past(self, k: int) -> None:
         if k > self.n:
@@ -208,8 +225,13 @@ _fresh = _FreshNames()
 _G_NAME = re.compile(r"_G(\d+)$")
 
 
-def fresh_var_name(avoid: Iterable[str] = ()) -> str:
-    return _fresh.next(avoid)
+def fresh_var_name() -> str:
+    return _fresh.block(1, ())[0]
+
+
+def fresh_var_names(k: int, avoid: Collection[str]) -> list[str]:
+    """The next `k` fresh names that are not in `avoid`."""
+    return _fresh.block(k, avoid)
 
 
 def note_parsed_var(name: str) -> None:
@@ -232,6 +254,8 @@ def apply_subst(x, s: Subst):
     if isinstance(x, Int):
         return x
     if isinstance(x, Struct):
+        if x.ground:
+            return x
         return Struct(x.functor, tuple(apply_subst(a, s) for a in x.args))
     if isinstance(x, Atom):
         return Atom(x.pred, tuple(apply_subst(a, s) for a in x.args))
@@ -266,13 +290,42 @@ def walk(t: Term, binds: Subst) -> Term:
     return t
 
 
+def _rebuild(t: Struct, leaf: Callable[[Var], Term]) -> Struct:
+    """A non-ground `t` with every variable `v` in it replaced by `leaf(v)`.
+
+    A non-ground Struct among the replacements is rebuilt in turn, so
+    `leaf` may be a dereference; a ground one is kept as it is.  Arguments
+    are visited left to right, depth first.  The descent keeps its own
+    stack, so term depth is not bounded by Python's recursion limit.
+    """
+    # each frame is a Struct being rebuilt and the images of its leading args
+    frames: list[tuple[Struct, list[Term]]] = [(t, [])]
+    while True:
+        s, done = frames[-1]
+        if len(done) < len(s.args):
+            a = s.args[len(done)]
+            if isinstance(a, Var):
+                a = leaf(a)
+            if isinstance(a, Struct) and not a.ground:
+                frames.append((a, []))
+            else:
+                done.append(a)
+            continue
+        frames.pop()
+        out = Struct(s.functor, tuple(done))
+        if not frames:
+            return out
+        frames[-1][1].append(out)
+
+
 def resolve(x, binds: Subst):
     """Fully dereference a term/atom under triangular bindings."""
-    if isinstance(x, (Var, Int, Struct)):
-        t = walk(x, binds)
-        if isinstance(t, Struct):
-            return Struct(t.functor, tuple(resolve(a, binds) for a in t.args))
-        return t
+    if isinstance(x, Var):
+        x = walk(x, binds)
+    if isinstance(x, Struct):
+        return x if x.ground else _rebuild(x, lambda t: walk(t, binds))
+    if isinstance(x, (Var, Int)):
+        return x
     if isinstance(x, Atom):
         return Atom(x.pred, tuple(resolve(a, binds) for a in x.args))
     if isinstance(x, (list, tuple)):
@@ -282,10 +335,21 @@ def resolve(x, binds: Subst):
 
 def _occurs(name: str, t: Term, binds: Subst) -> bool:
     t = walk(t, binds)
-    if isinstance(t, Var):
-        return t.name == name
-    if isinstance(t, Struct):
-        return any(_occurs(name, a, binds) for a in t.args)
+    if not isinstance(t, Struct):
+        return isinstance(t, Var) and t.name == name
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if t.ground:
+            continue
+        for a in t.args:
+            if isinstance(a, Var):
+                a = walk(a, binds)
+            if isinstance(a, Var):
+                if a.name == name:
+                    return True
+            elif isinstance(a, Struct):
+                todo.append(a)
     return False
 
 
@@ -296,45 +360,51 @@ def unify(a, b, binds: Optional[Subst]) -> Optional[Subst]:
     """
     if binds is None:
         return None
+    out = dict(binds)
+    return out if unify_in_place(a, b, out, []) else None
+
+
+def unify_in_place(a, b, binds: Subst, trail: list[str]) -> bool:
+    """Unify two terms or atoms by extending `binds` itself.
+
+    Each variable bound is appended to `trail`, so the caller can undo
+    the bindings, also those a failed unification leaves behind.
+    Argument pairs are unified left to right, depth first.
+    """
     if isinstance(a, Atom) and isinstance(b, Atom):
         if a.key != b.key:
-            return None
-        out = dict(binds)
-        for x, y in zip(a.args, b.args):
-            nxt = _unify_terms(x, y, out)
-            if nxt is None:
-                return None
-            out = nxt
-        return out
-    out = dict(binds)
-    return _unify_terms(a, b, out)
-
-
-def _unify_terms(a: Term, b: Term, binds: Subst) -> Optional[Subst]:
-    a = walk(a, binds)
-    b = walk(b, binds)
-    if isinstance(a, Var):
-        if isinstance(b, Var) and b.name == a.name:
-            return binds
-        if _occurs(a.name, b, binds):
-            return None
-        binds[a.name] = b
-        return binds
-    if isinstance(b, Var):
-        if _occurs(b.name, a, binds):
-            return None
-        binds[b.name] = a
-        return binds
-    if isinstance(a, Int) and isinstance(b, Int):
-        return binds if a.value == b.value else None
-    if isinstance(a, Struct) and isinstance(b, Struct):
-        if a.functor != b.functor or len(a.args) != len(b.args):
-            return None
-        for x, y in zip(a.args, b.args):
-            if _unify_terms(x, y, binds) is None:
-                return None
-        return binds
-    return None
+            return False
+        todo = list(zip(reversed(a.args), reversed(b.args)))
+    else:
+        todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if isinstance(a, Var):
+            a = walk(a, binds)
+        if isinstance(b, Var):
+            b = walk(b, binds)
+        if isinstance(a, Var):
+            if isinstance(b, Var) and b.name == a.name:
+                continue
+            if _occurs(a.name, b, binds):
+                return False
+            binds[a.name] = b
+            trail.append(a.name)
+        elif isinstance(b, Var):
+            if _occurs(b.name, a, binds):
+                return False
+            binds[b.name] = a
+            trail.append(b.name)
+        elif isinstance(a, Int) and isinstance(b, Int):
+            if a.value != b.value:
+                return False
+        elif isinstance(a, Struct) and isinstance(b, Struct):
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            todo.extend(zip(reversed(a.args), reversed(b.args)))
+        else:
+            return False
+    return True
 
 
 def mgu(a, b) -> Optional[Subst]:
@@ -362,24 +432,11 @@ def rename_apart(clause: Clause, avoid: Iterable[str]) -> Clause:
     """
     avoid = set(avoid)
     own = term_vars(clause)
-    mapping: Subst = {}
-    taken = avoid | own
-    for v in sorted(own & avoid):
-        name = fresh_var_name(taken)
-        taken.add(name)
-        mapping[v] = Var(name)
-    return apply_subst(clause, mapping) if mapping else clause
-
-
-def rename_all(x, avoid: Iterable[str]):
-    """Rename every variable of x to a globally fresh name."""
-    taken = set(avoid) | term_vars(x)
-    mapping: Subst = {}
-    for v in sorted(term_vars(x)):
-        name = fresh_var_name(taken)
-        taken.add(name)
-        mapping[v] = Var(name)
-    return apply_subst(x, mapping)
+    clash = sorted(own & avoid)
+    if not clash:
+        return clause
+    names = _fresh.block(len(clash), avoid | own)
+    return apply_subst(clause, {v: Var(name) for v, name in zip(clash, names)})
 
 
 # ---------------------------------------------------------------------------
@@ -393,20 +450,20 @@ def canonical(x):
     """
     mapping: dict[str, Var] = {}
 
-    def go(t):
-        if isinstance(t, Var):
-            if t.name not in mapping:
-                mapping[t.name] = Var(f"v{len(mapping)}")
-            return mapping[t.name]
-        if isinstance(t, Int):
-            return t
-        if isinstance(t, Struct):
-            return Struct(t.functor, tuple(go(a) for a in t.args))
-        if isinstance(t, Atom):
-            return Atom(t.pred, tuple(go(a) for a in t.args))
-        if isinstance(t, tuple):
-            return tuple(go(item) for item in t)
-        raise TypeError(f"cannot canonicalise {type(t).__name__}")
+    def go(x):
+        if isinstance(x, Var):
+            if x.name not in mapping:
+                mapping[x.name] = Var(f"v{len(mapping)}")
+            return mapping[x.name]
+        if isinstance(x, Struct):
+            return x if x.ground else _rebuild(x, go)
+        if isinstance(x, Int):
+            return x
+        if isinstance(x, Atom):
+            return Atom(x.pred, tuple(map(go, x.args)))
+        if isinstance(x, tuple):
+            return tuple(map(go, x))
+        raise TypeError(f"cannot canonicalise {type(x).__name__}")
 
     return go(x)
 

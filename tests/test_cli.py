@@ -128,6 +128,15 @@ def test_verify_without_matching_queries_fails(tmp_path, capsys):
     assert "no queries for this entry" in capsys.readouterr().out
 
 
+def test_verify_of_a_1000_item_list_runs_to_completion(tmp_path, capsys):
+    program = write(tmp_path / "len.pl", "len([], 0).\nlen([_|T], N) :- len(T, M), N is M+1.\n")
+    items = ",".join(str(i % 10) for i in range(1000))
+    queries = write(tmp_path / "q.pl", f"len([{items}], N).\n")
+    args = [program, "--entry", "len/2 gr {1}", "--verify", "eq,indep,safe", "--queries", queries]
+    assert main(args) == 0
+    assert "N) ok (1 answers)" in capsys.readouterr().out
+
+
 # -- exit codes
 
 

@@ -1,4 +1,7 @@
 """Sequential solver: answers, builtins, limits, hooks, conformance."""
+import sys
+from collections import Counter
+
 import pytest
 
 from parpeval import Solver, answer_multiset, parse_program, parse_query
@@ -17,7 +20,16 @@ from parpeval.patterns import (
     parse_sharing,
     worst_sharing,
 )
-from parpeval.terms import Atom, Int, Struct, Var, format_atom
+from parpeval.terms import (
+    Atom,
+    Int,
+    Struct,
+    Var,
+    format_atom,
+    format_term,
+    fresh_var_name,
+    make_list,
+)
 
 FIB = """
 fibonacci(0, 1).
@@ -57,6 +69,28 @@ def test_step_limit_raises_rather_than_failing():
         answers("p(X) :- p(X).", "p(1)", max_steps=50)
     # a genuinely failing query stays well under the same budget
     assert answers("p(0).", "p(1)", max_steps=50) == []
+
+
+def test_step_budget_is_exact():
+    prog = parse_program(FIB)
+    solver = Solver(prog)
+    solver.solve(parse_query("fibonacci(10, N)"))
+    steps = solver._steps
+    assert steps == 972  # one per clause tried and one per builtin
+    assert answers(FIB, "fibonacci(10, N)", max_steps=steps) == [{"N": Int(89)}]
+    with pytest.raises(StepLimitExceeded):
+        answers(FIB, "fibonacci(10, N)", max_steps=steps - 1)
+
+
+def test_long_list_of_fresh_variables_needs_no_recursion(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the solver must not raise the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    prog = parse_program("len([], 0). len([_|T], N) :- len(T, M), N is M+1.")
+    items = make_list([Var(f"E{i}") for i in range(1500)])
+    out = Solver(prog).solve([Atom("len", (items, Var("N")))])
+    assert Counter(format_term(a["N"]) for a in out) == {"1500": 1}
 
 
 def test_step_limit_is_a_solver_error():
@@ -176,6 +210,8 @@ def test_on_par_fires_once_per_entry():
     out = solver.solve(parse_query("len([a,b,c], N)"))
     assert out == [{"N": Int(3)}]
     assert len(forks) == 3
+    # each fork sees the list tail bound at that depth
+    assert [format_term(left[0].args[0]) for _, left, _ in forks] == ["[b,c]", "[c]", "[]"]
 
 
 # -- the answer hook drives the safeness check
@@ -197,6 +233,29 @@ def test_on_answer_reports_user_calls_and_answers():
     q_pairs = [(c, a) for c, a in seen if c.startswith("q")]
     assert [a for _, a in q_pairs] == ["q(1)", "q(2)"]
     assert ("p(Z)", "p(2)") in seen
+
+
+def test_on_answer_sequence_is_pinned():
+    seen = []
+    solver = Solver(
+        parse_program(FIB),
+        on_answer=lambda call, ans: seen.append((format_atom(call), format_atom(ans))),
+    )
+    # fresh names are drawn from one process-wide counter: offset by it
+    base = int(fresh_var_name()[2:])
+    solver.solve(parse_query("fibonacci(4, N)"))
+    g = lambda k: f"_G{base + k}"
+    assert seen == [
+        (f"fibonacci(1,{g(17)})", "fibonacci(1,1)"),
+        (f"fibonacci(0,{g(18)})", "fibonacci(0,1)"),
+        (f"fibonacci(2,{g(11)})", "fibonacci(2,2)"),
+        (f"fibonacci(1,{g(12)})", "fibonacci(1,1)"),
+        (f"fibonacci(3,{g(5)})", "fibonacci(3,3)"),
+        (f"fibonacci(1,{g(23)})", "fibonacci(1,1)"),
+        (f"fibonacci(0,{g(24)})", "fibonacci(0,1)"),
+        (f"fibonacci(2,{g(6)})", "fibonacci(2,2)"),
+        ("fibonacci(4,N)", "fibonacci(4,5)"),
+    ]
 
 
 # -- conformance of queries against call patterns

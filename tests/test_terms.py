@@ -2,7 +2,7 @@
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from parpeval import Atom, Clause, Int, ParGroup, SeqAtom, Struct, Var, parse_program
 from parpeval.parser import parse_term
@@ -17,7 +17,6 @@ from parpeval.terms import (
     make_list,
     mgu,
     rename_apart,
-    rename_all,
     resolve,
     term_vars,
     unify,
@@ -122,7 +121,7 @@ def test_rename_apart_avoids_collisions_only():
 
 def test_rename_all_freshens_everything():
     clause = parse_program("p(X,Y) :- q(X,Z).").clauses[0]
-    renamed = rename_all(clause, {"X", "Y", "Z"})
+    renamed = rename_apart(clause, {"X", "Y", "Z"})
     assert term_vars(renamed) & {"X", "Y", "Z"} == set()
     old = (clause.head, tuple(clause.body_atoms()))
     new = (renamed.head, tuple(renamed.body_atoms()))
@@ -209,7 +208,7 @@ def test_prop_format_parse_round_trip(t):
 
 @given(terms)
 def test_prop_canonical_stable_under_renaming(t):
-    renamed = rename_all(t, term_vars(t))
+    renamed = rename_apart(t, term_vars(t))
     assert canonical(renamed) == canonical(t)
 
 
@@ -221,3 +220,31 @@ def test_prop_unify_var_binds_or_occurs(t, name):
     else:
         assert out is not None
         assert resolve(Var(name), out) == resolve(t, out)
+
+
+_binds = st.dictionaries(_varnames, terms, max_size=3)
+
+
+@given(terms)
+def test_prop_ground_flag_means_no_variables(t):
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, Struct):
+            assert s.ground == (not term_vars(s))
+            todo.extend(s.args)
+
+
+@given(terms, _binds)
+def test_prop_ground_terms_come_back_unchanged(t, binds):
+    assume(isinstance(t, Struct) and t.ground)
+    assert resolve(t, binds) is t
+    assert apply_subst(t, binds) is t
+
+
+@given(terms)
+def test_prop_ground_flag_is_not_part_of_equality(t):
+    assume(isinstance(t, Struct))
+    twin = Struct(t.functor, t.args)
+    object.__setattr__(twin, "ground", not t.ground)
+    assert twin == t and hash(twin) == hash(t)
