@@ -277,42 +277,78 @@ def propagate_success(
 Quad = tuple[ExtendedQuery, ExtendedQuery, ExtendedQuery, ExtendedQuery]
 
 
-def _segment_admissible(segment: ExtendedQuery) -> bool:
+def _parallel_role(ea: ExtendedAtom) -> int:
+    """1 for a user-defined atom, 0 for a builtin a parallel segment may
+    carry, -1 for one it may not."""
     # A parallel segment must do real work: at least one user-defined
     # atom.  Comparisons never go inside (they are cheap guards and
     # their failure must be observed before forking); is/2 only rides
     # along once its expression side is known ground; =/2 is free.
-    has_user = False
-    for ea in segment:
-        key = ea.key
-        if key not in BUILTIN_KEYS:
-            has_user = True
-        elif key[0] in COMPARISON_PREDS:
-            return False
-        elif key[0] == "is" and 2 not in ea.gr:
-            return False
-    return has_user
+    key = ea.key
+    if key not in BUILTIN_KEYS:
+        return 1
+    if key[0] in COMPARISON_PREDS or (key[0] == "is" and 2 not in ea.gr):
+        return -1
+    return 0
 
 
-def _segments_independent(
-    left: ExtendedQuery,
-    right: ExtendedQuery,
-    fork: PropState,
-    head_pairs: frozenset[tuple[str, str]],
-) -> bool:
-    vleft = term_vars([ea.atom for ea in left])
-    vright = term_vars([ea.atom for ea in right])
-    grounded = set(fork.ground)
-    for ea in itertools.chain(left, right):
-        grounded |= _claim_vars(ea)
-    if (vleft & vright) - grounded:
-        return False
-    forbidden = head_pairs | fork.aliases
-    for x in vleft - grounded:
-        for y in vright - grounded:
-            if x != y and (min(x, y), max(x, y)) in forbidden:
-                return False
-    return True
+def _first_cut(
+    rest: ExtendedQuery, fork: PropState, head_pairs: frozenset[tuple[str, str]]
+) -> Optional[tuple[int, int]]:
+    """Bounds (n2, mid) of the first pair of segments rest[:n2] and
+    rest[n2:mid] that may run in parallel from `fork`: shortest tail
+    first, then leftmost boundary.
+
+    Each segment needs a user-defined atom and no atom of role -1.  The
+    segments are independent when every variable they have in common is
+    ground at the fork or claimed ground by one of their atoms, and no
+    other variable of one may alias, by the head pattern or the fork
+    state, a variable of the other.  Variables and claims are taken once
+    per atom; a candidate tests unions of them.
+    """
+    bad, user = [0], [0]  # prefix counts of role -1 and role 1 atoms
+    for ea in rest:
+        role = _parallel_role(ea)
+        bad.append(bad[-1] + (role < 0))
+        user.append(user[-1] + (role > 0))
+
+    def admissible(a: int, b: int) -> bool:
+        return bad[a] == bad[b] and user[a] < user[b]
+
+    avars = [term_vars(ea.atom) for ea in rest]
+    claims = [_claim_vars(ea) for ea in rest]
+    lvars: list[set[str]] = [set()]
+    lclaims: list[set[str]] = [set()]
+    for v, c in zip(avars, claims):
+        lvars.append(lvars[-1] | v)
+        lclaims.append(lclaims[-1] | c)
+    partners: dict[str, set[str]] = {}
+    for x, y in head_pairs | fork.aliases:  # name-sorted pairs, x != y
+        partners.setdefault(x, set()).add(y)
+        partners.setdefault(y, set()).add(x)
+    ground = fork.ground
+    empty: set[str] = set()
+    for mid in range(len(rest), 1, -1):
+        rvars: list[set[str]] = [empty] * mid
+        rclaims: list[set[str]] = [empty] * mid
+        v, c = empty, empty
+        for j in range(mid - 1, 0, -1):
+            v, c = v | avars[j], c | claims[j]
+            rvars[j], rclaims[j] = v, c
+        for n2 in range(1, mid):
+            if not (admissible(0, n2) and admissible(n2, mid)):
+                continue
+            lv, lc, rv, rc = lvars[n2], lclaims[n2], rvars[n2], rclaims[n2]
+            if (lv & rv).difference(ground, lc, rc):
+                continue
+            rfree = rv.difference(ground, lc, rc)
+            if any(
+                not partners.get(x, empty).isdisjoint(rfree)
+                for x in lv.difference(ground, lc, rc)
+            ):
+                continue
+            return n2, mid
+    return None
 
 
 def split_independent(
@@ -330,27 +366,20 @@ def split_independent(
     n = len(query)
     if n < 2:
         return None
+    start = head_state(head)
     head_pairs = shared_pairs(head.sh, head.atom)
     for n1 in range(0, n - 1):
-        for n4 in range(0, n - n1 - 1):
-            mid = n - n1 - n4
-            for n2 in range(1, mid):
-                q1 = query[:n1]
-                q2 = query[n1 : n1 + n2]
-                q3 = query[n1 + n2 : n1 + mid]
-                q4 = query[n1 + mid :]
-                p1, rest, fork = propagate_success(q1, q2 + q3 + q4, oracle, head_state(head))
-                p2 = rest[:n2]
-                p3 = rest[n2 : mid]
-                p4 = rest[mid:]
-                if not (_segment_admissible(p2) and _segment_admissible(p3)):
-                    continue
-                if not _segments_independent(p2, p3, fork, head_pairs):
-                    continue
-                f2, p4, s2 = propagate_success(p2, p4, oracle, fork)
-                f3, p4, s3 = propagate_success(p3, p4, oracle, fork)
-                f4, _, _ = propagate_success(p4, (), oracle, PropState.join(s2, s3))
-                return p1, f2, f3, f4
+        # segments and tail together are always query[n1:], so the
+        # refreshed rest and the fork state depend on the prefix alone
+        p1, rest, fork = propagate_success(query[:n1], query[n1:], oracle, start)
+        cut = _first_cut(rest, fork, head_pairs)
+        if cut is None:
+            continue
+        n2, mid = cut
+        f2, p4, s2 = propagate_success(rest[:n2], rest[mid:], oracle, fork)
+        f3, p4, s3 = propagate_success(rest[n2:mid], p4, oracle, fork)
+        f4, _, _ = propagate_success(p4, (), oracle, PropState.join(s2, s3))
+        return p1, f2, f3, f4
     return None
 
 
@@ -449,8 +478,17 @@ class Trace:
     memo: list[MemoEntry]
 
     def transitions(self) -> Iterator[Transition]:
+        """Each distinct transition once, in first-visit order.
+
+        Derivations that leave a branch point share the transitions
+        before it; those are yielded with the first derivation only.
+        """
+        seen: set[Transition] = set()  # eq=False: identity
         for d in self.derivations:
-            yield from d.transitions
+            for t in d.transitions:
+                if t not in seen:
+                    seen.add(t)
+                    yield t
 
     def label_sequences(self) -> list[list[str]]:
         return [d.labels() for d in self.derivations]
@@ -512,9 +550,7 @@ def partially_evaluate(
                 continue
             warn_if_nonlinear(ea.atom, "selected atom")
             steps = []
-            for idx, clause in enumerate(program.clauses):
-                if clause.head.key != ea.key:
-                    continue
+            for idx, clause in program.numbered_clauses_for(*ea.key):
                 res = unfold_step(ea, clause)
                 if res is not None:
                     steps.append((idx,) + res)

@@ -11,7 +11,7 @@ cannot declare new operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from .terms import (
     BUILTIN_KEYS,
@@ -31,6 +31,9 @@ from .terms import (
     note_parsed_var,
     warn_if_nonlinear,
 )
+
+T = TypeVar("T")
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int) -> None:
@@ -277,6 +280,12 @@ class _Parser:
         warn_if_nonlinear(head, "clause head")
         return Clause(head, body)
 
+    def query(self) -> tuple[Atom, ...]:
+        atoms = self.goal_conjunction()
+        if self.at("."):
+            self.advance()
+        return tuple(atoms)
+
     def program(self) -> Program:
         clauses = []
         while self.cur.kind != "EOF":
@@ -284,43 +293,41 @@ class _Parser:
         return Program(tuple(clauses))
 
 
+def _parse(text: str, rule: Callable[[_Parser], T], what: Optional[str]) -> T:
+    """Apply `rule` to `text`; unless `what` is None, it must take all of it.
+
+    The descent recurses once per nesting level of a term, so running
+    out of stack is reported as a parse error.
+    """
+    p = _Parser(text)
+    try:
+        out = rule(p)
+    except RecursionError:
+        raise p.fail("term nested too deeply") from None
+    if what is not None and p.cur.kind != "EOF":
+        raise p.fail(f"trailing input after {what}")
+    return out
+
+
 def parse_program(text: str) -> Program:
-    return _Parser(text).program()
+    return _parse(text, _Parser.program, None)
 
 
 def parse_clause(text: str) -> Clause:
-    p = _Parser(text)
-    c = p.clause()
-    if p.cur.kind != "EOF":
-        raise p.fail("trailing input after clause")
-    return c
+    return _parse(text, _Parser.clause, "clause")
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    t = p.term()
-    if p.cur.kind != "EOF":
-        raise p.fail("trailing input after term")
-    return t
+    return _parse(text, _Parser.term, "term")
 
 
 def parse_atom(text: str) -> Atom:
-    p = _Parser(text)
-    a = p.atom()
-    if p.cur.kind != "EOF":
-        raise p.fail("trailing input after atom")
-    return a
+    return _parse(text, _Parser.atom, "atom")
 
 
 def parse_query(text: str) -> tuple[Atom, ...]:
     """One query: a comma-separated conjunction, optional trailing dot."""
-    p = _Parser(text)
-    atoms = p.goal_conjunction()
-    if p.at("."):
-        p.advance()
-    if p.cur.kind != "EOF":
-        raise p.fail("trailing input after query")
-    return tuple(atoms)
+    return _parse(text, _Parser.query, "query")
 
 
 def parse_query_file(text: str) -> list[tuple[Atom, ...]]:

@@ -138,14 +138,26 @@ class Clause:
 class Program:
     clauses: tuple[Clause, ...]
 
+    def __post_init__(self) -> None:
+        # (index, clause) pairs per predicate, in textual order; not a
+        # field, so equality and hashing see the clauses alone
+        by_key: dict[tuple[str, int], list[tuple[int, Clause]]] = {}
+        for i, c in enumerate(self.clauses):
+            by_key.setdefault(c.head.key, []).append((i, c))
+        self.__dict__["_by_key"] = {k: tuple(v) for k, v in by_key.items()}
+
     def predicates(self) -> set[tuple[str, int]]:
-        return {c.head.key for c in self.clauses}
+        return set(self._by_key)
+
+    def numbered_clauses_for(self, pred: str, arity: int) -> tuple[tuple[int, Clause], ...]:
+        """(index in `clauses`, clause) of each clause defining pred/arity."""
+        return self._by_key.get((pred, arity), ())
 
     def clauses_for(self, pred: str, arity: int) -> tuple[Clause, ...]:
-        return tuple(c for c in self.clauses if c.head.key == (pred, arity))
+        return tuple(c for _, c in self.numbered_clauses_for(pred, arity))
 
     def defines(self, pred: str, arity: int) -> bool:
-        return any(c.head.key == (pred, arity) for c in self.clauses)
+        return (pred, arity) in self._by_key
 
     def __repr__(self) -> str:
         return format_program(self)

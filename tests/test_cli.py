@@ -178,6 +178,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_deeply_nested_term_is_a_parse_error(tmp_path, capsys):
+    depth = 600
+    deep = write(tmp_path / "deep.pl", "p(" + "f(" * depth + "a" + ")" * depth + ").\n")
+    assert main([deep, "--entry", "p/1 gr {}"]) == 3
+    err = capsys.readouterr().err
+    assert "parse error: term nested too deeply" in err
+    assert "internal error" not in err
+
+
 def test_undefined_entry_is_an_analysis_error(capsys):
     assert main([str(CORPUS / "fib.pl"), "--entry", "nosuch/1 gr {1}"]) == 4
     assert "not defined" in capsys.readouterr().err

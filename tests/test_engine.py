@@ -1,8 +1,9 @@
 """Pattern-extended unfolding: entry, propagation, splitting, driving."""
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import corpus
-from parpeval import Analyzer, PELimitExceeded, parse_program, partially_evaluate
+from parpeval import Analyzer, PELimitExceeded, engine, parse_program, partially_evaluate
 from parpeval.engine import (
     ExtendedAtom,
     PropState,
@@ -25,8 +26,21 @@ from parpeval.patterns import (
     independent_sharing,
     parse_groundness,
     parse_sharing,
+    shared_pairs,
+    sharing_from_pairs,
 )
-from parpeval.terms import Atom, Struct, Var, apply_subst, canonical, format_atom, mgu
+from parpeval.terms import (
+    BUILTIN_KEYS,
+    COMPARISON_PREDS,
+    Atom,
+    Struct,
+    Var,
+    apply_subst,
+    canonical,
+    format_atom,
+    mgu,
+    term_vars,
+)
 
 FIB = """
 fibonacci(0, 1).
@@ -236,6 +250,130 @@ def test_split_none_for_vmul_and_merge():
     )
     q = body_call_patterns(head.gr, head.sh, mm.clauses[5])
     assert split_independent(head, q, an) is None
+
+
+def reference_split(head, query, oracle):
+    """The search as first written: every candidate (prefix, tail,
+    boundary) propagated afresh from the head state."""
+
+    def claims(ea):
+        return term_vars([ea.atom.args[i - 1] for i in ea.gr])
+
+    def admissible(segment):
+        has_user = False
+        for x in segment:
+            if x.key not in BUILTIN_KEYS:
+                has_user = True
+            elif x.key[0] in COMPARISON_PREDS:
+                return False
+            elif x.key[0] == "is" and 2 not in x.gr:
+                return False
+        return has_user
+
+    def independent(left, right, fork, head_pairs):
+        vleft = term_vars([x.atom for x in left])
+        vright = term_vars([x.atom for x in right])
+        grounded = set(fork.ground)
+        for x in left + right:
+            grounded |= claims(x)
+        if (vleft & vright) - grounded:
+            return False
+        forbidden = head_pairs | fork.aliases
+        for x in vleft - grounded:
+            for y in vright - grounded:
+                if x != y and (min(x, y), max(x, y)) in forbidden:
+                    return False
+        return True
+
+    n = len(query)
+    if n < 2:
+        return None
+    head_pairs = shared_pairs(head.sh, head.atom)
+    for n1 in range(0, n - 1):
+        for n4 in range(0, n - n1 - 1):
+            mid = n - n1 - n4
+            for n2 in range(1, mid):
+                p1, rest, fork = propagate_success(
+                    query[:n1], query[n1:], oracle, head_state(head)
+                )
+                p2, p3, p4 = rest[:n2], rest[n2:mid], rest[mid:]
+                if not (admissible(p2) and admissible(p3)):
+                    continue
+                if not independent(p2, p3, fork, head_pairs):
+                    continue
+                f2, p4, s2 = propagate_success(p2, p4, oracle, fork)
+                f3, p4, s3 = propagate_success(p3, p4, oracle, fork)
+                f4, _, _ = propagate_success(p4, (), oracle, PropState.join(s2, s3))
+                return p1, f2, f3, f4
+    return None
+
+
+# helpers with different success patterns: q grounds its output from a
+# ground input, r aliases, s grounds, t tells nothing, u is undefined
+SPLIT_HELPERS = """
+q(X, Y) :- Y is X + 1.
+r(X, Y) :- X = Y.
+s(a).
+t(X, Y).
+"""
+_var = st.sampled_from("ABCDE")
+_goal = st.one_of(
+    st.builds("{}({},{})".format, st.sampled_from("qrt"), _var, _var),
+    st.builds("{}({})".format, st.sampled_from("su"), _var),
+    st.builds("t(f({},{}),{})".format, _var, _var, _var),
+    st.builds("{} is {}+{}".format, _var, _var, _var),
+    st.builds("{} > {}".format, _var, _var),
+    st.builds("{} = f({})".format, _var, _var),
+    st.builds("{} = {}".format, _var, _var),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    goals=st.lists(_goal, min_size=2, max_size=8),
+    ground=st.sets(st.sampled_from([1, 2, 3])),
+    pairs=st.sets(st.sampled_from([(1, 2), (1, 3), (2, 3)])),
+    claims=st.lists(st.sets(st.sampled_from([1, 2])), max_size=8),
+)
+# a prefix =/2 links D and E, so only the fork state forbids the split
+@example(goals=["D = E", "t(D,A)", "t(E,B)"], ground={1, 2}, pairs=set(), claims=[])
+# the left t claims E ground, so the segments may share it
+@example(goals=["t(D,E)", "t(f(E,C),A)"], ground=set(), pairs=set(), claims=[{2}])
+def test_prop_split_matches_per_candidate_search(goals, ground, pairs, claims):
+    prog = parse_program(SPLIT_HELPERS + "p(A, B, C) :- " + ", ".join(goals) + ".")
+    clause = prog.clauses[-1]
+    head = ExtendedAtom(clause.head, groundness(3, ground), sharing_from_pairs(3, pairs))
+    query = body_call_patterns(head.gr, head.sh, clause)
+    # extra groundness claims, as instantiation under an mgu can add
+    claimed = []
+    for i, x in enumerate(query):
+        extra = {j for j in claims[i] if j <= x.atom.arity} if i < len(claims) else set()
+        claimed.append(ExtendedAtom(x.atom, groundness(x.atom.arity, x.gr.ground | extra), x.sh))
+    query = tuple(claimed)
+    want = reference_split(head, query, Analyzer(prog))
+    got = split_independent(head, query, Analyzer(prog))
+    # equal extended atoms: the same canonical atoms under the same patterns
+    assert got == want
+
+
+def test_split_propagates_once_per_prefix(monkeypatch):
+    # a dependent chain: every boundary shares a variable, no split exists
+    goals = ", ".join(f"q(X{i},X{i + 1})" for i in range(24))
+    prog = parse_program(f"q(X, Y) :- Y is X + 1.\nr(X0, X24) :- {goals}.")
+    clause = prog.clauses[-1]
+    head = ExtendedAtom(clause.head, groundness(2, (1,)), independent_sharing(2))
+    query = body_call_patterns(head.gr, head.sh, clause)
+    an = Analyzer(prog)
+    calls = []
+    propagate = engine.propagate_success
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return propagate(*args)
+
+    monkeypatch.setattr(engine, "propagate_success", counting)
+    assert split_independent(head, query, an) is None
+    assert calls == list(range(23))
 
 
 # ---------------------------------------------------------------------------
