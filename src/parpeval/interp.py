@@ -1,7 +1,11 @@
 """Sequential resolution engine used to validate residual programs.
 
 Goals are solved depth-first, left to right, trying clauses in textual
-order with the occurs check on.  Parallel groups run as plain
+order with the occurs check on.  A clause head is matched against the
+call rather than renamed: a head variable's first occurrence takes the
+caller's term, so it is never bound or occurs checked.  Ground
+resolutions the hooks ask for are remembered until backtracking undoes
+a binding they read.  Parallel groups run as plain
 conjunctions — the annotations claim independence, they do not change
 sequential meaning — but entering one fires a hook so callers can
 inspect the instantiation of both sides at fork time.  A second hook
@@ -43,7 +47,6 @@ from .terms import (
     format_atom,
     format_term,
     fresh_var_names,
-    resolve,
     term_vars,
     unify_in_place,
     walk,
@@ -105,8 +108,31 @@ class _Exit:
         self.atom = atom
 
 
-# (clause number, clause, its variables sorted, the same as a set)
-_ClauseEntry = tuple[int, Clause, list[str], frozenset[str]]
+class _ClauseEntry:
+    """A clause's head, body and variable data, worked out once per solver."""
+
+    __slots__ = ("number", "head", "body", "slots", "body_only", "vars_in")
+
+    def __init__(self, number: int, clause: Clause) -> None:
+        self.number = number
+        self.head = clause.head.args
+        # body goals as the continuation holds them
+        self.body = tuple(g.atom if isinstance(g, SeqAtom) else g for g in clause.body)
+        #: the clause's variables in sorted order, each with its place in
+        #: the block of fresh names a try draws
+        self.slots = {v: i for i, v in enumerate(sorted(term_vars(clause)))}
+        in_head = term_vars(clause.head)
+        #: the variables a head match leaves unseen, with their places
+        self.body_only = tuple((v, i) for v, i in self.slots.items() if v not in in_head)
+        #: id of each non-ground Struct in the head -> its variables,
+        #: with their places
+        self.vars_in: dict[int, tuple[tuple[str, int], ...]] = {}
+        todo = [t for t in self.head if isinstance(t, Struct) and not t.ground]
+        while todo:
+            t = todo.pop()
+            self.vars_in[id(t)] = tuple((v, self.slots[v]) for v in sorted(term_vars(t)))
+            todo += [a for a in t.args if isinstance(a, Struct) and not a.ground]
+
 
 # the continuation: a linked list of (goal, site, rest) ending in (); a
 # goal that fails leaves None in its place
@@ -138,13 +164,15 @@ class Solver:
         self.on_par = on_par
         self._index: dict[tuple[str, int], list[_ClauseEntry]] = {}
         for ci, clause in enumerate(program.clauses):
-            own = term_vars(clause)
-            entry = (ci, clause, sorted(own), frozenset(own))
-            self._index.setdefault(clause.head.key, []).append(entry)
+            self._index.setdefault(clause.head.key, []).append(_ClauseEntry(ci, clause))
         self._steps = 0
         self._binds: Subst = {}
         self._trail: list[str] = []
         self._choices: list[_Choice] = []
+        # id of a non-ground Struct -> (it, its ground resolution, the
+        # trail length the resolution was made at), in insertion order;
+        # holding the Struct keeps its id from being reused
+        self._memo: dict[int, tuple[Struct, Struct, int]] = {}
 
     def solve(self, query: Sequence[Atom]) -> list[Subst]:
         """All answers, restricted to the query's variables, fully resolved."""
@@ -153,6 +181,7 @@ class Solver:
         self._binds = {}
         self._trail = []
         self._choices = []
+        self._memo = {}
         answers: list[Subst] = []
         goals: Goals = ()
         for atom in reversed(query):
@@ -161,7 +190,7 @@ class Solver:
             while goals:
                 goals = self._step(goals)
             if goals is not None:
-                answers.append({v: resolve(Var(v), self._binds) for v in qvars})
+                answers.append({v: self._resolve(Var(v)) for v in qvars})
                 if self.max_solutions is not None and len(answers) >= self.max_solutions:
                     return answers
             if not self._choices:
@@ -179,20 +208,69 @@ class Solver:
         trail, binds = self._trail, self._binds
         while len(trail) > mark:
             del binds[trail.pop()]
+        # stamps never decrease in insertion order, so the entries made
+        # after the mark are the newest ones
+        memo = self._memo
+        while memo:
+            key = next(reversed(memo))
+            if memo[key][2] <= mark:
+                break
+            del memo[key]
+
+    def _resolve(self, t: Term) -> Term:
+        """`resolve(t, binds)`, remembering the ground resolutions made.
+
+        Adding bindings cannot change a ground resolution; only an undo
+        can, and `_undo` drops the entries stamped after its mark.
+        """
+        binds = self._binds
+        if isinstance(t, Var):
+            t = walk(t, binds)
+        if not isinstance(t, Struct) or t.ground:
+            return t
+        memo = self._memo
+        hit = memo.get(id(t))
+        if hit is not None:
+            return hit[1]
+        stamp = len(self._trail)
+        frames: list[tuple[Struct, list[Term]]] = [(t, [])]
+        while True:
+            s, done = frames[-1]
+            if len(done) < len(s.args):
+                a = s.args[len(done)]
+                if isinstance(a, Var):
+                    a = walk(a, binds)
+                if isinstance(a, Struct) and not a.ground:
+                    hit = memo.get(id(a))
+                    if hit is None:
+                        frames.append((a, []))
+                        continue
+                    a = hit[1]
+                done.append(a)
+                continue
+            frames.pop()
+            out = Struct(s.functor, tuple(done))
+            if out.ground:
+                memo[id(s)] = (s, out, stamp)
+            if not frames:
+                return out
+            frames[-1][1].append(out)
+
+    def _resolve_atom(self, atom: Atom) -> Atom:
+        return Atom(atom.pred, tuple(self._resolve(a) for a in atom.args))
 
     def _step(self, goals: tuple) -> Goals:
         """Run the first goal: the continuation after it, or None if it fails."""
         goal, site, rest = goals
-        binds = self._binds
         if isinstance(goal, _Exit):
-            self.on_answer(goal.call, resolve(goal.atom, binds))
+            self.on_answer(goal.call, self._resolve_atom(goal.atom))
             return rest
         if isinstance(goal, ParGroup):
             if self.on_par is not None:
                 self.on_par(
                     site,
-                    tuple(resolve(a, binds) for a in goal.left),
-                    tuple(resolve(a, binds) for a in goal.right),
+                    tuple(self._resolve_atom(a) for a in goal.left),
+                    tuple(self._resolve_atom(a) for a in goal.right),
                 )
             for a in reversed(goal.left + goal.right):
                 rest = (a, site, rest)
@@ -203,7 +281,7 @@ class Solver:
         alternatives = self._index.get(goal.key)
         if not alternatives:
             return None
-        call_shot = resolve(goal, binds) if self.on_answer is not None else None
+        call_shot = self._resolve_atom(goal) if self.on_answer is not None else None
         return self._try(_Choice(goal, call_shot, alternatives, rest, len(self._trail)))
 
     def _retry(self) -> Goals:
@@ -215,31 +293,84 @@ class Solver:
     def _try(self, choice: _Choice) -> Goals:
         """Try the choice's clauses in order from `choice.next`.
 
-        Each try is one step.  The clause's variables get a block of
-        fresh names, the head is renamed and unified, and only a head
-        that unifies has its body renamed.  If clauses remain after the
-        one that matched, the choicepoint goes back on the stack.
+        Each try is one step and draws a block of fresh names, one per
+        clause variable.  The head is matched against the call without
+        being renamed (`_match`), and only a head that matches has its
+        body instantiated.  If clauses remain after the one that
+        matched, the choicepoint goes back on the stack.
         """
         atom, alternatives = choice.atom, choice.alternatives
         while choice.next < len(alternatives):
-            ci, clause, own, taken = alternatives[choice.next]
+            entry = alternatives[choice.next]
             choice.next += 1
             self._tick()
-            names = fresh_var_names(len(own), taken)
-            mapping = {v: Var(name) for v, name in zip(own, names)}
-            if not unify_in_place(atom, apply_subst(clause.head, mapping), self._binds, self._trail):
+            slots = entry.slots
+            names = fresh_var_names(len(slots), slots)
+            env: Subst = {}
+            if not self._match(entry, atom.args, env, names):
                 self._undo(choice.mark)
                 continue
             if choice.next < len(alternatives):
                 self._choices.append(choice)
+            for v, i in entry.body_only:
+                env[v] = Var(names[i])
             goals = choice.rest
             if self.on_answer is not None:
                 goals = (_Exit(choice.call_shot, atom), None, goals)
-            for pos in range(len(clause.body) - 1, -1, -1):
-                g = apply_subst(clause.body[pos], mapping)
-                goals = (g.atom if isinstance(g, SeqAtom) else g, (ci, pos), goals)
+            ci, body = entry.number, entry.body
+            for pos in range(len(body) - 1, -1, -1):
+                goals = (apply_subst(body[pos], env), (ci, pos), goals)
             return goals
         return None
+
+    def _match(self, entry: _ClauseEntry, args: tuple[Term, ...], env: Subst,
+               names: list[str]) -> bool:
+        """Unify the call's `args` with the clause head, filling `env`.
+
+        `env` maps each clause variable met so far to its value.  A
+        variable's first occurrence takes the call's term as it is: a
+        clause variable is new, so nothing is bound, trailed or occurs
+        checked.  A later occurrence unifies with its value.  A
+        non-ground head subterm against an unbound variable is
+        instantiated from `env`, its unseen variables under their fresh
+        `names`, and bound; the occurs check is skipped only when every
+        variable in it is unseen.
+        """
+        binds, trail = self._binds, self._trail
+        todo = list(zip(reversed(entry.head), reversed(args)))
+        while todo:
+            h, c = todo.pop()
+            if isinstance(c, Var):
+                c = walk(c, binds)
+            if isinstance(h, Var):
+                value = env.get(h.name)
+                if value is None:
+                    env[h.name] = c
+                elif not unify_in_place(value, c, binds, trail):
+                    return False
+            elif isinstance(h, Struct) and not h.ground:
+                if isinstance(c, Struct):
+                    if c.functor != h.functor or len(c.args) != len(h.args):
+                        return False
+                    todo.extend(zip(reversed(h.args), reversed(c.args)))
+                elif isinstance(c, Var):
+                    unseen = True
+                    for v, i in entry.vars_in[id(h)]:
+                        if v in env:
+                            unseen = False
+                        else:
+                            env[v] = Var(names[i])
+                    value = apply_subst(h, env)
+                    if unseen:
+                        binds[c.name] = value
+                        trail.append(c.name)
+                    elif not unify_in_place(c, value, binds, trail):
+                        return False
+                else:
+                    return False
+            elif not unify_in_place(h, c, binds, trail):
+                return False
+        return True
 
     # -- builtins
 
@@ -319,8 +450,11 @@ def answer_multiset(
     on_answer: Optional[OnAnswer] = None,
     on_par: Optional[OnPar] = None,
 ) -> Counter:
+    return _answer_counts(Solver(program, max_steps, max_solutions, on_answer, on_par), query)
+
+
+def _answer_counts(solver: Solver, query: Sequence[Atom]) -> Counter:
     qvars = sorted(term_vars(tuple(query)))
-    solver = Solver(program, max_steps, max_solutions, on_answer, on_par)
     return Counter(answer_key(qvars, a) for a in solver.solve(query))
 
 
@@ -577,20 +711,24 @@ def verify(
     safe = SafenessReport(table=table) if "safe" in checks else None
     if eq is not None and residual.guarded:
         raise SolverError("guarded output is not interpretable here; verify the plain form")
-    program = residual.program()
+    # one solver per program, reused for every query
+    source_solver = residual_solver = None
+    if eq is not None or safe is not None:
+        on_answer = safe.on_answer if safe is not None else None
+        source_solver = Solver(source, max_steps, on_answer=on_answer)
+    if eq is not None or indep is not None:
+        on_par = indep.on_par if indep is not None else None
+        residual_solver = Solver(residual.program(), max_steps, on_par=on_par)
     for query in queries:
         issue = conformance_issue(query, gr, sh)
         if issue is not None:
             if eq is not None:
                 eq.rejected.append((query, issue))
             continue
-        if eq is not None or safe is not None:
-            on_answer = safe.on_answer if safe is not None else None
-            want = answer_multiset(source, [query], max_steps, on_answer=on_answer)
-        if eq is not None or indep is not None:
-            on_par = indep.on_par if indep is not None else None
-            renamed = residual.rename_query(query, gr, sh)
-            got = answer_multiset(program, [renamed], max_steps, on_par=on_par)
+        if source_solver is not None:
+            want = _answer_counts(source_solver, [query])
+        if residual_solver is not None:
+            got = _answer_counts(residual_solver, [residual.rename_query(query, gr, sh)])
         if indep is not None:
             indep.queries += 1
         if eq is not None:
@@ -636,8 +774,9 @@ def check_safeness(
     runs.
     """
     report = SafenessReport(table=table)
+    solver = Solver(program, max_steps=max_steps, on_answer=report.on_answer)
     for query in queries:
-        Solver(program, max_steps=max_steps, on_answer=report.on_answer).solve([query])
+        solver.solve([query])
     return report
 
 

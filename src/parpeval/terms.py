@@ -263,14 +263,14 @@ def apply_subst(x, s: Subst):
         return x
     if isinstance(x, Var):
         return s.get(x.name, x)
-    if isinstance(x, Int):
-        return x
     if isinstance(x, Struct):
         if x.ground:
             return x
-        return Struct(x.functor, tuple(apply_subst(a, s) for a in x.args))
+        return Struct(x.functor, tuple([apply_subst(a, s) for a in x.args]))
+    if isinstance(x, Int):
+        return x
     if isinstance(x, Atom):
-        return Atom(x.pred, tuple(apply_subst(a, s) for a in x.args))
+        return Atom(x.pred, tuple([apply_subst(a, s) for a in x.args]))
     if isinstance(x, SeqAtom):
         return SeqAtom(apply_subst(x.atom, s))
     if isinstance(x, ParGroup):
@@ -519,8 +519,15 @@ def warn_if_nonlinear(atom: Atom, where: str) -> None:
 # printing
 
 _BUILTIN_INFIX = {"is", ">", "<", ">=", "=<", "=:=", "="}
-_ADDITIVE = {"+", "-"}
-_MULTIPLICATIVE = {"*", "//"}
+# operator -> (lowest context level it prints bare at, the left operand's
+# level, the right operand's level)
+_OPERATORS = {
+    **{op: (700, 500, 500) for op in _BUILTIN_INFIX},
+    "+": (500, 500, 400),
+    "-": (500, 500, 400),
+    "*": (400, 400, 300),
+    "//": (400, 400, 300),
+}
 
 
 def _list_parts(t: Struct) -> tuple[list[Term], Optional[Term]]:
@@ -534,40 +541,69 @@ def _list_parts(t: Struct) -> tuple[list[Term], Optional[Term]]:
 
 
 def format_term(t: Term, prec: int = 700) -> str:
-    """Render a term; `prec` is the highest operator level printable bare."""
+    """Render a term; `prec` is the highest operator level printable bare.
+
+    The rendering keeps its own stack of pieces still to print, so term
+    depth is not bounded by Python's recursion limit.
+    """
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Int):
         return str(t.value)
-    if isinstance(t, Struct):
-        if t.functor == "." and len(t.args) == 2:
-            items, tail = _list_parts(t)
-            inner = ",".join(format_term(i) for i in items)
-            return f"[{inner}]" if tail is None else f"[{inner}|{format_term(tail)}]"
-        if t.functor == "," and len(t.args) == 2:
-            items = []
-            node: Term = t
-            while isinstance(node, Struct) and node.functor == "," and len(node.args) == 2:
-                items.append(node.args[0])
-                node = node.args[1]
-            items.append(node)
-            return f"({','.join(format_term(i) for i in items)})"
-        if t.functor in _BUILTIN_INFIX and len(t.args) == 2:
-            s = (
-                f"{format_term(t.args[0], 500)} {t.functor} "
-                f"{format_term(t.args[1], 500)}"
-            )
-            return s if prec >= 700 else f"({s})"
-        if t.functor in _ADDITIVE and len(t.args) == 2:
-            s = f"{format_term(t.args[0], 500)}{t.functor}{format_term(t.args[1], 400)}"
-            return s if prec >= 500 else f"({s})"
-        if t.functor in _MULTIPLICATIVE and len(t.args) == 2:
-            s = f"{format_term(t.args[0], 400)}{t.functor}{format_term(t.args[1], 300)}"
-            return s if prec >= 400 else f"({s})"
-        if not t.args:
-            return t.functor
-        return f"{t.functor}({','.join(format_term(a) for a in t.args)})"
-    raise TypeError(f"cannot format {type(t).__name__}")
+    out: list[str] = []
+    todo: list[Union[str, tuple[Term, int]]] = [(t, prec)]
+    while todo:
+        piece = todo.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            todo += reversed(_format_pieces(*piece))
+    return "".join(out)
+
+
+def _format_pieces(t: Term, prec: int) -> list[Union[str, tuple[Term, int]]]:
+    """One level of `format_term`: literal text and (subterm, prec) pairs."""
+    if isinstance(t, Var):
+        return [t.name]
+    if isinstance(t, Int):
+        return [str(t.value)]
+    if not isinstance(t, Struct):
+        raise TypeError(f"cannot format {type(t).__name__}")
+    if t.functor == "." and len(t.args) == 2:
+        items, tail = _list_parts(t)
+        inner = _joined(items)
+        return ["[", *inner, "]"] if tail is None else ["[", *inner, "|", (tail, 700), "]"]
+    if t.functor == "," and len(t.args) == 2:
+        items = []
+        node: Term = t
+        while isinstance(node, Struct) and node.functor == "," and len(node.args) == 2:
+            items.append(node.args[0])
+            node = node.args[1]
+        items.append(node)
+        return ["(", *_joined(items), ")"]
+    if len(t.args) == 2 and t.functor in _OPERATORS:
+        bare, left, right = _OPERATORS[t.functor]
+        sep = f" {t.functor} " if t.functor in _BUILTIN_INFIX else t.functor
+        s = [(t.args[0], left), sep, (t.args[1], right)]
+        return s if prec >= bare else ["(", *s, ")"]
+    if not t.args:
+        return [t.functor]
+    return [t.functor, "(", *_joined(t.args), ")"]
+
+
+def _joined(items) -> list[Union[str, tuple[Term, int]]]:
+    """`items` at level 700 with commas between them; a variable or an
+    integer is rendered at once."""
+    out: list[Union[str, tuple[Term, int]]] = []
+    for item in items:
+        out.append(",")
+        if isinstance(item, Var):
+            out.append(item.name)
+        elif isinstance(item, Int):
+            out.append(str(item.value))
+        else:
+            out.append((item, 700))
+    return out[1:]
 
 
 def format_atom(a: Atom) -> str:

@@ -110,7 +110,7 @@ def test_verify_solves_each_query_once_per_program(tmp_path, capsys, monkeypatch
     solve = interp.Solver.solve
 
     def counting(self, query):
-        calls.append(query)
+        calls.append(self)
         return solve(self, query)
 
     monkeypatch.setattr(interp.Solver, "solve", counting)
@@ -120,6 +120,7 @@ def test_verify_solves_each_query_once_per_program(tmp_path, capsys, monkeypatch
     assert main(fib_args("--verify", "eq,indep,safe", "--queries", queries)) == 0
     capsys.readouterr()
     assert len(calls) == 6  # one source and one residual run per query
+    assert len(set(map(id, calls))) == 2  # by one solver per program
 
 
 def test_verify_without_matching_queries_fails(tmp_path, capsys):
@@ -135,6 +136,19 @@ def test_verify_of_a_1000_item_list_runs_to_completion(tmp_path, capsys):
     args = [program, "--entry", "len/2 gr {1}", "--verify", "eq,indep,safe", "--queries", queries]
     assert main(args) == 0
     assert "N) ok (1 answers)" in capsys.readouterr().out
+
+
+def test_verify_of_a_deeply_nested_answer_gives_a_verdict(tmp_path, capsys):
+    program = write(
+        tmp_path / "nest.pl",
+        "nest(0, z).\nnest(N, f(X)) :- N > 0, M is N-1, nest(M, X).\n",
+    )
+    queries = write(tmp_path / "q.pl", "nest(3000, T).\n")
+    args = [program, "--entry", "nest/2 gr {1}", "--verify", "eq,indep,safe", "--queries", queries]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert "query nest(3000,T) ok (1 answers)" in captured.out
+    assert "internal error" not in captured.out + captured.err
 
 
 # -- exit codes

@@ -1,15 +1,18 @@
 """Sequential solver: answers, builtins, limits, hooks, conformance."""
 import sys
+import warnings
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from parpeval import Solver, answer_multiset, parse_program, parse_query
+from parpeval import Solver, answer_multiset, parse_program, parse_query, terms
 from parpeval.interp import (
     DEFAULT_STEP_LIMIT,
     InstantiationError,
     SolverError,
     StepLimitExceeded,
+    _Exit,
     answer_key,
     conformance_issue,
     parse_step_limit_env,
@@ -23,12 +26,20 @@ from parpeval.patterns import (
 from parpeval.terms import (
     Atom,
     Int,
+    NonlinearArgumentWarning,
     Struct,
     Var,
+    apply_subst,
+    canonical,
     format_atom,
     format_term,
     fresh_var_name,
+    fresh_var_names,
     make_list,
+    resolve,
+    term_vars,
+    unify_in_place,
+    walk,
 )
 
 FIB = """
@@ -256,6 +267,164 @@ def test_on_answer_sequence_is_pinned():
         (f"fibonacci(2,{g(6)})", "fibonacci(2,2)"),
         ("fibonacci(4,N)", "fibonacci(4,5)"),
     ]
+
+
+def test_resolve_memo_is_dropped_on_backtracking():
+    seen = []
+    solver = Solver(
+        parse_program("r(X) :- X = f(Y), s(Y), t(X). s(1). s(2). t(_)."),
+        on_answer=lambda call, ans: seen.append(format_atom(call)),
+    )
+    assert len(solver.solve(parse_query("r(Z)"))) == 2
+    # t(X) resolves to a ground f(1); undoing s(Y) must forget it
+    assert [c for c in seen if c.startswith("t")] == ["t(f(1))", "t(f(2))"]
+
+
+# -- clause heads are matched, not renamed
+
+
+def test_head_match_makes_no_occurs_check_on_open_lists(monkeypatch):
+    walks = []
+    occurs = terms._occurs
+
+    def counting(name, t, binds):
+        t_now = walk(t, binds)
+        if isinstance(t_now, Struct) and not t_now.ground:
+            walks.append(name)
+        return occurs(name, t, binds)
+
+    monkeypatch.setattr(terms, "_occurs", counting)
+    prog = parse_program("len([], 0). len([_|T], N) :- len(T, M), N is M+1.")
+    items = make_list([Var(f"E{i}") for i in range(500)])
+    out = Solver(prog).solve([Atom("len", (items, Var("N")))])
+    assert [a["N"] for a in out] == [Int(500)]
+    # each tail meets a head variable's first occurrence
+    assert walks == []
+
+
+class RenamingSolver(Solver):
+    """The solver as it was before head matching and the resolve memo:
+    each try renames the whole head and unifies it with the call, and
+    hooks see plain `resolve`.  The reference for the property below."""
+
+    def _resolve(self, t):
+        return resolve(t, self._binds)
+
+    def _try(self, choice):
+        atom, alternatives = choice.atom, choice.alternatives
+        while choice.next < len(alternatives):
+            entry = alternatives[choice.next]
+            choice.next += 1
+            self._tick()
+            names = fresh_var_names(len(entry.slots), entry.slots)
+            mapping = {v: Var(name) for v, name in zip(entry.slots, names)}
+            head = apply_subst(Atom(atom.pred, entry.head), mapping)
+            if not unify_in_place(atom, head, self._binds, self._trail):
+                self._undo(choice.mark)
+                continue
+            if choice.next < len(alternatives):
+                self._choices.append(choice)
+            goals = choice.rest
+            if self.on_answer is not None:
+                goals = (_Exit(choice.call_shot, atom), None, goals)
+            for pos in range(len(entry.body) - 1, -1, -1):
+                goals = (apply_subst(entry.body[pos], mapping), (entry.number, pos), goals)
+            return goals
+        return None
+
+
+def run_traced(solver_class, program, query, max_steps):
+    """Answer keys or the error raised, steps taken, and hook events with
+    their variables numbered canonically.
+
+    A call is snapshot before its head is matched, so only the two sides
+    of a fork are numbered together: a caller variable that a head
+    variable takes stays the same variable in the answer, where renaming
+    bound it to the head's fresh one.
+    """
+    events = []
+    solver = solver_class(
+        program,
+        max_steps=max_steps,
+        on_answer=lambda call, ans: events.append((canonical(call), canonical(ans))),
+        on_par=lambda site, left, right: events.append((site, canonical((left, right)))),
+    )
+    qvars = sorted(term_vars(query))
+    try:
+        outcome = [answer_key(qvars, a) for a in solver.solve([query])]
+    except SolverError as exc:
+        outcome = type(exc).__name__
+    return outcome, solver._steps, events
+
+
+_cvar = st.sampled_from(["X", "Y", "Z"])
+
+
+def _term(var):
+    return st.recursive(
+        st.one_of(var, st.sampled_from(["0", "1", "a", "[]"])),
+        lambda sub: st.one_of(
+            st.builds("f({})".format, sub),
+            st.builds("g({},{})".format, sub, sub),
+            st.builds("[{}|{}]".format, sub, sub),
+        ),
+        max_leaves=4,
+    )
+
+
+def _user_atom(var):
+    return st.one_of(
+        st.builds("p({})".format, _term(var)),
+        st.builds("{}({},{})".format, st.sampled_from("qr"), _term(var), _term(var)),
+    )
+
+
+_operand = st.one_of(_cvar, st.sampled_from(["0", "1", "2"]))
+_goal = st.one_of(
+    _user_atom(_cvar),
+    _user_atom(_cvar),
+    st.builds("{} = {}".format, _term(_cvar), _term(_cvar)),
+    st.builds("{} is {}+{}".format, _cvar, _operand, _operand),
+    st.builds("({} & {})".format, _user_atom(_cvar), _user_atom(_cvar)),
+)
+_clause = st.builds(
+    lambda head, body: head + (" :- " + ", ".join(body) if body else "") + ".",
+    _user_atom(_cvar),
+    st.lists(_goal, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    clauses=st.lists(_clause, min_size=1, max_size=6),
+    query=_user_atom(st.sampled_from(["A", "B"])),
+    max_steps=st.integers(min_value=1, max_value=60),
+)
+# a repeated head variable meets two caller terms
+@example(clauses=["q(X,X).", "q(f(X),X)."], query="q(A,f(B))", max_steps=60)
+# a nested head struct is built for an unbound caller variable, once
+# from unseen variables and once around a seen one (occurs check fails)
+@example(clauses=["q(X,f(X)).", "q(g(Y,Z),Z)."], query="q(A,A)", max_steps=60)
+# backtracking into a fork, and arithmetic over a head variable
+@example(
+    clauses=["p(X) :- (q(X,Y) & r(Y,Z)), Z is Y+1.", "q(0,1).", "q(1,1).", "r(1,Y)."],
+    query="p(A)",
+    max_steps=60,
+)
+# one f(Y) resolves ground under two bindings of Y
+@example(
+    clauses=["p(X) :- X = f(Y), q(Y,Y), r(X,X).", "q(0,0).", "q(1,1).", "r(Z,Z)."],
+    query="p(A)",
+    max_steps=60,
+)
+def test_prop_head_match_agrees_with_rename_then_unify(clauses, query, max_steps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonlinearArgumentWarning)
+        program = parse_program("\n".join(clauses))
+    atom = parse_query(query)[0]
+    want = run_traced(RenamingSolver, program, atom, max_steps)
+    got = run_traced(Solver, program, atom, max_steps)
+    assert got == want
 
 
 # -- conformance of queries against call patterns

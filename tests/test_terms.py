@@ -248,3 +248,61 @@ def test_prop_ground_flag_is_not_part_of_equality(t):
     twin = Struct(t.functor, t.args)
     object.__setattr__(twin, "ground", not t.ground)
     assert twin == t and hash(twin) == hash(t)
+
+
+def reference_format_term(t, prec=700):
+    """The recursive printer `format_term` replaced; its output is the spec."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Int):
+        return str(t.value)
+    if t.functor == "." and len(t.args) == 2:
+        items = []
+        while isinstance(t, Struct) and t.functor == "." and len(t.args) == 2:
+            items.append(t.args[0])
+            t = t.args[1]
+        inner = ",".join(reference_format_term(i) for i in items)
+        if t == NIL:
+            return f"[{inner}]"
+        return f"[{inner}|{reference_format_term(t)}]"
+    if t.functor == "," and len(t.args) == 2:
+        items = []
+        while isinstance(t, Struct) and t.functor == "," and len(t.args) == 2:
+            items.append(t.args[0])
+            t = t.args[1]
+        items.append(t)
+        return f"({','.join(reference_format_term(i) for i in items)})"
+    if t.functor in {"is", ">", "<", ">=", "=<", "=:=", "="} and len(t.args) == 2:
+        s = f"{reference_format_term(t.args[0], 500)} {t.functor} {reference_format_term(t.args[1], 500)}"
+        return s if prec >= 700 else f"({s})"
+    if t.functor in {"+", "-"} and len(t.args) == 2:
+        s = f"{reference_format_term(t.args[0], 500)}{t.functor}{reference_format_term(t.args[1], 400)}"
+        return s if prec >= 500 else f"({s})"
+    if t.functor in {"*", "//"} and len(t.args) == 2:
+        s = f"{reference_format_term(t.args[0], 400)}{t.functor}{reference_format_term(t.args[1], 300)}"
+        return s if prec >= 400 else f"({s})"
+    if not t.args:
+        return t.functor
+    return f"{t.functor}({','.join(reference_format_term(a) for a in t.args)})"
+
+
+_printed_functors = st.sampled_from(
+    ["f", "g", "[]", ".", ",", "is", "=", ">", "=:=", "+", "-", "*", "//"]
+)
+
+printed_terms = st.recursive(
+    st.one_of(
+        _varnames.map(Var),
+        st.integers(min_value=-9, max_value=9).map(Int),
+        st.sampled_from([NIL, S("a")]),
+    ),
+    lambda sub: st.tuples(_printed_functors, st.lists(sub, min_size=1, max_size=3)).map(
+        lambda fa: Struct(fa[0], tuple(fa[1]))
+    ),
+    max_leaves=14,
+)
+
+
+@given(printed_terms, st.sampled_from([300, 400, 500, 700]))
+def test_prop_format_term_matches_recursive_reference(t, prec):
+    assert format_term(t, prec) == reference_format_term(t, prec)
