@@ -276,3 +276,21 @@ def test_output_is_deterministic_across_processes(tmp_path):
         )
         texts.append((proc.stdout, out.read_bytes(), trace.read_bytes()))
     assert texts[0] == texts[1]
+
+
+# the specializer's output, pinned byte for byte: a program in the shape
+# of the benchmark's many-predicates workload, and one clause body of two
+# independent chains of six goals; a fresh process starts the `_G`
+# counter at 0, so the names in the goldens are stable
+@pytest.mark.parametrize(
+    "name, entry", [("preds12", "p0/3 gr {1}"), ("twochain6", "r/4 gr {1,2}")]
+)
+def test_specializer_output_matches_golden(tmp_path, name, entry):
+    trace = tmp_path / f"{name}.trace"
+    proc = run_cli(
+        [str(GOLDEN / f"{name}.pl"), "--entry", entry, "--trace", str(trace)],
+        cwd=tmp_path,
+    )
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert proc.stderr == ""
+    assert trace.read_bytes() == (GOLDEN / f"{name}.trace").read_bytes()
