@@ -206,18 +206,7 @@ class Analyzer:
         ensure: Callable[[PatternKey], SuccessPattern],
     ) -> SuccessPattern:
         pred, arity, gr, sh = key
-        analyzer = self
-
-        class _LocalOracle:
-            def success(self, p, a, g, s):
-                inner: PatternKey = (p, a, g, s)
-                row = analyzer._known(inner, keep_undefined=False)
-                if row is not None:
-                    return row
-                deps.setdefault(inner, set()).add(key)
-                return ensure(inner)
-
-        oracle = _LocalOracle()
+        oracle = _FixpointOracle(self, key, deps, ensure)
         exit_ground: Optional[frozenset[int]] = None
         exit_pairs: set[tuple[int, int]] = set()
         for clause in self.program.clauses_for(pred, arity):
@@ -239,6 +228,34 @@ class Analyzer:
             GroundnessPattern(arity, frozenset(gr.ground | exit_ground)),
             sharing_from_pairs(arity, exit_pairs),
         )
+
+
+class _FixpointOracle:
+    """Success lookups for the clause bodies of `key` inside a fixpoint
+    run: a callee without a final row gets its current assumption, and
+    `key` is recorded as waiting on it."""
+
+    def __init__(
+        self,
+        analyzer: Analyzer,
+        key: PatternKey,
+        deps: dict[PatternKey, set[PatternKey]],
+        ensure: Callable[[PatternKey], SuccessPattern],
+    ) -> None:
+        self.analyzer = analyzer
+        self.key = key
+        self.deps = deps
+        self.ensure = ensure
+
+    def success(
+        self, pred: str, arity: int, gr: GroundnessPattern, sh: SharingPattern
+    ) -> SuccessPattern:
+        inner: PatternKey = (pred, arity, gr, sh)
+        row = self.analyzer._known(inner, keep_undefined=False)
+        if row is not None:
+            return row
+        self.deps.setdefault(inner, set()).add(self.key)
+        return self.ensure(inner)
 
 
 def infer_patterns(

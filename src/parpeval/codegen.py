@@ -25,7 +25,6 @@ from .terms import (
     Program,
     SeqAtom,
     Struct,
-    canonical,
     format_clause,
 )
 
@@ -34,11 +33,7 @@ class CodegenError(Exception):
     pass
 
 
-EntityKey = tuple  # (canonical atom, groundness, sharing)
-
-
-def _entity(ea: ExtendedAtom) -> EntityKey:
-    return (canonical(ea.atom), ea.gr, ea.sh)
+EntityKey = tuple  # ExtendedAtom.memo_key: (canonical atom, groundness, sharing)
 
 
 def _mangle(pred: str, gr: GroundnessPattern, sh: SharingPattern) -> str:
@@ -65,7 +60,7 @@ class RenamingScheme:
     def name(self, ea: ExtendedAtom) -> str:
         if ea.key in BUILTIN_KEYS:
             return ea.atom.pred
-        key = _entity(ea)
+        key = ea.memo_key
         hit = self._names.get(key)
         if hit is not None:
             return hit
@@ -157,7 +152,7 @@ def extract_residual(
                 closer[s] = ("fail", None)
                 failing.add(t.subject.ea.key)
             elif t.label == "e":
-                key = _entity(t.subject.ea)
+                key = t.subject.ea.memo_key
                 bridges.setdefault(key, t.subject.ea)
                 closer[s] = ("bridge", key)
                 original_seeds.add(t.subject.ea.key)
@@ -213,7 +208,7 @@ def extract_residual(
     entries: dict[tuple[str, int, GroundnessPattern, SharingPattern], str] = {}
     for trace in traces:
         init = trace.init
-        key = _entity(init)
+        key = init.memo_key
         for ekey, name in scheme.items():
             if ekey == key:
                 entries[(init.atom.pred, init.atom.arity, init.gr, init.sh)] = name

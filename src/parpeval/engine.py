@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Protocol, Sequence
 
 from .patterns import (
@@ -64,6 +65,12 @@ class ExtendedAtom:
     @property
     def key(self) -> tuple[str, int]:
         return self.atom.key
+
+    @cached_property
+    def memo_key(self) -> tuple:
+        """Equal exactly for variants under equal patterns; computed once
+        per object, since the driver selects one object many times."""
+        return canonical(self.atom), self.gr, self.sh
 
     def describe(self) -> str:
         return "(%s, %s, %s)" % (
@@ -123,23 +130,17 @@ def head_state(head: ExtendedAtom) -> PropState:
     )
 
 
-def _claim_vars(ea: ExtendedAtom) -> set[str]:
-    out: set[str] = set()
-    for i in ea.gr:
-        out |= term_vars(ea.atom.args[i - 1])
-    return out
-
-
 def may_share_pairs(
     free: Sequence[set[str]], aliases: set[tuple[str, str]]
 ) -> set[tuple[int, int]]:
     """Position pairs (i<j) that may share, given each position's free
     variables: a variable in common, or two variables `aliases` links."""
     out = set()
-    for i in range(len(free)):
-        for j in range(i + 1, len(free)):
-            if _may_share(free[i], free[j], aliases):
-                out.add((i + 1, j + 1))
+    live = [(i, v) for i, v in enumerate(free, start=1) if v]
+    for k, (i, vi) in enumerate(live):
+        for j, vj in live[k + 1 :]:
+            if _may_share(vi, vj, aliases):
+                out.add((i, j))
     return out
 
 
@@ -167,19 +168,33 @@ def body_call_patterns(
     when they have a variable in common or hold variables the head
     sharing pattern links.  Groundness is not used to prune sharing
     here: over-claiming a may-share is always sound.
+
+    The result depends on the clause and the call patterns alone, so it
+    is kept on the (immutable) clause, one entry per call pattern.
     """
+    cache = clause.__dict__.setdefault("_body_call_patterns", {})
+    out = cache.get((call_gr, call_sh))
+    if out is None:
+        out = cache[call_gr, call_sh] = _body_call_patterns(call_gr, call_sh, clause)
+    return out
+
+
+def _body_call_patterns(
+    call_gr: GroundnessPattern, call_sh: SharingPattern, clause: Clause
+) -> ExtendedQuery:
     head = clause.head
     ground = claimed_ground_vars(call_gr, head)
     alias = shared_pairs(call_sh, head)
+    # the result is kept: equal patterns share one object
+    shared: dict = {call_gr: call_gr, call_sh: call_sh}
     out = []
     for batom in clause.body_atoms():
         n = batom.arity
         vs = [term_vars(t) for t in batom.args]
         positions = frozenset(j for j in range(1, n + 1) if vs[j - 1] <= ground)
-        pairs = may_share_pairs(vs, alias)
-        out.append(
-            ExtendedAtom(batom, GroundnessPattern(n, positions), sharing_from_pairs(n, pairs))
-        )
+        gr = GroundnessPattern(n, positions)
+        sh = sharing_from_pairs(n, may_share_pairs(vs, alias))
+        out.append(ExtendedAtom(batom, shared.setdefault(gr, gr), shared.setdefault(sh, sh)))
     return tuple(out)
 
 
@@ -188,17 +203,18 @@ def unfold_step(
 ) -> Optional[tuple[Subst, Clause, ExtendedQuery]]:
     """Resolve `ea` against `clause`: (mgu, renamed clause, body query).
 
-    The body query carries entry patterns computed on the renamed but
-    uninstantiated clause; the mgu is then applied to the atoms alone,
-    leaving the patterns untouched.
+    The body query carries entry patterns computed on the uninstantiated
+    clause, which a renaming apart does not change; the mgu is then
+    applied to the renamed atoms alone, leaving the patterns untouched.
     """
     rclause = rename_apart(clause, term_vars(ea.atom))
     sigma = mgu(ea.atom, rclause.head)
     if sigma is None:
         return None
-    equery = body_call_patterns(ea.gr, ea.sh, rclause)
+    patterns = body_call_patterns(ea.gr, ea.sh, clause)
     instantiated = tuple(
-        ExtendedAtom(apply_subst(b.atom, sigma), b.gr, b.sh) for b in equery
+        ExtendedAtom(apply_subst(b, sigma), p.gr, p.sh)
+        for b, p in zip(rclause.body_atoms(), patterns)
     )
     return sigma, rclause, instantiated
 
@@ -214,20 +230,27 @@ def _refresh(ea: ExtendedAtom, state: PropState, extra_ground: set[str]) -> Exte
     justified when the pattern was computed and instantiation only
     refines them.
     """
-    known = state.ground | extra_ground | _claim_vars(ea)
     atom = ea.atom
     n = atom.arity
-    free = [term_vars(t) - known for t in atom.args]
+    vs = [term_vars(t) for t in atom.args]
+    known = state.ground | extra_ground
+    for i in ea.gr.ground:
+        known |= vs[i - 1]
+    free = [v - known for v in vs]
     positions = ea.gr.ground | {j for j in range(1, n + 1) if not free[j - 1]}
     pairs = sharing_pairs(ea.sh) | may_share_pairs(free, state.aliases)
+    if len(positions) == len(ea.gr.ground) and len(pairs) == len(sharing_pairs(ea.sh)):
+        # nothing learnt; every sharing pattern is built normalised, so
+        # the rebuilt one would equal `ea.sh`
+        return ea
     return ExtendedAtom(atom, GroundnessPattern(n, positions), sharing_from_pairs(n, pairs))
 
 
 def _absorb(ea: ExtendedAtom, success: SuccessPattern, state: PropState) -> None:
     """Fold an answer matching `success` into the state, in place."""
     atom = ea.atom
-    state.ground |= _claim_vars(ea)
-    for i in success.ground:
+    state.ground |= claimed_ground_vars(ea.gr, atom)
+    for i in success.ground.ground:
         state.ground |= term_vars(atom.args[i - 1])
     for (i, j) in sharing_pairs(success.share):
         v1 = term_vars(atom.args[i - 1]) - state.ground
@@ -265,7 +288,7 @@ def propagate_success(
     later_claims: set[str] = set()
     for ea in q2:
         refreshed = _refresh(ea, st, later_claims)
-        later_claims |= _claim_vars(refreshed)
+        later_claims |= claimed_ground_vars(refreshed.gr, refreshed.atom)
         out2.append(refreshed)
     return tuple(out1), tuple(out2), st
 
@@ -316,7 +339,7 @@ def _first_cut(
         return bad[a] == bad[b] and user[a] < user[b]
 
     avars = [term_vars(ea.atom) for ea in rest]
-    claims = [_claim_vars(ea) for ea in rest]
+    claims = [claimed_ground_vars(ea.gr, ea.atom) for ea in rest]
     lvars: list[set[str]] = [set()]
     lclaims: list[set[str]] = [set()]
     for v, c in zip(avars, claims):
@@ -364,7 +387,10 @@ def split_independent(
     state alone, and the tail under the join of both segment states.
     """
     n = len(query)
-    if n < 2:
+    if sum(ea.key not in BUILTIN_KEYS for ea in query) < 2:
+        # each parallel segment needs a user-defined atom; the unfold
+        # that follows propagates the whole body, so skipping the
+        # prefixes asks the oracle for nothing it would not ask anyway
         return None
     start = head_state(head)
     head_pairs = shared_pairs(head.sh, head.atom)
@@ -387,12 +413,8 @@ def split_independent(
 # variant and embedding checks
 
 
-def _memo_key(ea: ExtendedAtom) -> tuple:
-    return canonical(ea.atom), ea.gr, ea.sh
-
-
 def is_variant(a: ExtendedAtom, b: ExtendedAtom) -> bool:
-    return _memo_key(a) == _memo_key(b)
+    return a.memo_key == b.memo_key
 
 
 def _term_embeds(big, small) -> bool:
@@ -446,6 +468,38 @@ class MemoEntry:
     def __init__(self, serial: int, ea: ExtendedAtom) -> None:
         self.serial = serial
         self.ea = ea
+
+
+class Memo:
+    """The atoms the driver has unfolded, in insertion order.
+
+    Variants are found by memo key.  `embeds` holds only between atoms
+    of one predicate under equal patterns, so the whistle scans the
+    bucket of (predicate, gr, sh) alone; a bucket keeps insertion order,
+    so its first embedding entry is the first one in the whole memo.
+    """
+
+    def __init__(self) -> None:
+        self.entries: list[MemoEntry] = []
+        self._variants: dict[tuple, MemoEntry] = {}
+        self._buckets: dict[tuple, list[MemoEntry]] = {}
+
+    def variant(self, ea: ExtendedAtom) -> Optional[MemoEntry]:
+        return self._variants.get(ea.memo_key)
+
+    def embedding(self, ea: ExtendedAtom) -> Optional[MemoEntry]:
+        """The oldest entry whose atom `ea` embeds, if any."""
+        for m in self._buckets.get((ea.key, ea.gr, ea.sh), ()):
+            if embeds(ea, m.ea):
+                return m
+        return None
+
+    def add(self, ea: ExtendedAtom) -> MemoEntry:
+        entry = MemoEntry(len(self.entries) + 1, ea)
+        self.entries.append(entry)
+        self._variants[ea.memo_key] = entry
+        self._buckets.setdefault((ea.key, ea.gr, ea.sh), []).append(entry)
+        return entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,8 +561,7 @@ def partially_evaluate(
     so selection is leftmost, mirroring plain resolution.  The memo of
     already-unfolded atoms is global across branches.
     """
-    memo_order: list[MemoEntry] = []
-    memo_index: dict[tuple, MemoEntry] = {}
+    memo = Memo()
     serials = itertools.count(1)
 
     def occ(ea: ExtendedAtom) -> Occurrence:
@@ -533,13 +586,12 @@ def partially_evaluate(
                     f"gave up after {max_transitions} transitions; "
                     f"selected atom was {ea.atom.pred}/{ea.atom.arity}"
                 )
-            key = _memo_key(ea)
-            hit = memo_index.get(key)
+            hit = memo.variant(ea)
             if hit is not None:
                 trans.append(Transition("v", subject, matched=hit))
                 queue = rest
                 continue
-            older = next((m for m in memo_order if embeds(ea, m.ea)), None)
+            older = memo.embedding(ea)
             if older is not None:
                 trans.append(Transition("e", subject, matched=older))
                 queue = rest
@@ -558,9 +610,7 @@ def partially_evaluate(
                 trans.append(Transition("f", subject))
                 queue = rest
                 continue
-            entry = MemoEntry(len(memo_order) + 1, ea)
-            memo_order.append(entry)
-            memo_index[key] = entry
+            entry = memo.add(ea)
             branches = []
             for idx, sigma, rclause, equery in steps:
                 head_inst = apply_subst(ea.atom, sigma)
@@ -602,7 +652,7 @@ def partially_evaluate(
         if not branched:
             derivations.append(Derivation(trans))
 
-    return Trace(program, init, derivations, memo_order)
+    return Trace(program, init, derivations, memo.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ cannot declare new operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
+import re
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from .terms import (
     BUILTIN_KEYS,
@@ -42,80 +42,79 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # NAME VAR INT PUNCT EOF
     text: str
     line: int
     col: int
 
 
-_PUNCT = [
-    ":-", ">=", "=<", "=:=", "//",
-    ".", ",", "(", ")", "[", "]", "|", "&",
-    "is", ">", "<", "=", "+", "-", "*",
-]
-# multi-char punct first so the lexer takes the longest match
-_SYMBOLIC = [p for p in _PUNCT if not p.isalpha()]
+# blanks, then one lexeme: a newline, a comment, a run of word characters
+# (str.isalnum or "_"), symbolic punctuation with the longest one first,
+# or any other character, which is an error; `is` comes out as a word.
+# Every position is matched, so consecutive matches cover the text.
+_LEXEME = re.compile(
+    r"[ \t\r]*(?:(\n)|(%[^\n]*)|(\w+)|(=:=|:-|>=|=<|//|[.,()\[\]|&><=+*-])|(.)|\Z)"
+)
+_NEWLINE, _COMMENT, _WORD, _SYMBOL = 1, 2, 3, 4
 
 
 def _lex(text: str) -> list[_Tok]:
+    """Tokens with 1-based line and column; a column counts characters.
+
+    A comment advances no column, which shows only in the column of an
+    end-of-file token that follows a comment.
+    """
     toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start, n = 1, 0, len(text)
+    eof_col = None
+    for m in _LEXEME.finditer(text):
+        kind = m.lastindex
+        if kind is None:  # blanks up to the end
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isupper() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("VAR", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.islower():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "PUNCT" if word == "is" else "NAME"
-            toks.append(_Tok(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        matched = None
-        for p in sorted(_SYMBOLIC, key=len, reverse=True):
-            if text.startswith(p, i):
-                matched = p
-                break
-        if matched is None:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        toks.append(_Tok("PUNCT", matched, line, col))
-        i += len(matched)
-        col += len(matched)
-    toks.append(_Tok("EOF", "", line, col))
+        col = m.start(kind) - line_start + 1
+        if kind == _WORD:
+            _split_word(m.group(kind), line, col, toks)
+        elif kind == _SYMBOL:
+            toks.append(_Tok("PUNCT", m.group(kind), line, col))
+        elif kind == _NEWLINE:
+            line, line_start = line + 1, m.end()
+        elif kind == _COMMENT:
+            if m.end() == n:
+                eof_col = col
+        else:
+            raise ParseError(f"unexpected character {m.group(kind)!r}", line, col)
+    toks.append(_Tok("EOF", "", line, eof_col or n - line_start + 1))
     return toks
+
+
+def _split_word(word: str, line: int, col: int, toks: list[_Tok]) -> None:
+    """Tokens of one maximal run of word characters: runs of digits
+    (str.isdigit), then a variable (upper case or "_" first) or a name
+    (lower case first) that takes the rest of the run."""
+    i, n = 0, len(word)
+    while i < n:
+        ch = word[i]
+        if ch.isdigit():
+            j = i + 1
+            while j < n and word[j].isdigit():
+                j += 1
+            toks.append(_Tok("INT", word[i:j], line, col + i))
+            i = j
+        elif ch.isupper() or ch == "_":
+            toks.append(_Tok("VAR", word[i:], line, col + i))
+            return
+        elif ch.islower():
+            rest = word[i:]
+            toks.append(_Tok("PUNCT" if rest == "is" else "NAME", rest, line, col + i))
+            return
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col + i)
+
+
+_INFIX = frozenset(("is", ">=", "=<", "=:=", ">", "<", "="))
+_ADDITIVE = frozenset(("+", "-"))
+_MULTIPLICATIVE = frozenset(("*", "//"))
 
 
 class _Parser:
@@ -135,7 +134,12 @@ class _Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.cur.kind == "PUNCT" and self.cur.text == text
+        tok = self.toks[self.pos]
+        return tok.text == text and tok.kind == "PUNCT"
+
+    def at_one_of(self, texts: frozenset[str]) -> bool:
+        tok = self.toks[self.pos]
+        return tok.text in texts and tok.kind == "PUNCT"
 
     def expect(self, text: str) -> _Tok:
         if not self.at(text):
@@ -150,23 +154,21 @@ class _Parser:
     def term(self) -> Term:
         """additive, optionally joined by one infix builtin operator."""
         left = self.additive()
-        for op in ("is", ">=", "=<", "=:=", ">", "<", "="):
-            if self.at(op):
-                self.advance()
-                right = self.additive()
-                return Struct(op, (left, right))
+        if self.at_one_of(_INFIX):
+            op = self.advance().text
+            return Struct(op, (left, self.additive()))
         return left
 
     def additive(self) -> Term:
         left = self.multiplicative()
-        while self.at("+") or self.at("-"):
+        while self.at_one_of(_ADDITIVE):
             op = self.advance().text
             left = Struct(op, (left, self.multiplicative()))
         return left
 
     def multiplicative(self) -> Term:
         left = self.primary()
-        while self.at("*") or self.at("//"):
+        while self.at_one_of(_MULTIPLICATIVE):
             op = self.advance().text
             left = Struct(op, (left, self.primary()))
         return left

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .terms import Atom, term_vars
@@ -25,6 +26,11 @@ class GroundnessPattern:
         bad = [i for i in self.ground if not 1 <= i <= self.arity]
         if bad:
             raise ValueError(f"positions {bad} out of range for arity {self.arity}")
+        # patterns key the memo and the success tables: hash them once
+        self.__dict__["_hash"] = hash((self.arity, self.ground))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __contains__(self, i: int) -> bool:
         return i in self.ground
@@ -47,6 +53,19 @@ def groundness(arity: int, positions: Iterable[int] = ()) -> GroundnessPattern:
 @dataclass(frozen=True)
 class SharingPattern:
     groups: tuple[frozenset[int], ...]
+
+    def __post_init__(self) -> None:
+        self.__dict__["_hash"] = hash((self.groups,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The unordered position pairs (i<j) the pattern allows to share."""
+        return frozenset(
+            (i, j) for i, g in enumerate(self.groups, start=1) for j in g if i < j
+        )
 
     @property
     def arity(self) -> int:
@@ -87,16 +106,18 @@ def worst_sharing(arity: int) -> SharingPattern:
 
 def sharing_pairs(s: SharingPattern) -> frozenset[tuple[int, int]]:
     """The unordered position pairs (i<j) the pattern allows to share."""
-    out = set()
-    for i in range(1, s.arity + 1):
-        for j in s.group(i):
-            if i < j:
-                out.add((i, j))
-    return frozenset(out)
+    return s.pairs
 
 
 def sharing_from_pairs(arity: int, pairs: Iterable[tuple[int, int]]) -> SharingPattern:
-    return sharing(arity, [{i, j} for i, j in pairs])
+    """`sharing(arity, [{i, j} for i, j in pairs])`, built directly."""
+    sets = [{i} for i in range(1, arity + 1)]
+    for i, j in pairs:
+        if not (0 < i <= arity and 0 < j <= arity):
+            sharing(arity, [{i, j}])  # raises, naming the position out of range
+        sets[i - 1].add(j)
+        sets[j - 1].add(i)
+    return SharingPattern(tuple(map(frozenset, sets)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +129,7 @@ def claimed_ground_vars(p: GroundnessPattern, atom: Atom) -> set[str]:
     if p.arity != atom.arity:
         raise ValueError("pattern arity does not match atom")
     out: set[str] = set()
-    for i in p:
+    for i in p.ground:
         out |= term_vars(atom.args[i - 1])
     return out
 

@@ -455,6 +455,11 @@ def rename_apart(clause: Clause, avoid: Iterable[str]) -> Clause:
 # canonical forms (variants, memo keys, answer comparison)
 
 
+#: the first canonical variables, shared by every canonical form: they
+#: make canonical forms smaller and their comparison an identity test
+_CANONICAL_VARS = tuple(Var(f"v{i}") for i in range(16))
+
+
 def canonical(x):
     """Rename variables to v0,v1,... in first-occurrence order.
 
@@ -465,7 +470,8 @@ def canonical(x):
     def go(x):
         if isinstance(x, Var):
             if x.name not in mapping:
-                mapping[x.name] = Var(f"v{len(mapping)}")
+                k = len(mapping)
+                mapping[x.name] = _CANONICAL_VARS[k] if k < len(_CANONICAL_VARS) else Var(f"v{k}")
             return mapping[x.name]
         if isinstance(x, Struct):
             return x if x.ground else _rebuild(x, go)

@@ -6,6 +6,7 @@ import corpus
 from parpeval import Analyzer, PELimitExceeded, engine, parse_program, partially_evaluate
 from parpeval.engine import (
     ExtendedAtom,
+    Memo,
     PropState,
     Transition,
     body_call_patterns,
@@ -28,11 +29,13 @@ from parpeval.patterns import (
     parse_sharing,
     shared_pairs,
     sharing_from_pairs,
+    worst_sharing,
 )
 from parpeval.terms import (
     BUILTIN_KEYS,
     COMPARISON_PREDS,
     Atom,
+    Int,
     Struct,
     Var,
     apply_subst,
@@ -407,6 +410,41 @@ def test_embedding_by_diving_and_coupling():
     )
 
 
+_whistle_terms = st.recursive(
+    st.one_of(st.sampled_from(["X", "Y"]).map(Var), st.integers(0, 1).map(Int)),
+    lambda sub: st.tuples(st.sampled_from(["f", "g"]), st.lists(sub, min_size=1, max_size=2)).map(
+        lambda fa: Struct(fa[0], tuple(fa[1]))
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def whistle_atoms(draw):
+    n = draw(st.integers(1, 2))
+    args = tuple(draw(st.lists(_whistle_terms, min_size=n, max_size=n)))
+    gr = groundness(n, draw(st.sets(st.integers(1, n), max_size=1)))
+    sh = draw(st.sampled_from([independent_sharing(n), worst_sharing(n)]))
+    return ExtendedAtom(Atom(draw(st.sampled_from("pq")), args), gr, sh)
+
+
+@given(st.lists(whistle_atoms(), max_size=16), whistle_atoms())
+# the hit is the second entry of its bucket, after one it does not embed
+@example(
+    entries=[
+        ea(Atom("p", (Struct("g", (Var("X"),)),)), "{}"),
+        ea(Atom("q", (Var("X"),)), "{}"),
+        ea(Atom("p", (Var("X"),)), "{}"),
+    ],
+    selected=ea(Atom("p", (Struct("f", (Var("Y"),)),)), "{}"),
+)
+def test_prop_bucketed_whistle_matches_linear_scan(entries, selected):
+    memo = Memo()
+    added = [memo.add(x) for x in entries]
+    linear = next((m for m in added if embeds(selected, m.ea)), None)
+    assert memo.embedding(selected) is linear
+
+
 def test_embedding_requires_equal_patterns():
     small = ea(Atom("p", (Var("X"),)), "{}")
     big = ea(Atom("p", (Struct("f", (Var("Y"),)),)), "{1}")
@@ -544,3 +582,58 @@ def test_trace_text_matches_golden():
     trace = partially_evaluate(prog, init, an)
     golden = (corpus.Path(__file__).parent / "golden" / "fibonacci.trace").read_text()
     assert format_trace(trace) == golden
+
+
+# ---------------------------------------------------------------------------
+# cost of the driver's memo and of the body call patterns
+
+
+def many_preds(n):
+    """pI calls pI+1 and pI+2 behind a guard, as the benchmark's
+    many-predicates programs do."""
+    lines = ["q(X, Y) :- Y is X + 1."]
+    for i in range(n):
+        lines.append(f"p{i}(X,Y,Z) :- X >= 500, Y is X, Z is X.")
+        lines.append(f"p{i}(X,Y,Z) :- X < 500, q(X,A), p{i + 1}(A,B,C), p{i + 2}(X,Y,D), q(B,Z).")
+    lines += [f"p{i}(X,Y,Z) :- Y is X, Z is X." for i in (n, n + 1)]
+    return "\n".join(lines)
+
+
+def test_whistle_compares_only_atoms_of_one_predicate_and_pattern(monkeypatch):
+    prog = parse_program(many_preds(100))
+    calls = {"all": 0, "builtin": 0}
+    real = engine.embeds
+
+    def counting(big, small):
+        calls["all"] += 1
+        calls["builtin"] += big.key in BUILTIN_KEYS
+        return real(big, small)
+
+    monkeypatch.setattr(engine, "embeds", counting)
+    trace = partially_evaluate(prog, ea(Atom("p0", (Var("A"), Var("B"), Var("C"))), "{1}"), Analyzer(prog))
+    labels = [t.label for t in trace.transitions()]
+    assert (len(labels), labels.count("n")) == (3456, 405)
+    # a scan of the whole memo made 28,810 calls here; the memo holds no
+    # builtin, and each predicate is unfolded under one pattern only, so
+    # no bucket holds an atom to compare when one is searched
+    assert calls == {"all": 0, "builtin": 0}
+
+
+def test_body_call_patterns_computed_once_per_clause_and_pattern(monkeypatch):
+    prog = parse_program(many_preds(100))
+    computed = []
+    real = engine._body_call_patterns
+
+    def counting(gr, sh, clause):
+        computed.append((id(clause), gr, sh))
+        return real(gr, sh, clause)
+
+    monkeypatch.setattr(engine, "_body_call_patterns", counting)
+    an = Analyzer(prog)
+    an.success("p0", 3, groundness(3, (1,)), independent_sharing(3))
+    in_analysis = len(computed)
+    trace = partially_evaluate(prog, ea(Atom("p0", (Var("A"), Var("B"), Var("C"))), "{1}"), an)
+    unfolds = sum(t.label in ("u", "p") for t in trace.transitions())
+    assert len(set(computed)) == len(computed) == in_analysis == 203
+    # the driver's 203 unfolds find every body pattern computed already
+    assert unfolds == 203

@@ -1,5 +1,6 @@
 """Concrete syntax: programs, queries, and parse errors."""
 import pytest
+from hypothesis import example, given, strategies as st
 
 from parpeval import (
     Atom,
@@ -14,7 +15,7 @@ from parpeval import (
     parse_query,
     parse_query_file,
 )
-from parpeval.parser import parse_term
+from parpeval.parser import _lex, parse_term
 from parpeval.terms import format_atom, format_program, format_term, make_list
 
 
@@ -128,3 +129,100 @@ def test_atom_parsing_rejects_clause_syntax():
     assert parse_atom("p(X)") == Atom("p", (Var("X"),))
     with pytest.raises(ParseError):
         parse_atom("p(X) :- q(X)")
+
+
+def test_cased_character_that_is_not_alphanumeric_is_rejected():
+    # 'Ⓐ' is upper case but no word character: no token can hold it
+    with pytest.raises(ParseError) as exc:
+        parse_program("p(X) :-\n  q(Ⓐ).")
+    assert str(exc.value) == "unexpected character 'Ⓐ' at line 2, column 5"
+
+
+# ---------------------------------------------------------------------------
+# the lexer against a per-character reference
+
+_REF_SYMBOLIC = [":-", ">=", "=<", "=:=", "//", ".", ",", "(", ")", "[", "]", "|", "&",
+                 ">", "<", "=", "+", "-", "*"]
+
+
+def reference_lex(text):
+    """(kind, text, line, col) per token, one character at a time."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isupper() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("VAR", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.islower():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            toks.append(("PUNCT" if word == "is" else "NAME", word, line, col))
+            col += j - i
+            i = j
+            continue
+        matched = None
+        for p in sorted(_REF_SYMBOLIC, key=len, reverse=True):
+            if text.startswith(p, i):
+                matched = p
+                break
+        if matched is None:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        toks.append(("PUNCT", matched, line, col))
+        i += len(matched)
+        col += len(matched)
+    toks.append(("EOF", "", line, col))
+    return toks
+
+
+def lex_outcome(lex, text):
+    try:
+        return [tuple(t) for t in lex(text)]
+    except ParseError as exc:
+        return str(exc)
+
+
+# single characters: program punctuation, blanks, ASCII and non-ASCII
+# letters and digits ('²' is a digit but not decimal, 'ǅ' title case,
+# '中' and '½' word characters neither digit nor cased, '$' and '\v'
+# no token at all); and multi-character lexemes, so they occur often
+_FRAGMENTS = list(".,()[]|&><=+-*/:%_ \t\n\r$\v") + list("aXz09") + [
+    "é", "Σ", "σ", "٣", "²", "ǅ", "中", "½",
+    ":-", ">=", "=<", "=:=", "//", "is", "% note\n", "p(X, [1|T])",
+]
+
+
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join))
+@example("p(X) :- q(X) % trailing")
+@example("x²y 12中 ǅa")
+def test_prop_lexer_matches_per_character_reference(text):
+    assert lex_outcome(_lex, text) == lex_outcome(reference_lex, text)

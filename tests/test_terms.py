@@ -235,9 +235,27 @@ def test_prop_ground_flag_means_no_variables(t):
             todo.extend(s.args)
 
 
-@given(terms, _binds)
+# ground compound terms, drawn directly rather than filtered from `terms`
+_ground_leaves = st.one_of(st.integers(min_value=-9, max_value=9).map(Int), st.just(NIL))
+
+
+def _ground_compound(sub):
+    return st.one_of(
+        st.tuples(_functors, st.lists(sub, min_size=1, max_size=3)).map(
+            lambda fa: Struct(fa[0], tuple(fa[1]))
+        ),
+        st.tuples(sub, sub).map(lambda p: Struct(".", p)),
+    )
+
+
+ground_structs = st.one_of(
+    st.just(NIL),
+    _ground_compound(st.recursive(_ground_leaves, _ground_compound, max_leaves=11)),
+)
+
+
+@given(ground_structs, _binds)
 def test_prop_ground_terms_come_back_unchanged(t, binds):
-    assume(isinstance(t, Struct) and t.ground)
     assert resolve(t, binds) is t
     assert apply_subst(t, binds) is t
 
