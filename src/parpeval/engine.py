@@ -385,16 +385,21 @@ def split_independent(
     Returned segments carry their propagated patterns: the prefix as
     run before the fork, each parallel segment propagated from the fork
     state alone, and the tail under the join of both segment states.
+
+    A prefix that cannot lead to a split is not propagated.  Its oracle
+    calls are the first calls of the next prefix's propagation, or of
+    the driver's propagation of the whole body when no split is found,
+    so the oracle sees the same requests in the same order.
     """
     n = len(query)
     if sum(ea.key not in BUILTIN_KEYS for ea in query) < 2:
-        # each parallel segment needs a user-defined atom; the unfold
-        # that follows propagates the whole body, so skipping the
-        # prefixes asks the oracle for nothing it would not ask anyway
-        return None
+        return None  # each parallel segment needs a user-defined atom
     start = head_state(head)
     head_pairs = shared_pairs(head.sh, head.atom)
     for n1 in range(0, n - 1):
+        key = query[n1].key
+        if key[0] in COMPARISON_PREDS and key in BUILTIN_KEYS:
+            continue  # the first segment would start with a comparison
         # segments and tail together are always query[n1:], so the
         # refreshed rest and the fork state depend on the prefix alone
         p1, rest, fork = propagate_success(query[:n1], query[n1:], oracle, start)

@@ -359,6 +359,37 @@ def test_prop_split_matches_per_candidate_search(goals, ground, pairs, claims):
     assert got == want
 
 
+class FirstRequests:
+    """An oracle that records each request the first time it is made."""
+
+    def __init__(self, inner):
+        self.inner, self.order = inner, []
+
+    def success(self, pred, arity, gr, sh):
+        if (pred, arity, gr, sh) not in self.order:
+            self.order.append((pred, arity, gr, sh))
+        return self.inner.success(pred, arity, gr, sh)
+
+
+@settings(max_examples=200, deadline=None)
+@given(goals=st.lists(_goal, min_size=2, max_size=8), ground=st.sets(st.sampled_from([1, 2, 3])))
+@example(goals=["A > B", "q(A,C)", "B > C", "q(B,D)", "t(C,D)"], ground={1, 2})
+def test_prop_split_asks_the_oracle_as_the_full_search_does(goals, ground):
+    # a skipped prefix leaves the analyzer's rows, and so the table, as
+    # they are; the driver propagates the whole body when no split is found
+    prog = parse_program(SPLIT_HELPERS + "p(A, B, C) :- " + ", ".join(goals) + ".")
+    clause = prog.clauses[-1]
+    head = ExtendedAtom(clause.head, groundness(3, ground), independent_sharing(3))
+    query = body_call_patterns(head.gr, head.sh, clause)
+    orders = []
+    for split in (reference_split, split_independent):
+        oracle = FirstRequests(Analyzer(prog))
+        if split(head, query, oracle) is None:
+            propagate_success(query, (), oracle, head_state(head))
+        orders.append(oracle.order)
+    assert orders[0] == orders[1]
+
+
 def test_split_propagates_once_per_prefix(monkeypatch):
     # a dependent chain: every boundary shares a variable, no split exists
     goals = ", ".join(f"q(X{i},X{i + 1})" for i in range(24))
