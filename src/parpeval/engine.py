@@ -69,7 +69,8 @@ class ExtendedAtom:
     @cached_property
     def memo_key(self) -> tuple:
         """Equal exactly for variants under equal patterns; computed once
-        per object, since the driver selects one object many times."""
+        per object, since `partially_evaluate` selects one object many
+        times."""
         return canonical(self.atom), self.gr, self.sh
 
     def describe(self) -> str:
@@ -388,8 +389,9 @@ def split_independent(
 
     A prefix that cannot lead to a split is not propagated.  Its oracle
     calls are the first calls of the next prefix's propagation, or of
-    the driver's propagation of the whole body when no split is found,
-    so the oracle sees the same requests in the same order.
+    the propagation of the whole body that `partially_evaluate` runs
+    when no split is found, so the oracle receives each new request in
+    the same order.
     """
     n = len(query)
     if sum(ea.key not in BUILTIN_KEYS for ea in query) < 2:
@@ -476,7 +478,7 @@ class MemoEntry:
 
 
 class Memo:
-    """The atoms the driver has unfolded, in insertion order.
+    """The atoms `partially_evaluate` has unfolded, in insertion order.
 
     Variants are found by memo key.  `embeds` holds only between atoms
     of one predicate under equal patterns, so the whistle scans the

@@ -376,7 +376,8 @@ class FirstRequests:
 @example(goals=["A > B", "q(A,C)", "B > C", "q(B,D)", "t(C,D)"], ground={1, 2})
 def test_prop_split_asks_the_oracle_as_the_full_search_does(goals, ground):
     # a skipped prefix leaves the analyzer's rows, and so the table, as
-    # they are; the driver propagates the whole body when no split is found
+    # they are; `partially_evaluate` propagates the whole body when no split
+    # is found
     prog = parse_program(SPLIT_HELPERS + "p(A, B, C) :- " + ", ".join(goals) + ".")
     clause = prog.clauses[-1]
     head = ExtendedAtom(clause.head, groundness(3, ground), independent_sharing(3))
@@ -616,7 +617,7 @@ def test_trace_text_matches_golden():
 
 
 # ---------------------------------------------------------------------------
-# cost of the driver's memo and of the body call patterns
+# cost of the memo of `partially_evaluate` and of the body call patterns
 
 
 def many_preds(n):
@@ -666,5 +667,6 @@ def test_body_call_patterns_computed_once_per_clause_and_pattern(monkeypatch):
     trace = partially_evaluate(prog, ea(Atom("p0", (Var("A"), Var("B"), Var("C"))), "{1}"), an)
     unfolds = sum(t.label in ("u", "p") for t in trace.transitions())
     assert len(set(computed)) == len(computed) == in_analysis == 203
-    # the driver's 203 unfolds find every body pattern computed already
+    # the 203 unfolds of `partially_evaluate` find every body pattern
+    # computed already
     assert unfolds == 203
