@@ -279,11 +279,18 @@ def test_output_is_deterministic_across_processes(tmp_path):
 
 
 # the specializer's output, pinned byte for byte: a program in the shape
-# of the benchmark's many-predicates workload, and one clause body of two
-# independent chains of six goals; a fresh process starts the `_G`
-# counter at 0, so the names in the goldens are stable
+# of the benchmark's many-predicates workload, one clause body of two
+# independent chains of six goals, and one body atom that a branch closes
+# by failure and a later branch by embedding (its last closing decides
+# the name: the bridge `q_1_1`); a fresh process starts the `_G` counter
+# at 0, so the names in the goldens are stable
 @pytest.mark.parametrize(
-    "name, entry", [("preds12", "p0/3 gr {1}"), ("twochain6", "r/4 gr {1,2}")]
+    "name, entry",
+    [
+        ("preds12", "p0/3 gr {1}"),
+        ("twochain6", "r/4 gr {1,2}"),
+        ("fail_then_embed", "p/1 gr {}"),
+    ],
 )
 def test_specializer_output_matches_golden(tmp_path, name, entry):
     trace = tmp_path / f"{name}.trace"
