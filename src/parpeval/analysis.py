@@ -15,18 +15,22 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .engine import PropState, body_call_patterns, may_share_pairs, propagate_success
+from .engine import (
+    ExtendedAtom,
+    body_call_patterns,
+    head_state,
+    may_share_pairs,
+    propagate_success,
+)
 from .patterns import (
     GroundnessPattern,
     PatternKey,
     PatternTable,
     SharingPattern,
     SuccessPattern,
-    claimed_ground_vars,
     independent_sharing,
     parse_groundness,
     parse_sharing,
-    shared_pairs,
     sharing_from_pairs,
     sharing_pairs,
 )
@@ -113,11 +117,10 @@ class Analyzer:
         self,
         program: Program,
         overrides: Optional[PatternTable] = None,
-        builtins: Optional[BuiltinModel] = None,
     ) -> None:
         self.program = program
         self.overrides = overrides
-        self.builtins = standard_builtin_model() if builtins is None else builtins
+        self.builtins = standard_builtin_model()
         self.rows = PatternTable()
 
     def success(
@@ -211,10 +214,7 @@ class Analyzer:
         exit_pairs: set[tuple[int, int]] = set()
         for clause in self.program.clauses_for(pred, arity):
             equery = body_call_patterns(gr, sh, clause)
-            state = PropState(
-                claimed_ground_vars(gr, clause.head),
-                set(shared_pairs(sh, clause.head)),
-            )
+            state = head_state(ExtendedAtom(clause.head, gr, sh))
             _, _, end = propagate_success(equery, (), oracle, state)
             free = [term_vars(t) - end.ground for t in clause.head.args]
             cground = frozenset(i for i in range(1, arity + 1) if not free[i - 1])
@@ -262,10 +262,9 @@ def infer_patterns(
     program: Program,
     entries: Iterable[EntryPoint],
     overrides: Optional[PatternTable] = None,
-    builtins: Optional[BuiltinModel] = None,
 ) -> PatternTable:
     """Success table for all call patterns reachable from `entries`."""
-    analyzer = Analyzer(program, overrides=overrides, builtins=builtins)
+    analyzer = Analyzer(program, overrides=overrides)
     for e in entries:
         if (e.pred, e.arity) in BUILTIN_KEYS:
             raise AnalysisError(f"entry {e.pred}/{e.arity} is a builtin")

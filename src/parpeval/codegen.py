@@ -2,11 +2,12 @@
 
 Every unfolded extended atom becomes a fresh residual predicate whose
 name encodes the call patterns.  Resultants come from the unfold and
-split transitions of a trace; body atoms are renamed after whichever
-transition later closed them (variant hit, own unfolding, embedding
-bridge, builtin, or failure).  Embedding-closed atoms fall back to the
-original program through a bridge clause, so the original definitions
-they reach are carried along unchanged.
+split transitions of a trace.  A body atom is named after its own
+extended atom when the last transition that closed it was a variant
+hit, its own unfolding or an embedding, since each of those has its
+memo key; a builtin or a failing atom keeps its name.  Embedding-closed
+atoms fall back to the original program through a bridge clause, so the
+original definitions they reach are carried along unchanged.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .engine import ExtendedAtom, MemoEntry, Trace
+from .engine import ExtendedAtom, Occurrence, Trace
 from .patterns import GroundnessPattern, SharingPattern
 from .terms import (
     BUILTIN_KEYS,
@@ -70,6 +71,10 @@ class RenamingScheme:
         self._originals[name] = ea.key
         return name
 
+    def named(self, ea: ExtendedAtom) -> Optional[str]:
+        """The name `name` gave `ea`'s entity, without minting one."""
+        return self._names.get(ea.memo_key)
+
     def _claim(self, base: str) -> str:
         name = base
         n = 1
@@ -81,9 +86,6 @@ class RenamingScheme:
 
     def original_of(self, name: str) -> Optional[tuple[str, int]]:
         return self._originals.get(name)
-
-    def items(self) -> list[tuple[EntityKey, str]]:
-        return list(self._names.items())
 
 
 @dataclass
@@ -132,7 +134,8 @@ def extract_residual(
     program = traces[0].program
     scheme = scheme or RenamingScheme(program)
 
-    closer: dict[int, tuple[str, object]] = {}
+    # the last transition to close an occurrence decides its name
+    renamed: dict[Occurrence, bool] = {}
     bridges: dict[EntityKey, ExtendedAtom] = {}
     failing: set[tuple[str, int]] = set()
     original_seeds: set[tuple[str, int]] = set()
@@ -141,33 +144,17 @@ def extract_residual(
         if trace.program is not program:
             raise CodegenError("traces come from different programs")
         for t in trace.transitions():
-            s = t.subject.serial
-            if t.label == "v":
-                closer[s] = ("memo", t.matched)
-            elif t.label in ("u", "p"):
-                closer[s] = ("memo", t.memo_entry)
-            elif t.label == "n":
-                closer[s] = ("builtin", None)
-            elif t.label == "f":
-                closer[s] = ("fail", None)
-                failing.add(t.subject.ea.key)
+            ea = t.subject.ea
+            renamed[t.subject] = t.label in "vupe"
+            if t.label == "f":
+                failing.add(ea.key)
             elif t.label == "e":
-                key = t.subject.ea.memo_key
-                bridges.setdefault(key, t.subject.ea)
-                closer[s] = ("bridge", key)
-                original_seeds.add(t.subject.ea.key)
+                bridges.setdefault(ea.memo_key, ea)
+                original_seeds.add(ea.key)
 
-    def bridge_name(key: EntityKey) -> str:
-        return scheme.name(bridges[key])
-
-    def rename_occurrence(serial: int, atom: Atom) -> Atom:
-        kind, payload = closer[serial]
-        if kind == "memo":
-            entry: MemoEntry = payload  # type: ignore[assignment]
-            return Atom(scheme.name(entry.ea), atom.args)
-        if kind == "bridge":
-            return Atom(bridge_name(payload), atom.args)  # type: ignore[arg-type]
-        return atom
+    def rename(o: Occurrence) -> Atom:
+        atom = o.ea.atom
+        return Atom(scheme.name(o.ea), atom.args) if renamed[o] else atom
 
     clauses: list[Clause] = []
     seen: set[Clause] = set()
@@ -181,38 +168,27 @@ def extract_residual(
         for t in trace.transitions():
             if t.label not in ("u", "p"):
                 continue
-            head = Atom(scheme.name(t.memo_entry.ea), t.head_instance.args)
-            body: list[BodyGoal] = []
-            if t.label == "u":
-                for o in t.body:
-                    body.append(SeqAtom(rename_occurrence(o.serial, o.ea.atom)))
-            else:
-                q1, q2, q3, q4 = t.quad
-                for o in q1:
-                    body.append(SeqAtom(rename_occurrence(o.serial, o.ea.atom)))
+            head = Atom(scheme.name(t.subject.ea), t.head_instance.args)
+            prefix, left, right, tail = t.quad
+            body: list[BodyGoal] = [SeqAtom(rename(o)) for o in prefix]
+            if left:
                 body.append(
-                    ParGroup(
-                        tuple(rename_occurrence(o.serial, o.ea.atom) for o in q2),
-                        tuple(rename_occurrence(o.serial, o.ea.atom) for o in q3),
-                    )
+                    ParGroup(tuple(rename(o) for o in left), tuple(rename(o) for o in right))
                 )
-                for o in q4:
-                    body.append(SeqAtom(rename_occurrence(o.serial, o.ea.atom)))
+            body.extend(SeqAtom(rename(o)) for o in tail)
             emit(Clause(head, tuple(body)))
 
-    for key, ea in bridges.items():
-        emit(Clause(Atom(bridge_name(key), ea.atom.args), (SeqAtom(ea.atom),)))
+    for ea in bridges.values():
+        emit(Clause(Atom(scheme.name(ea), ea.atom.args), (SeqAtom(ea.atom),)))
 
     original_clauses = _original_closure(program, original_seeds, failing)
 
     entries: dict[tuple[str, int, GroundnessPattern, SharingPattern], str] = {}
     for trace in traces:
         init = trace.init
-        key = init.memo_key
-        for ekey, name in scheme.items():
-            if ekey == key:
-                entries[(init.atom.pred, init.atom.arity, init.gr, init.sh)] = name
-                break
+        name = scheme.named(init)
+        if name is not None:
+            entries[(init.atom.pred, init.atom.arity, init.gr, init.sh)] = name
 
     residual = ResidualProgram(
         residual_clauses=tuple(clauses),

@@ -14,7 +14,6 @@ run in parallel.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Protocol, Sequence
@@ -35,11 +34,13 @@ from .terms import (
     COMPARISON_PREDS,
     Atom,
     Clause,
+    Int,
     Program,
+    Struct,
     Subst,
+    Var,
     apply_subst,
     canonical,
-    format_atom,
     format_term,
     mgu,
     rename_apart,
@@ -73,13 +74,6 @@ class ExtendedAtom:
         times."""
         return canonical(self.atom), self.gr, self.sh
 
-    def describe(self) -> str:
-        return "(%s, %s, %s)" % (
-            format_atom(self.atom),
-            format_groundness(self.gr),
-            format_sharing(self.sh),
-        )
-
 
 ExtendedQuery = tuple[ExtendedAtom, ...]
 
@@ -110,13 +104,6 @@ class PropState:
 
     def copy(self) -> "PropState":
         return PropState(self.ground, self.aliases)
-
-    def may_alias(self, x: str, y: str) -> bool:
-        if x == y:
-            return x not in self.ground
-        if x in self.ground or y in self.ground:
-            return False
-        return (min(x, y), max(x, y)) in self.aliases
 
     @staticmethod
     def join(a: "PropState", b: "PropState") -> "PropState":
@@ -425,8 +412,6 @@ def is_variant(a: ExtendedAtom, b: ExtendedAtom) -> bool:
 
 
 def _term_embeds(big, small) -> bool:
-    from .terms import Int, Struct, Var  # local names for match clarity
-
     if isinstance(small, Var):
         if isinstance(big, Var):
             return True
@@ -447,34 +432,25 @@ def _term_embeds(big, small) -> bool:
     return False
 
 
-def atom_embeds(big: Atom, small: Atom) -> bool:
-    if big.key != small.key:
-        return False
-    return all(_term_embeds(x, y) for x, y in zip(big.args, small.args))
-
-
 def embeds(big: ExtendedAtom, small: ExtendedAtom) -> bool:
-    return big.gr == small.gr and big.sh == small.sh and atom_embeds(big.atom, small.atom)
+    return (
+        big.gr == small.gr
+        and big.sh == small.sh
+        and big.key == small.key
+        and all(_term_embeds(x, y) for x, y in zip(big.atom.args, small.atom.args))
+    )
 
 
 # ---------------------------------------------------------------------------
 # the driver
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Occurrence:
-    """One queue slot; the serial ties resultant bodies to transitions."""
+    """One queue slot; its identity ties resultant bodies to the
+    transitions that close it."""
 
-    serial: int
     ea: ExtendedAtom
-
-
-class MemoEntry:
-    __slots__ = ("serial", "ea")
-
-    def __init__(self, serial: int, ea: ExtendedAtom) -> None:
-        self.serial = serial
-        self.ea = ea
 
 
 class Memo:
@@ -487,26 +463,25 @@ class Memo:
     """
 
     def __init__(self) -> None:
-        self.entries: list[MemoEntry] = []
-        self._variants: dict[tuple, MemoEntry] = {}
-        self._buckets: dict[tuple, list[MemoEntry]] = {}
+        self.entries: list[ExtendedAtom] = []
+        self._variants: dict[tuple, ExtendedAtom] = {}
+        self._buckets: dict[tuple, list[ExtendedAtom]] = {}
 
-    def variant(self, ea: ExtendedAtom) -> Optional[MemoEntry]:
+    def variant(self, ea: ExtendedAtom) -> Optional[ExtendedAtom]:
         return self._variants.get(ea.memo_key)
 
-    def embedding(self, ea: ExtendedAtom) -> Optional[MemoEntry]:
-        """The oldest entry whose atom `ea` embeds, if any."""
+    def embedding(self, ea: ExtendedAtom) -> Optional[ExtendedAtom]:
+        """The oldest entry `ea` embeds, if any."""
         for m in self._buckets.get((ea.key, ea.gr, ea.sh), ()):
-            if embeds(ea, m.ea):
+            if embeds(ea, m):
                 return m
         return None
 
-    def add(self, ea: ExtendedAtom) -> MemoEntry:
-        entry = MemoEntry(len(self.entries) + 1, ea)
-        self.entries.append(entry)
-        self._variants[ea.memo_key] = entry
-        self._buckets.setdefault((ea.key, ea.gr, ea.sh), []).append(entry)
-        return entry
+    def add(self, ea: ExtendedAtom) -> ExtendedAtom:
+        self.entries.append(ea)
+        self._variants[ea.memo_key] = ea
+        self._buckets.setdefault((ea.key, ea.gr, ea.sh), []).append(ea)
+        return ea
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,10 +492,13 @@ class Transition:
     clause_index: Optional[int] = None
     renamed_clause: Optional[Clause] = None
     head_instance: Optional[Atom] = None
-    body: tuple[Occurrence, ...] = ()
+    # u and p: (prefix, left, right, tail); an unfolding is ((), (), (), body)
     quad: Optional[tuple[tuple[Occurrence, ...], ...]] = None
-    matched: Optional[MemoEntry] = None
-    memo_entry: Optional[MemoEntry] = None
+    matched: Optional[ExtendedAtom] = None  # v and e: the memo entry
+
+    @property
+    def body(self) -> tuple[Occurrence, ...]:
+        return () if self.quad is None else tuple(o for seg in self.quad for o in seg)
 
 
 @dataclass
@@ -536,7 +514,7 @@ class Trace:
     program: Program
     init: ExtendedAtom
     derivations: list[Derivation]
-    memo: list[MemoEntry]
+    memo: list[ExtendedAtom]
 
     def transitions(self) -> Iterator[Transition]:
         """Each distinct transition once, in first-visit order.
@@ -569,13 +547,8 @@ def partially_evaluate(
     already-unfolded atoms is global across branches.
     """
     memo = Memo()
-    serials = itertools.count(1)
-
-    def occ(ea: ExtendedAtom) -> Occurrence:
-        return Occurrence(next(serials), ea)
-
     stack: list[tuple[tuple[Occurrence, ...], tuple[Transition, ...]]] = [
-        ((occ(init),), ())
+        ((Occurrence(init),), ())
     ]
     derivations: list[Derivation] = []
     count = 0
@@ -617,41 +590,26 @@ def partially_evaluate(
                 trans.append(Transition("f", subject))
                 queue = rest
                 continue
-            entry = memo.add(ea)
+            memo.add(ea)
             branches = []
             for idx, sigma, rclause, equery in steps:
                 head_inst = apply_subst(ea.atom, sigma)
                 head_ea = ExtendedAtom(head_inst, ea.gr, ea.sh)
-                quad = split_independent(head_ea, equery, oracle)
-                if quad is not None:
-                    segs = tuple(tuple(occ(x) for x in seg) for seg in quad)
-                    branches.append(
-                        Transition(
-                            "p",
-                            subject,
-                            sigma=sigma,
-                            clause_index=idx,
-                            renamed_clause=rclause,
-                            head_instance=head_inst,
-                            body=segs[0] + segs[1] + segs[2] + segs[3],
-                            quad=segs,
-                            memo_entry=entry,
-                        )
-                    )
-                else:
+                label, quad = "p", split_independent(head_ea, equery, oracle)
+                if quad is None:
                     propped, _, _ = propagate_success(equery, (), oracle, head_state(head_ea))
-                    branches.append(
-                        Transition(
-                            "u",
-                            subject,
-                            sigma=sigma,
-                            clause_index=idx,
-                            renamed_clause=rclause,
-                            head_instance=head_inst,
-                            body=tuple(occ(x) for x in propped),
-                            memo_entry=entry,
-                        )
+                    label, quad = "u", ((), (), (), propped)
+                branches.append(
+                    Transition(
+                        label,
+                        subject,
+                        sigma=sigma,
+                        clause_index=idx,
+                        renamed_clause=rclause,
+                        head_instance=head_inst,
+                        quad=tuple(tuple(Occurrence(x) for x in seg) for seg in quad),
                     )
+                )
             for b in reversed(branches):
                 stack.append((b.body + rest, tuple(trans) + (b,)))
             branched = True

@@ -543,20 +543,22 @@ class EquivalenceReport:
             )
 
 
-# ---------------------------------------------------------------------------
-# independence
-
-
 @dataclass
-class SiteStats:
+class CheckStats:
+    """What one check saw at one fork site or one table row."""
+
     checked: int = 0
     violations: int = 0
     examples: list[str] = field(default_factory=list)
 
 
+# ---------------------------------------------------------------------------
+# independence
+
+
 @dataclass
 class IndependenceReport:
-    sites: dict[tuple[int, int], SiteStats] = field(default_factory=dict)
+    sites: dict[tuple[int, int], CheckStats] = field(default_factory=dict)
     queries: int = 0
 
     @property
@@ -576,7 +578,7 @@ class IndependenceReport:
         or shared unbound position shows up as a common variable once both
         sides are resolved against current bindings.
         """
-        stats = self.sites.setdefault(site if site else (-1, -1), SiteStats())
+        stats = self.sites.setdefault(site if site else (-1, -1), CheckStats())
         stats.checked += 1
         shared = term_vars(left) & term_vars(right)
         if shared:
@@ -597,22 +599,15 @@ class IndependenceReport:
 
 
 @dataclass
-class RowStats:
-    checked: int = 0
-    violations: int = 0
-    examples: list[str] = field(default_factory=list)
-
-
-@dataclass
 class SafenessReport:
-    rows: dict[tuple, RowStats] = field(default_factory=dict)
+    rows: dict[tuple, CheckStats] = field(default_factory=dict)
     table: PatternTable = field(default_factory=PatternTable, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the table's rows grouped by predicate, for the answer hook
         self._rows_for: dict[tuple[str, int], list[tuple[PatternKey, SuccessPattern]]] = {}
         for key, success in self.table:
-            self.rows.setdefault(key, RowStats())
+            self.rows.setdefault(key, CheckStats())
             self._rows_for.setdefault(key[:2], []).append((key, success))
 
     @property
@@ -707,7 +702,7 @@ def verify(
     eq = EquivalenceReport() if "eq" in checks else None
     indep = None
     if "indep" in checks:
-        indep = IndependenceReport({s: SiteStats() for s in residual.par_sites()})
+        indep = IndependenceReport({s: CheckStats() for s in residual.par_sites()})
     safe = SafenessReport(table=table) if "safe" in checks else None
     if eq is not None and residual.guarded:
         raise SolverError("guarded output is not interpretable here; verify the plain form")

@@ -90,14 +90,14 @@ def _lex(text: str) -> list[_Tok]:
 
 def _split_word(word: str, line: int, col: int, toks: list[_Tok]) -> None:
     """Tokens of one maximal run of word characters: runs of digits
-    (str.isdigit), then a variable (upper case or "_" first) or a name
+    (str.isdecimal), then a variable (upper case or "_" first) or a name
     (lower case first) that takes the rest of the run."""
     i, n = 0, len(word)
     while i < n:
         ch = word[i]
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i + 1
-            while j < n and word[j].isdigit():
+            while j < n and word[j].isdecimal():
                 j += 1
             toks.append(_Tok("INT", word[i:j], line, col + i))
             i = j

@@ -38,10 +38,6 @@ class GroundnessPattern:
     def __iter__(self) -> Iterator[int]:
         return iter(sorted(self.ground))
 
-    def __le__(self, other: "GroundnessPattern") -> bool:
-        # weaker-or-equal: claims no position the other does not
-        return self.ground <= other.ground
-
     def __repr__(self) -> str:
         return format_groundness(self)
 

@@ -192,6 +192,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_digit_that_is_not_decimal_is_a_parse_error(tmp_path, capsys):
+    # '²' is a digit (str.isdigit) but no integer literal: int() rejects it
+    bad = write(tmp_path / "bad.pl", "p(X) :- X is ²+1.\n")
+    assert main([bad, "--entry", "p/1 gr {}"]) == 3
+    err = capsys.readouterr().err
+    assert "unexpected character '²' at line 1, column 14" in err
+    assert "internal error" not in err
+
+
 def test_deeply_nested_term_is_a_parse_error(tmp_path, capsys):
     depth = 600
     deep = write(tmp_path / "deep.pl", "p(" + "f(" * depth + "a" + ")" * depth + ").\n")

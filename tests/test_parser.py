@@ -165,9 +165,9 @@ def reference_lex(text):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(("INT", text[i:j], line, col))
             col += j - i
