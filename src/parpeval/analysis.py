@@ -4,9 +4,10 @@ For every (predicate, call groundness, call sharing) reached from the
 entry points, the analyzer computes which argument positions are ground
 on success and which may share.  Success tables start from the most
 optimistic assumption (everything ground, nothing shared) and iterate
-downward until stable; the result is the greatest fixpoint, which is
-the sound one here because every actual answer is reached by a finite
-derivation whose sub-answers the previous iterate already bounds.
+downward, each new row joined with the one before, until stable; the
+result is a fixpoint of the joined transfer, which is sound because
+every actual answer is reached by a finite derivation whose sub-answers
+the previous iterate already bounds.
 """
 
 from __future__ import annotations
@@ -224,9 +225,13 @@ class Analyzer:
         if exit_ground is None:
             # defines() said there were clauses; keep a safe fallback anyway
             return SuccessPattern(gr, sh)
+        # joined with the current assumption, so that it only ever weakens
+        # and the iteration ends: the transfer is not monotone, since a
+        # less instantiated call may succeed more ground
+        old = assume[key]
         return SuccessPattern(
-            GroundnessPattern(arity, frozenset(gr.ground | exit_ground)),
-            sharing_from_pairs(arity, exit_pairs),
+            GroundnessPattern(arity, frozenset(gr.ground | exit_ground) & old.ground.ground),
+            sharing_from_pairs(arity, exit_pairs | sharing_pairs(old.share)),
         )
 
 

@@ -5,9 +5,11 @@ name encodes the call patterns.  Resultants come from the unfold and
 split transitions of a trace.  A body atom is named after its own
 extended atom when the last transition that closed it was a variant
 hit, its own unfolding or an embedding, since each of those has its
-memo key; a builtin or a failing atom keeps its name.  Embedding-closed
-atoms fall back to the original program through a bridge clause, so the
-original definitions they reach are carried along unchanged.
+memo key; a builtin or a failing atom keeps its name.  An entity's
+resultants are taken from the first trace that unfolds it, once each.
+Embedding-closed atoms of an entity no trace unfolds fall back to the
+original program through a bridge clause, so the original definitions
+they reach are carried along unchanged.
 """
 
 from __future__ import annotations
@@ -136,9 +138,10 @@ def extract_residual(
 
     # the last transition to close an occurrence decides its name
     renamed: dict[Occurrence, bool] = {}
+    # an entity's resultants come from the first trace that unfolds it
+    owner: dict[EntityKey, Trace] = {}
     bridges: dict[EntityKey, ExtendedAtom] = {}
     failing: set[tuple[str, int]] = set()
-    original_seeds: set[tuple[str, int]] = set()
 
     for trace in traces:
         if trace.program is not program:
@@ -146,27 +149,21 @@ def extract_residual(
         for t in trace.transitions():
             ea = t.subject.ea
             renamed[t.subject] = t.label in "vupe"
-            if t.label == "f":
+            if t.label in "up":
+                owner.setdefault(ea.memo_key, trace)
+            elif t.label == "f":
                 failing.add(ea.key)
             elif t.label == "e":
                 bridges.setdefault(ea.memo_key, ea)
-                original_seeds.add(ea.key)
 
     def rename(o: Occurrence) -> Atom:
         atom = o.ea.atom
         return Atom(scheme.name(o.ea), atom.args) if renamed[o] else atom
 
     clauses: list[Clause] = []
-    seen: set[Clause] = set()
-
-    def emit(clause: Clause) -> None:
-        if clause not in seen:
-            seen.add(clause)
-            clauses.append(clause)
-
     for trace in traces:
         for t in trace.transitions():
-            if t.label not in ("u", "p"):
+            if t.label not in ("u", "p") or owner[t.subject.ea.memo_key] is not trace:
                 continue
             head = Atom(scheme.name(t.subject.ea), t.head_instance.args)
             prefix, left, right, tail = t.quad
@@ -176,12 +173,13 @@ def extract_residual(
                     ParGroup(tuple(rename(o) for o in left), tuple(rename(o) for o in right))
                 )
             body.extend(SeqAtom(rename(o)) for o in tail)
-            emit(Clause(head, tuple(body)))
+            clauses.append(Clause(head, tuple(body)))
 
-    for ea in bridges.values():
-        emit(Clause(Atom(scheme.name(ea), ea.atom.args), (SeqAtom(ea.atom),)))
-
-    original_clauses = _original_closure(program, original_seeds, failing)
+    # an entity some trace unfolds needs no bridge
+    bridged = [ea for key, ea in bridges.items() if key not in owner]
+    for ea in bridged:
+        clauses.append(Clause(Atom(scheme.name(ea), ea.atom.args), (SeqAtom(ea.atom),)))
+    original_clauses = _original_closure(program, {ea.key for ea in bridged}, failing)
 
     entries: dict[tuple[str, int, GroundnessPattern, SharingPattern], str] = {}
     for trace in traces:

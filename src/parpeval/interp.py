@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Collection, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Optional, Sequence, Union
 
 from .patterns import (
     GroundnessPattern,
@@ -46,7 +46,7 @@ from .terms import (
     canonical,
     format_atom,
     format_term,
-    fresh_var_names,
+    fresh_names,
     term_vars,
     unify_in_place,
     walk,
@@ -111,26 +111,22 @@ class _Exit:
 class _ClauseEntry:
     """A clause's head, body and variable data, worked out once per solver."""
 
-    __slots__ = ("number", "head", "body", "slots", "body_only", "vars_in")
+    __slots__ = ("number", "head", "body", "body_only", "vars_in")
 
     def __init__(self, number: int, clause: Clause) -> None:
         self.number = number
         self.head = clause.head.args
         # body goals as the continuation holds them
         self.body = tuple(g.atom if isinstance(g, SeqAtom) else g for g in clause.body)
-        #: the clause's variables in sorted order, each with its place in
-        #: the block of fresh names a try draws
-        self.slots = {v: i for i, v in enumerate(sorted(term_vars(clause)))}
-        in_head = term_vars(clause.head)
-        #: the variables a head match leaves unseen, with their places
-        self.body_only = tuple((v, i) for v, i in self.slots.items() if v not in in_head)
-        #: id of each non-ground Struct in the head -> its variables,
-        #: with their places
-        self.vars_in: dict[int, tuple[tuple[str, int], ...]] = {}
+        #: the variables a head match leaves unseen, in name order
+        self.body_only = tuple(sorted(term_vars(clause.body) - term_vars(clause.head)))
+        #: id of each non-ground Struct in the head -> its variables, in
+        #: name order
+        self.vars_in: dict[int, tuple[str, ...]] = {}
         todo = [t for t in self.head if isinstance(t, Struct) and not t.ground]
         while todo:
             t = todo.pop()
-            self.vars_in[id(t)] = tuple((v, self.slots[v]) for v in sorted(term_vars(t)))
+            self.vars_in[id(t)] = tuple(sorted(term_vars(t)))
             todo += [a for a in t.args if isinstance(a, Struct) and not a.ground]
 
 
@@ -146,7 +142,9 @@ class Solver:
     in it; backtracking pops the trail back to the mark saved in a
     choicepoint.  Goals wait in a linked continuation and open
     alternatives on an explicit choicepoint stack, so derivation length
-    is not bounded by Python's recursion limit.
+    is not bounded by Python's recursion limit.  Clause variables never
+    enter the store, so a solve names the ones it instantiates from one
+    `fresh_names` generator over the query's variables.
     """
 
     def __init__(
@@ -169,6 +167,7 @@ class Solver:
         self._binds: Subst = {}
         self._trail: list[str] = []
         self._choices: list[_Choice] = []
+        self._fresh: Iterator[str] = fresh_names(())
         # id of a non-ground Struct -> (it, its ground resolution, the
         # trail length the resolution was made at), in insertion order;
         # holding the Struct keeps its id from being reused
@@ -181,6 +180,7 @@ class Solver:
         self._binds = {}
         self._trail = []
         self._choices = []
+        self._fresh = fresh_names(set(qvars))
         self._memo = {}
         answers: list[Subst] = []
         goals: Goals = ()
@@ -293,27 +293,25 @@ class Solver:
     def _try(self, choice: _Choice) -> Goals:
         """Try the choice's clauses in order from `choice.next`.
 
-        Each try is one step and draws a block of fresh names, one per
-        clause variable.  The head is matched against the call without
-        being renamed (`_match`), and only a head that matches has its
-        body instantiated.  If clauses remain after the one that
-        matched, the choicepoint goes back on the stack.
+        Each try is one step.  The head is matched against the call
+        without being renamed (`_match`), and only a head that matches
+        has its body instantiated, its body-only variables under fresh
+        names.  If clauses remain after the one that matched, the
+        choicepoint goes back on the stack.
         """
         atom, alternatives = choice.atom, choice.alternatives
         while choice.next < len(alternatives):
             entry = alternatives[choice.next]
             choice.next += 1
             self._tick()
-            slots = entry.slots
-            names = fresh_var_names(len(slots), slots)
             env: Subst = {}
-            if not self._match(entry, atom.args, env, names):
+            if not self._match(entry, atom.args, env):
                 self._undo(choice.mark)
                 continue
             if choice.next < len(alternatives):
                 self._choices.append(choice)
-            for v, i in entry.body_only:
-                env[v] = Var(names[i])
+            for v in entry.body_only:
+                env[v] = Var(next(self._fresh))
             goals = choice.rest
             if self.on_answer is not None:
                 goals = (_Exit(choice.call_shot, atom), None, goals)
@@ -323,8 +321,7 @@ class Solver:
             return goals
         return None
 
-    def _match(self, entry: _ClauseEntry, args: tuple[Term, ...], env: Subst,
-               names: list[str]) -> bool:
+    def _match(self, entry: _ClauseEntry, args: tuple[Term, ...], env: Subst) -> bool:
         """Unify the call's `args` with the clause head, filling `env`.
 
         `env` maps each clause variable met so far to its value.  A
@@ -332,8 +329,8 @@ class Solver:
         clause variable is new, so nothing is bound, trailed or occurs
         checked.  A later occurrence unifies with its value.  A
         non-ground head subterm against an unbound variable is
-        instantiated from `env`, its unseen variables under their fresh
-        `names`, and bound; the occurs check is skipped only when every
+        instantiated from `env`, its unseen variables under fresh names,
+        and bound; the occurs check is skipped only when every
         variable in it is unseen.
         """
         binds, trail = self._binds, self._trail
@@ -355,11 +352,11 @@ class Solver:
                     todo.extend(zip(reversed(h.args), reversed(c.args)))
                 elif isinstance(c, Var):
                     unseen = True
-                    for v, i in entry.vars_in[id(h)]:
+                    for v in entry.vars_in[id(h)]:
                         if v in env:
                             unseen = False
                         else:
-                            env[v] = Var(names[i])
+                            env[v] = Var(next(self._fresh))
                     value = apply_subst(h, env)
                     if unseen:
                         binds[c.name] = value

@@ -27,8 +27,7 @@ from .terms import (
     Term,
     Var,
     cons,
-    fresh_var_name,
-    note_parsed_var,
+    fresh_names,
     warn_if_nonlinear,
 )
 
@@ -121,6 +120,9 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.toks = _lex(text)
         self.pos = 0
+        # each `_` is a new variable, named apart from every variable
+        # written in the text
+        self.fresh = fresh_names({t.text for t in self.toks if t.kind == "VAR"})
 
     # -- token plumbing ----------------------------------------------------
 
@@ -183,10 +185,7 @@ class _Parser:
             return Int(-int(self.advance().text))
         if tok.kind == "VAR":
             self.advance()
-            if tok.text == "_":
-                return Var(fresh_var_name())
-            note_parsed_var(tok.text)
-            return Var(tok.text)
+            return Var(next(self.fresh) if tok.text == "_" else tok.text)
         if tok.kind == "NAME":
             self.advance()
             if self.at("("):

@@ -7,10 +7,10 @@ variable names to terms; the exported `mgu` returns an idempotent one.
 
 from __future__ import annotations
 
-import re
+import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Optional, Union
+from typing import Callable, Collection, Iterable, Iterator, Optional, Union
 
 
 class NonlinearArgumentWarning(UserWarning):
@@ -206,50 +206,16 @@ def _collect_vars(x: object, out: set[str]) -> None:
             raise TypeError(f"cannot collect variables from {type(x).__name__}")
 
 
-class _FreshNames:
-    """Global source of fresh variable names in the `_G<n>` namespace.
+def fresh_names(avoid: Collection[str]) -> Iterator[str]:
+    """`_G1`, `_G2`, ... in order, skipping the names in `avoid`.
 
-    The counter only moves forward, so generated names never repeat within a
-    process; the parser pushes it past any `_G<n>` read from source so fresh
-    names cannot collide with parsed ones either.
+    A fresh name only has to differ from the names of the terms it is
+    drawn for, so each caller starts a generator over those names.
     """
-
-    def __init__(self) -> None:
-        self.n = 0
-
-    def block(self, k: int, avoid: Collection[str]) -> list[str]:
-        """The next `k` names in counter order, skipping those in `avoid`."""
-        out: list[str] = []
-        while len(out) < k:
-            self.n += 1
-            name = f"_G{self.n}"
-            if name not in avoid:
-                out.append(name)
-        return out
-
-    def reserve_past(self, k: int) -> None:
-        if k > self.n:
-            self.n = k
-
-
-_fresh = _FreshNames()
-
-_G_NAME = re.compile(r"_G(\d+)$")
-
-
-def fresh_var_name() -> str:
-    return _fresh.block(1, ())[0]
-
-
-def fresh_var_names(k: int, avoid: Collection[str]) -> list[str]:
-    """The next `k` fresh names that are not in `avoid`."""
-    return _fresh.block(k, avoid)
-
-
-def note_parsed_var(name: str) -> None:
-    m = _G_NAME.match(name)
-    if m:
-        _fresh.reserve_past(int(m.group(1)))
+    for n in itertools.count(1):
+        name = f"_G{n}"
+        if name not in avoid:
+            yield name
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +406,15 @@ def rename_apart(clause: Clause, avoid: Iterable[str]) -> Clause:
     """A variant of `clause` whose variables avoid the given names.
 
     Variables that do not collide are kept, which keeps output readable;
-    colliding ones get globally fresh names.
+    colliding ones, in name order, get the first `fresh_names` that are
+    in neither the clause nor `avoid`.
     """
     avoid = set(avoid)
     own = term_vars(clause)
     clash = sorted(own & avoid)
     if not clash:
         return clause
-    names = _fresh.block(len(clash), avoid | own)
-    return apply_subst(clause, {v: Var(name) for v, name in zip(clash, names)})
+    return apply_subst(clause, {v: Var(name) for v, name in zip(clash, fresh_names(avoid | own))})
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,16 @@ def test_undefined_predicate_gets_identity_success():
     assert s.share == independent_sharing(1)
 
 
+def test_fixpoint_ends_when_a_row_would_flip():
+    # p at gr {2} calls p at {2} first; the row assumed for that call
+    # puts the second call at {1} or at {}, and the optimistic row for {}
+    # is more ground than the row for {1}, so without joining each new
+    # row with the one before, the row for {2} flips for ever
+    prog = parse_program("p(W, Z) :- p([Y|0], 1), p(f(Y), W).")
+    row = Analyzer(prog).success("p", 2, groundness(2, (2,)), independent_sharing(2))
+    assert row == SuccessPattern(groundness(2, (2,)), independent_sharing(2))
+
+
 def test_builtin_model_rows():
     model = standard_builtin_model()
     is_row = model[("is", 2)](gr("{2}", 2), independent_sharing(2))

@@ -151,6 +151,35 @@ def test_verify_of_a_deeply_nested_answer_gives_a_verdict(tmp_path, capsys):
     assert "internal error" not in captured.out + captured.err
 
 
+# each resultant of an entity is emitted once: two identical resultants
+# both stay, and an entity two entries reach is unfolded by the first
+@pytest.mark.parametrize(
+    "source, entries, queries, verdicts",
+    [
+        (
+            "p(X, X). p(X, X).",
+            ["p/2 gr {}"],
+            ["p(A, B)"],
+            ["query p(A,B) ok (2 answers)"],
+        ),
+        (
+            "q1(A, Z) :- p(f(A), Z). q2(C, W) :- p(f(C), W). p(X, Y) :- r(X, Y). r(f(1), a).",
+            ["q1/2 gr {1}", "q2/2 gr {1}"],
+            ["q1(1, Y)", "q2(1, Y)"],
+            ["query q1(1,Y) ok (1 answers)", "query q2(1,Y) ok (1 answers)"],
+        ),
+    ],
+)
+def test_verify_counts_each_resultant_once(tmp_path, capsys, source, entries, queries, verdicts):
+    program = write(tmp_path / "p.pl", source)
+    qfile = write(tmp_path / "q.pl", "".join(q + ".\n" for q in queries))
+    argv = [program, *(a for e in entries for a in ("--entry", e))]
+    assert main([*argv, "--verify", "eq", "--queries", qfile]) == 0
+    out = capsys.readouterr().out
+    for verdict in verdicts:
+        assert verdict in out
+
+
 # -- exit codes
 
 
@@ -266,6 +295,25 @@ def run_cli(args, cwd):
     )
 
 
+def test_output_is_deterministic_in_one_process(tmp_path, capsys):
+    queries = write(tmp_path / "q.pl", "quicksort([3,1,2], S).\nquicksort([2,2,0,5], S).\n")
+    texts = []
+    for i in (1, 2):
+        trace = tmp_path / f"t{i}.trace"
+        argv = [str(CORPUS / "qsort.pl"), "--entry", "quicksort/2 gr {1}", "--trace", str(trace)]
+        assert main([*argv, "--verify", "eq,indep,safe", "--queries", queries]) == 0
+        texts.append((capsys.readouterr().out, trace.read_bytes()))
+    assert texts[0] == texts[1]
+
+
+def test_solver_error_names_the_same_variable_on_every_run(tmp_path, capsys):
+    program = write(tmp_path / "p.pl", "p(X) :- q(Y), X is Y + 1. q(_).")
+    queries = write(tmp_path / "q.pl", "p(Z).\n")
+    for _ in (1, 2):
+        assert main([program, "--entry", "p/1 gr {}", "--verify", "eq", "--queries", queries]) == 5
+        assert "verify p/1: arithmetic over unbound variable _G1" in capsys.readouterr().out
+
+
 def test_output_is_deterministic_across_processes(tmp_path):
     texts = []
     for i in (1, 2):
@@ -291,8 +339,8 @@ def test_output_is_deterministic_across_processes(tmp_path):
 # of the benchmark's many-predicates workload, one clause body of two
 # independent chains of six goals, and one body atom that a branch closes
 # by failure and a later branch by embedding (its last closing decides
-# the name: the bridge `q_1_1`); a fresh process starts the `_G` counter
-# at 0, so the names in the goldens are stable
+# the name: the bridge `q_1_1`); each fresh `_G` name is drawn from the
+# terms at hand, so the goldens hold in any process
 @pytest.mark.parametrize(
     "name, entry",
     [

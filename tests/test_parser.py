@@ -8,6 +8,7 @@ from parpeval import (
     ParGroup,
     ParseError,
     SeqAtom,
+    Solver,
     Struct,
     Var,
     parse_atom,
@@ -72,6 +73,14 @@ def test_anonymous_variables_are_distinct():
     a, b = clause.head.args
     assert isinstance(a, Var) and isinstance(b, Var)
     assert a != b
+
+
+def test_anonymous_variable_is_named_apart_from_written_ones():
+    program = parse_program("p(_, _G1).")
+    assert parse_program("p(_, _G1).") == program  # the same in any process
+    a, b = program.clauses[0].head.args
+    assert a != b
+    assert len(Solver(program).solve(parse_query("p(a, b)"))) == 1
 
 
 def test_builtin_head_rejected():
