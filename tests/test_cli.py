@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+import corpus
 import parpeval
 from parpeval import interp
 from parpeval.cli import main
+from parpeval.patterns import format_groundness
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -51,7 +53,7 @@ def test_trace_matches_golden_transcript(tmp_path, capsys):
     assert main(fib_args("--trace", str(trace_file))) == 0
     capsys.readouterr()
     got = trace_file.read_text(encoding="utf-8")
-    want = (GOLDEN / "fibonacci.trace").read_text(encoding="utf-8")
+    want = (GOLDEN / "fib.trace").read_text(encoding="utf-8")
     assert got == want
 
 
@@ -337,22 +339,35 @@ def test_output_is_deterministic_across_processes(tmp_path):
 
 # the specializer's output, pinned byte for byte: a program in the shape
 # of the benchmark's many-predicates workload, one clause body of two
-# independent chains of six goals, and one body atom that a branch closes
+# independent chains of six goals, one body atom that a branch closes
 # by failure and a later branch by embedding (its last closing decides
-# the name: the bridge `q_1_1`); each fresh `_G` name is drawn from the
-# terms at hand, so the goldens hold in any process
+# the name: the bridge `q_1_1`), the nine corpus programs at their test
+# entries, and two entries that reach one entity under different
+# variable names (the first trace that unfolds it gives its
+# resultants); each fresh `_G` name is drawn from the terms at hand, so
+# the goldens hold in any process
 @pytest.mark.parametrize(
-    "name, entry",
+    "name, entries",
     [
         ("preds12", "p0/3 gr {1}"),
         ("twochain6", "r/4 gr {1,2}"),
         ("fail_then_embed", "p/1 gr {}"),
+        *[
+            (name, f"{b.entry.pred}/{b.entry.arity} gr {format_groundness(b.entry.gr)}")
+            for name, b in corpus.BENCHES.items()
+        ],
+        pytest.param(
+            "two_entries", ("p/1 gr {1}", "q/1 gr {1}"), id="two_entries-p/1 gr {1}-q/1 gr {1}"
+        ),
     ],
 )
-def test_specializer_output_matches_golden(tmp_path, name, entry):
+def test_specializer_output_matches_golden(tmp_path, name, entries):
+    program = CORPUS / f"{name}.pl" if name in corpus.BENCHES else GOLDEN / f"{name}.pl"
+    if isinstance(entries, str):
+        entries = (entries,)
     trace = tmp_path / f"{name}.trace"
     proc = run_cli(
-        [str(GOLDEN / f"{name}.pl"), "--entry", entry, "--trace", str(trace)],
+        [str(program), *[a for e in entries for a in ("--entry", e)], "--trace", str(trace)],
         cwd=tmp_path,
     )
     assert proc.stdout == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")

@@ -612,7 +612,7 @@ def test_trace_text_matches_golden():
     prog, an, _ = fib_setup()
     init = ea(Atom("fibonacci", (Var("A"), Var("B"))), "{1}")
     trace = partially_evaluate(prog, init, an)
-    golden = (corpus.Path(__file__).parent / "golden" / "fibonacci.trace").read_text()
+    golden = (corpus.Path(__file__).parent / "golden" / "fib.trace").read_text()
     assert format_trace(trace) == golden
 
 
