@@ -51,7 +51,7 @@ from .patterns import (
     parse_groundness,
     parse_sharing,
 )
-from .terms import Atom, Clause, Int, ParGroup, Program, SeqAtom, Struct, Var
+from .terms import Atom, Clause, Int, ParGroup, Program, Struct, Var
 
 __version__ = "0.1.0"
 
@@ -73,7 +73,6 @@ __all__ = [
     "Program",
     "RenamingScheme",
     "ResidualProgram",
-    "SeqAtom",
     "SharingPattern",
     "Solver",
     "SolverError",

@@ -31,6 +31,7 @@ from .patterns import (
     SuccessPattern,
     independent_sharing,
     parse_groundness,
+    parse_pattern_row,
     parse_sharing,
     sharing_from_pairs,
     sharing_pairs,
@@ -315,26 +316,20 @@ def parse_pattern_file(text: str) -> tuple[PatternTable, list[EntryPoint]]:
         entry qs/2 gr {1} sh <{1},{2}>
     with the sharing part optional (all positions independent).
     """
-    from .patterns import parse_pattern_table
-
-    rows = []
+    table = PatternTable()
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0].strip()
         if not line:
             continue
         m = _ENTRY_RE.match(line)
-        if m:
-            try:
+        try:
+            if m:
                 entries.append(_entry_from_match(m))
-            except ValueError as exc:
-                raise AnalysisError(f"line {lineno}: {exc}") from None
-        else:
-            rows.append(raw)
-    try:
-        table = parse_pattern_table("\n".join(rows))
-    except ValueError as exc:
-        raise AnalysisError(str(exc)) from None
+            else:
+                table.put(*parse_pattern_row(line))
+        except ValueError as exc:
+            raise AnalysisError(f"line {lineno}: {exc}") from None
     return table, entries
 
 

@@ -26,7 +26,6 @@ from .terms import (
     Clause,
     ParGroup,
     Program,
-    SeqAtom,
     Struct,
     format_clause,
 )
@@ -167,18 +166,18 @@ def extract_residual(
                 continue
             head = Atom(scheme.name(t.subject.ea), t.head_instance.args)
             prefix, left, right, tail = t.quad
-            body: list[BodyGoal] = [SeqAtom(rename(o)) for o in prefix]
+            body: list[BodyGoal] = [rename(o) for o in prefix]
             if left:
                 body.append(
                     ParGroup(tuple(rename(o) for o in left), tuple(rename(o) for o in right))
                 )
-            body.extend(SeqAtom(rename(o)) for o in tail)
+            body.extend(rename(o) for o in tail)
             clauses.append(Clause(head, tuple(body)))
 
     # an entity some trace unfolds needs no bridge
     bridged = [ea for key, ea in bridges.items() if key not in owner]
     for ea in bridged:
-        clauses.append(Clause(Atom(scheme.name(ea), ea.atom.args), (SeqAtom(ea.atom),)))
+        clauses.append(Clause(Atom(scheme.name(ea), ea.atom.args), (ea.atom,)))
     original_clauses = _original_closure(program, {ea.key for ea in bridged}, failing)
 
     entries: dict[tuple[str, int, GroundnessPattern, SharingPattern], str] = {}
@@ -324,9 +323,9 @@ def add_thread_guards(rp: ResidualProgram, max_threads: int = 4) -> ResidualProg
                 )
                 left = _conjunction([parallel_atom(a) for a in goal.left])
                 right = _conjunction([parallel_atom(a) for a in goal.right])
-                body.append(SeqAtom(Atom("concurrent_k", (seq, left, right))))
+                body.append(Atom("concurrent_k", (seq, left, right)))
             else:
-                body.append(SeqAtom(sequential_atom(goal.atom)))
+                body.append(sequential_atom(goal))
         guarded.append(Clause(head, tuple(body)))
 
     entries = {}

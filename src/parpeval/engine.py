@@ -14,7 +14,7 @@ run in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Protocol, Sequence
 
@@ -407,10 +407,6 @@ def split_independent(
 # variant and embedding checks
 
 
-def is_variant(a: ExtendedAtom, b: ExtendedAtom) -> bool:
-    return a.memo_key == b.memo_key
-
-
 def _term_embeds(big, small) -> bool:
     if isinstance(small, Var):
         if isinstance(big, Var):
@@ -488,6 +484,8 @@ class Memo:
 class Transition:
     label: str  # u unfold | p parallel split | v variant | e embedding | n builtin | f no clause
     subject: Occurrence
+    #: the transition before this one in its derivation; None at the root
+    parent: Optional["Transition"]
     sigma: Optional[Subst] = None
     clause_index: Optional[int] = None
     renamed_clause: Optional[Clause] = None
@@ -502,35 +500,32 @@ class Transition:
 
 
 @dataclass
-class Derivation:
-    transitions: list[Transition] = field(default_factory=list)
-
-    def labels(self) -> list[str]:
-        return [t.label for t in self.transitions]
-
-
-@dataclass
 class Trace:
+    """The unfolding tree of `init`: derivations share every transition
+    up to a branch point, and each is the path from the root to a leaf."""
+
     program: Program
     init: ExtendedAtom
-    derivations: list[Derivation]
+    visited: list[Transition]  # each transition once, in first-visit order
+    leaves: list[Transition]  # the last transition of each derivation
     memo: list[ExtendedAtom]
 
-    def transitions(self) -> Iterator[Transition]:
-        """Each distinct transition once, in first-visit order.
+    def transitions(self) -> list[Transition]:
+        return self.visited
 
-        Derivations that leave a branch point share the transitions
-        before it; those are yielded with the first derivation only.
-        """
-        seen: set[Transition] = set()  # eq=False: identity
-        for d in self.derivations:
-            for t in d.transitions:
-                if t not in seen:
-                    seen.add(t)
-                    yield t
+    @property
+    def derivations(self) -> list[list[Transition]]:
+        out = []
+        for t in self.leaves:
+            path = []
+            while t is not None:
+                path.append(t)
+                t = t.parent
+            out.append(path[::-1])
+        return out
 
     def label_sequences(self) -> list[list[str]]:
-        return [d.labels() for d in self.derivations]
+        return [[t.label for t in d] for d in self.derivations]
 
 
 def partially_evaluate(
@@ -544,19 +539,21 @@ def partially_evaluate(
     Branch points push one continuation per unifying clause, visited in
     textual clause order.  New body atoms go to the front of the queue,
     so selection is leftmost, mirroring plain resolution.  The memo of
-    already-unfolded atoms is global across branches.
+    already-unfolded atoms is global across branches.  A transition is
+    visited when it is made, a branch when its continuation is popped.
     """
     memo = Memo()
-    stack: list[tuple[tuple[Occurrence, ...], tuple[Transition, ...]]] = [
-        ((Occurrence(init),), ())
+    stack: list[tuple[tuple[Occurrence, ...], Optional[Transition]]] = [
+        ((Occurrence(init),), None)
     ]
-    derivations: list[Derivation] = []
+    visited: list[Transition] = []
+    leaves: list[Transition] = []
     count = 0
 
     while stack:
-        queue, prefix = stack.pop()
-        trans = list(prefix)
-        branched = False
+        queue, last = stack.pop()
+        if last is not None:
+            visited.append(last)
         while queue:
             subject, rest = queue[0], queue[1:]
             ea = subject.ea
@@ -566,58 +563,57 @@ def partially_evaluate(
                     f"gave up after {max_transitions} transitions; "
                     f"selected atom was {ea.atom.pred}/{ea.atom.arity}"
                 )
-            hit = memo.variant(ea)
-            if hit is not None:
-                trans.append(Transition("v", subject, matched=hit))
-                queue = rest
-                continue
-            older = memo.embedding(ea)
-            if older is not None:
-                trans.append(Transition("e", subject, matched=older))
-                queue = rest
-                continue
-            if ea.key in BUILTIN_KEYS:
-                trans.append(Transition("n", subject))
-                queue = rest
-                continue
-            warn_if_nonlinear(ea.atom, "selected atom")
-            steps = []
-            for idx, clause in program.numbered_clauses_for(*ea.key):
-                res = unfold_step(ea, clause)
-                if res is not None:
-                    steps.append((idx,) + res)
-            if not steps:
-                trans.append(Transition("f", subject))
-                queue = rest
-                continue
-            memo.add(ea)
-            branches = []
-            for idx, sigma, rclause, equery in steps:
-                head_inst = apply_subst(ea.atom, sigma)
-                head_ea = ExtendedAtom(head_inst, ea.gr, ea.sh)
-                label, quad = "p", split_independent(head_ea, equery, oracle)
-                if quad is None:
-                    propped, _, _ = propagate_success(equery, (), oracle, head_state(head_ea))
-                    label, quad = "u", ((), (), (), propped)
-                branches.append(
-                    Transition(
-                        label,
-                        subject,
-                        sigma=sigma,
-                        clause_index=idx,
-                        renamed_clause=rclause,
-                        head_instance=head_inst,
-                        quad=tuple(tuple(Occurrence(x) for x in seg) for seg in quad),
-                    )
-                )
-            for b in reversed(branches):
-                stack.append((b.body + rest, tuple(trans) + (b,)))
-            branched = True
-            break
-        if not branched:
-            derivations.append(Derivation(trans))
+            label, matched = "v", memo.variant(ea)
+            if matched is None:
+                label, matched = "e", memo.embedding(ea)
+            if matched is None:
+                label = "n" if ea.key in BUILTIN_KEYS else "f"
+            if label == "f":  # a user atom: unfold it, or close it by failure
+                warn_if_nonlinear(ea.atom, "selected atom")
+                branches = list(_unfold(program, subject, last, oracle))
+                if branches:
+                    memo.add(ea)
+                    stack.extend((b.body + rest, b) for b in reversed(branches))
+                    break
+            # the selected atom is closed: move on to the next one
+            last = Transition(label, subject, last, matched=matched)
+            visited.append(last)
+            queue = rest
+        else:  # the queue ran out: `last` ends a derivation
+            leaves.append(last)
 
-    return Trace(program, init, derivations, memo.entries)
+    return Trace(program, init, visited, leaves, memo.entries)
+
+
+def _unfold(
+    program: Program,
+    subject: Occurrence,
+    parent: Optional[Transition],
+    oracle: SuccessOracle,
+) -> Iterator[Transition]:
+    """One u or p transition per clause that resolves `subject`, in order."""
+    ea = subject.ea
+    for idx, clause in program.numbered_clauses_for(*ea.key):
+        res = unfold_step(ea, clause)
+        if res is None:
+            continue
+        sigma, rclause, equery = res
+        head_inst = apply_subst(ea.atom, sigma)
+        head_ea = ExtendedAtom(head_inst, ea.gr, ea.sh)
+        label, quad = "p", split_independent(head_ea, equery, oracle)
+        if quad is None:
+            propped, _, _ = propagate_success(equery, (), oracle, head_state(head_ea))
+            label, quad = "u", ((), (), (), propped)
+        yield Transition(
+            label,
+            subject,
+            parent,
+            sigma=sigma,
+            clause_index=idx,
+            renamed_clause=rclause,
+            head_instance=head_inst,
+            quad=tuple(tuple(Occurrence(x) for x in seg) for seg in quad),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -646,5 +642,5 @@ def format_transition(t: Transition) -> str:
 def format_trace(trace: Trace) -> str:
     blocks = []
     for d in trace.derivations:
-        blocks.append("\n".join(format_transition(t) for t in d.transitions))
+        blocks.append("\n".join(format_transition(t) for t in d))
     return "\n\n".join(blocks) + "\n"

@@ -37,7 +37,6 @@ from .terms import (
     Int,
     ParGroup,
     Program,
-    SeqAtom,
     Struct,
     Subst,
     Term,
@@ -47,6 +46,7 @@ from .terms import (
     format_atom,
     format_term,
     fresh_names,
+    repeated_variables,
     term_vars,
     unify_in_place,
     walk,
@@ -116,8 +116,7 @@ class _ClauseEntry:
     def __init__(self, number: int, clause: Clause) -> None:
         self.number = number
         self.head = clause.head.args
-        # body goals as the continuation holds them
-        self.body = tuple(g.atom if isinstance(g, SeqAtom) else g for g in clause.body)
+        self.body = clause.body
         #: the variables a head match leaves unseen, in name order
         self.body_only = tuple(sorted(term_vars(clause.body) - term_vars(clause.head)))
         #: id of each non-ground Struct in the head -> its variables, in
@@ -151,13 +150,10 @@ class Solver:
         self,
         program: Program,
         max_steps: int = DEFAULT_STEP_LIMIT,
-        max_solutions: Optional[int] = None,
         on_answer: Optional[OnAnswer] = None,
         on_par: Optional[OnPar] = None,
     ) -> None:
-        self.program = program
         self.max_steps = max_steps
-        self.max_solutions = max_solutions
         self.on_answer = on_answer
         self.on_par = on_par
         self._index: dict[tuple[str, int], list[_ClauseEntry]] = {}
@@ -191,8 +187,6 @@ class Solver:
                 goals = self._step(goals)
             if goals is not None:
                 answers.append({v: self._resolve(Var(v)) for v in qvars})
-                if self.max_solutions is not None and len(answers) >= self.max_solutions:
-                    return answers
             if not self._choices:
                 return answers
             goals = self._retry()
@@ -440,14 +434,9 @@ def answer_key(qvars: Sequence[str], answer: Subst) -> str:
 
 
 def answer_multiset(
-    program: Program,
-    query: Sequence[Atom],
-    max_steps: int = DEFAULT_STEP_LIMIT,
-    max_solutions: Optional[int] = None,
-    on_answer: Optional[OnAnswer] = None,
-    on_par: Optional[OnPar] = None,
+    program: Program, query: Sequence[Atom], max_steps: int = DEFAULT_STEP_LIMIT
 ) -> Counter:
-    return _answer_counts(Solver(program, max_steps, max_solutions, on_answer, on_par), query)
+    return _answer_counts(Solver(program, max_steps), query)
 
 
 def _answer_counts(solver: Solver, query: Sequence[Atom]) -> Counter:
@@ -479,9 +468,11 @@ def conformance_issue(
     """Why `atom` is not a legitimate instance of the call patterns.
 
     Claimed positions must be ground, unclaimed ones must not be (the
-    pattern says exactly what is known at call time), and any variable
-    shared between two positions must be licensed by the sharing
-    pattern.  Returns None when the query conforms.
+    pattern says exactly what is known at call time), no argument may
+    repeat a variable (no pattern describes aliasing within one
+    argument), and any variable shared between two positions must be
+    licensed by the sharing pattern.  Returns None when the query
+    conforms.
     """
     if (gr.arity, sh.arity) != (atom.arity, atom.arity):
         return "arity mismatch"
@@ -491,6 +482,10 @@ def conformance_issue(
             return f"position {i} must be ground"
         if i not in gr and ground:
             return f"position {i} must be non-ground"
+    repeats = repeated_variables(atom)
+    if repeats:
+        i = min(repeats)
+        return f"position {i} repeats {repeats[i]}"
     shared = _unlicensed_sharing(atom, sh)
     if shared is not None:
         i, j, common = shared

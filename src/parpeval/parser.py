@@ -22,7 +22,6 @@ from .terms import (
     Int,
     ParGroup,
     Program,
-    SeqAtom,
     Struct,
     Term,
     Var,
@@ -259,8 +258,8 @@ class _Parser:
                 return [ParGroup(tuple(left), tuple(right))]
             self.expect(")")
             # plain parenthesised conjunction: splice
-            return [SeqAtom(a) for a in left]
-        return [SeqAtom(self.atom())]
+            return left
+        return [self.atom()]
 
     def body(self) -> list[BodyGoal]:
         goals = self.body_goal()
@@ -312,10 +311,6 @@ def _parse(text: str, rule: Callable[[_Parser], T], what: Optional[str]) -> T:
 
 def parse_program(text: str) -> Program:
     return _parse(text, _Parser.program, None)
-
-
-def parse_clause(text: str) -> Clause:
-    return _parse(text, _Parser.clause, "clause")
 
 
 def parse_term(text: str) -> Term:

@@ -256,27 +256,18 @@ _ROW_RE = re.compile(
 )
 
 
-def parse_pattern_table(text: str) -> PatternTable:
-    table = PatternTable()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
-        m = _ROW_RE.match(line)
-        if m is None:
-            raise ValueError(f"bad pattern table row at line {lineno}: {raw!r}")
-        arity = int(m.group("arity"))
-        key = (
-            m.group("pred"),
-            arity,
-            parse_groundness(m.group("gr1"), arity),
-            parse_sharing(m.group("sh1"), arity),
-        )
-        table.put(
-            key,
-            SuccessPattern(
-                parse_groundness(m.group("gr2"), arity),
-                parse_sharing(m.group("sh2"), arity),
-            ),
-        )
-    return table
+def parse_pattern_row(line: str) -> tuple[PatternKey, SuccessPattern]:
+    """The key and success pattern of one table row."""
+    m = _ROW_RE.match(line)
+    if m is None:
+        raise ValueError(f"bad pattern table row {line!r}")
+    arity = int(m.group("arity"))
+    key = (
+        m.group("pred"),
+        arity,
+        parse_groundness(m.group("gr1"), arity),
+        parse_sharing(m.group("sh1"), arity),
+    )
+    return key, SuccessPattern(
+        parse_groundness(m.group("gr2"), arity), parse_sharing(m.group("sh2"), arity)
+    )

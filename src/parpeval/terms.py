@@ -102,17 +102,12 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class SeqAtom:
-    atom: Atom
-
-
-@dataclass(frozen=True)
 class ParGroup:
     left: tuple[Atom, ...]
     right: tuple[Atom, ...]
 
 
-BodyGoal = Union[SeqAtom, ParGroup]
+BodyGoal = Union[Atom, ParGroup]
 
 
 @dataclass(frozen=True)
@@ -123,8 +118,8 @@ class Clause:
     def body_atoms(self) -> tuple[Atom, ...]:
         out: list[Atom] = []
         for goal in self.body:
-            if isinstance(goal, SeqAtom):
-                out.append(goal.atom)
+            if isinstance(goal, Atom):
+                out.append(goal)
             else:
                 out.extend(goal.left)
                 out.extend(goal.right)
@@ -192,8 +187,6 @@ def _collect_vars(x: object, out: set[str]) -> None:
             todo.extend(x.args)
         elif isinstance(x, Int):
             pass
-        elif isinstance(x, SeqAtom):
-            todo.append(x.atom)
         elif isinstance(x, ParGroup):
             todo.extend(x.left)
             todo.extend(x.right)
@@ -237,8 +230,6 @@ def apply_subst(x, s: Subst):
         return x
     if isinstance(x, Atom):
         return Atom(x.pred, tuple([apply_subst(a, s) for a in x.args]))
-    if isinstance(x, SeqAtom):
-        return SeqAtom(apply_subst(x.atom, s))
     if isinstance(x, ParGroup):
         return ParGroup(
             tuple(apply_subst(a, s) for a in x.left),
@@ -452,31 +443,27 @@ def canonical(x):
     return go(x)
 
 
-def nonlinear_argument_positions(atom: Atom) -> list[int]:
-    """1-based argument positions whose term repeats a variable internally."""
-    out = []
+def repeated_variables(atom: Atom) -> dict[int, str]:
+    """Each 1-based argument position whose term repeats a variable
+    internally, with the first variable met twice, left to right."""
+    out = {}
     for i, arg in enumerate(atom.args, start=1):
         seen: set[str] = set()
-        dup = False
-
-        def scan(t: Term) -> None:
-            nonlocal dup
+        todo = [arg]
+        while todo:
+            t = todo.pop()
             if isinstance(t, Var):
                 if t.name in seen:
-                    dup = True
+                    out[i] = t.name
+                    break
                 seen.add(t.name)
-            elif isinstance(t, Struct):
-                for a in t.args:
-                    scan(a)
-
-        scan(arg)
-        if dup:
-            out.append(i)
+            elif isinstance(t, Struct) and not t.ground:
+                todo.extend(reversed(t.args))
     return out
 
 
 def warn_if_nonlinear(atom: Atom, where: str) -> None:
-    positions = nonlinear_argument_positions(atom)
+    positions = list(repeated_variables(atom))
     if positions:
         warnings.warn(
             f"repeated variable inside argument(s) {positions} of "
@@ -587,8 +574,8 @@ def format_atom(a: Atom) -> str:
 
 
 def format_goal(g: BodyGoal) -> str:
-    if isinstance(g, SeqAtom):
-        return format_atom(g.atom)
+    if isinstance(g, Atom):
+        return format_atom(g)
     left = ", ".join(format_atom(a) for a in g.left)
     right = ", ".join(format_atom(a) for a in g.right)
     return f"({left} & {right})"

@@ -41,7 +41,7 @@ from parpeval.patterns import (
     parse_sharing,
     worst_sharing,
 )
-from parpeval.terms import Atom, Int, SeqAtom, Var, format_atom, format_clause
+from parpeval.terms import Atom, Int, Var, format_atom, format_clause
 
 APPEND = """
 append([], Ys, Ys).
@@ -212,7 +212,7 @@ def test_criterion_06_residual_programs():
     else:
         clause = q_rp.residual_clauses[sites[0][0]]
         kinds = [
-            origin(q_rp.scheme, g.atom)[0] if isinstance(g, SeqAtom) else "&"
+            origin(q_rp.scheme, g)[0] if isinstance(g, Atom) else "&"
             for g in clause.body
         ]
         if kinds != ["partition", "&", "append"]:
@@ -223,11 +223,11 @@ def test_criterion_06_residual_programs():
                 problems.append("qsort fork side is %s" % [a.pred for a in side])
         guarded = add_thread_guards(q_rp, 4)
         rec = guarded.residual_clauses[sites[0][0]]
-        preds = [g.atom.pred for g in rec.body]
+        preds = [g.pred for g in rec.body]
         if preds != ["partition", "concurrent_k", "append"]:
             problems.append("guarded qsort body is %s" % preds)
         else:
-            _, left, right = rec.body[1].atom.args
+            _, left, right = rec.body[1].args
             if (left.functor, right.functor) != ("quicksort_par", "quicksort_par"):
                 problems.append("guarded qsort forks %s" % [left.functor, right.functor])
 
@@ -245,7 +245,7 @@ def test_criterion_06_residual_programs():
             problems.append("amatrix fork is not am1 & amatrix")
         guarded = add_thread_guards(a_rp, 4)
         rec = guarded.residual_clauses[sites[0][0]]
-        _, left, right = rec.body[0].atom.args
+        _, left, right = rec.body[0].args
         if (left.functor, right.functor) != ("am1", "amatrix_par"):
             problems.append("guarded amatrix forks %s" % [left.functor, right.functor])
 

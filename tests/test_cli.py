@@ -273,6 +273,31 @@ def test_entry_can_come_from_the_pattern_file(tmp_path, capsys):
     assert "fibonacci_1_1_2" in capsys.readouterr().out
 
 
+def test_pattern_file_errors_name_the_line_of_the_file(tmp_path, capsys):
+    # comments, blank lines and entry lines count: the bad row is line 5
+    head = "% overrides\n\nentry fibonacci/2 gr {1}\n"
+    good = "fibonacci/2 : gr {1} -> {1,2} ; sh <{1},{2}> -> <{1},{2}>\n"
+    for bad, want in [
+        ("fibonacci/2 : gr {1} -> oops", "line 5: bad pattern table row"),
+        ("fibonacci/2 : gr {3} -> {1,2} ; sh <{1},{2}> -> <{1},{2}>", "line 5: positions"),
+    ]:
+        patterns = write(tmp_path / "pat", head + good + bad + "\n")
+        assert main([str(CORPUS / "fib.pl"), "--patterns", patterns]) == 4
+        assert want in capsys.readouterr().err
+
+
+def test_verify_rejects_a_query_argument_that_repeats_a_variable(tmp_path, capsys):
+    # no sharing pattern describes [A|A]; run, it would alias both sides
+    # of the fork through X and Y
+    prog = write(tmp_path / "p.pl", "p([X|Y],X) :- p(X,X), p(Y,Y).\n")
+    queries = write(tmp_path / "q.pl", "p([A|A],B).\np([A|C],B).\n")
+    code = main([prog, "--entry", "p/2 gr {}", "--verify", "eq,indep", "--queries", queries])
+    out = capsys.readouterr().out
+    assert "rejected p([A|A],B) (position 1 repeats A)" in out
+    assert "site <0,0> checked 1 violations 0" in out
+    assert code == 0
+
+
 # -- the emitted text is identical across runs
 
 

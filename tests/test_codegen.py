@@ -162,9 +162,9 @@ def test_guarded_qsort_structure():
     _, _, _, rp = corpus.compiled("qsort")
     g = add_thread_guards(rp, max_threads=4)
     rec = g.residual_clauses[1]
-    body_preds = [goal.atom.pred for goal in rec.body]
+    body_preds = [goal.pred for goal in rec.body]
     assert body_preds == ["partition", "concurrent_k", "append"]
-    seq, left, right = rec.body[1].atom.args
+    seq, left, right = rec.body[1].args
     assert left.functor == "quicksort_par"
     assert right.functor == "quicksort_par"
     assert seq.functor == "," and {a.functor for a in seq.args} == {"quicksort"}
@@ -174,7 +174,7 @@ def test_guarded_amatrix_parallelizes_only_the_recursive_side():
     _, _, _, rp = corpus.compiled("amatrix")
     g = add_thread_guards(rp, max_threads=4)
     rec = g.residual_clauses[1]
-    seq, left, right = rec.body[0].atom.args
+    seq, left, right = rec.body[0].args
     # left segment is not a parallelized predicate: it falls back to the original
     assert left.functor == "am1"
     assert right.functor == "amatrix_par"

@@ -107,15 +107,6 @@ def test_step_limit_is_a_solver_error():
     assert issubclass(InstantiationError, SolverError)
 
 
-def test_max_solutions_truncates_infinite_enumeration():
-    out = answers("nat(0). nat(s(X)) :- nat(X).", "nat(N)", max_solutions=3)
-    assert [format_atom(Atom("nat", (a["N"],))) for a in out] == [
-        "nat(0)",
-        "nat(s(0))",
-        "nat(s(s(0)))",
-    ]
-
-
 # -- arithmetic
 
 

@@ -7,7 +7,6 @@ from parpeval import (
     Int,
     ParGroup,
     ParseError,
-    SeqAtom,
     Solver,
     Struct,
     Var,
@@ -32,7 +31,7 @@ def test_facts_and_rules():
     fact, rule = prog.clauses
     assert fact.head == Atom("parent", (Struct("tom", ()), Struct("bob", ())))
     assert fact.body == ()
-    assert [g.atom.pred for g in rule.body] == ["parent", "parent"]
+    assert [g.pred for g in rule.body] == ["parent", "parent"]
 
 
 def test_list_sugar_desugars_to_cons():

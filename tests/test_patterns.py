@@ -10,6 +10,7 @@ from parpeval import (
     Struct,
     Var,
     parse_groundness,
+    parse_pattern_file,
     parse_sharing,
 )
 from parpeval.patterns import (
@@ -20,7 +21,6 @@ from parpeval.patterns import (
     format_sharing,
     groundness,
     independent_sharing,
-    parse_pattern_table,
     shared_pairs,
     sharing,
     sharing_from_pairs,
@@ -114,8 +114,8 @@ def test_pattern_table_round_trip():
     table.put(key, row)
     text = table.format()
     assert "append/3" in text
-    parsed = parse_pattern_table(text)
-    assert parsed.get(key) == row
+    parsed, entries = parse_pattern_file(text)
+    assert parsed.get(key) == row and entries == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import warnings
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from parpeval import Atom, Clause, Int, ParGroup, SeqAtom, Struct, Var, parse_program
+from parpeval import Atom, Clause, Int, ParGroup, Struct, Var, parse_program
 from parpeval.parser import parse_term
 from parpeval.terms import (
     NIL,
@@ -116,7 +116,7 @@ def test_rename_apart_avoids_collisions_only():
     assert "X" not in head_vars
     assert "Y" in head_vars  # untouched: no collision
     # structure is preserved
-    assert renamed.head.pred == "p" and renamed.body[0].atom.pred == "q"
+    assert renamed.head.pred == "p" and renamed.body[0].pred == "q"
 
 
 def test_rename_all_freshens_everything():

@@ -386,3 +386,26 @@ def test_prop_residual_of_a_generated_program_passes_every_check(program, entry)
         reject()
     for report in reports.values():
         assert report.ok, "\n".join(report.lines())
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=_generated_program, ground=st.sets(st.sampled_from([1, 2])))
+def test_prop_trace_is_one_tree_whose_root_to_leaf_paths_are_the_derivations(
+    program, ground
+):
+    gr, sh = groundness(2, ground), independent_sharing(2)
+    source = parse_program(program)
+    analyzer = Analyzer(source)
+    init = ExtendedAtom(Atom("p", (Var("A"), Var("B"))), gr, sh)
+    trace = partially_evaluate(source, init, analyzer)
+    derivations = trace.derivations
+    # the reference: every transition of the derivations once, by
+    # identity, in the order the derivations list them
+    want = list({id(t): t for d in derivations for t in d}.values())
+    assert list(trace.transitions()) == want
+    # each derivation runs from the root to a transition without a child,
+    # and each such transition ends one derivation
+    parents = {id(t.parent) for t in want}
+    childless = [t for t in want if id(t) not in parents]
+    assert [d[0].parent for d in derivations] == [None] * len(derivations)
+    assert sorted(map(id, childless)) == sorted(id(d[-1]) for d in derivations)
