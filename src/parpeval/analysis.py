@@ -34,7 +34,6 @@ from .patterns import (
     parse_pattern_row,
     parse_sharing,
     sharing_from_pairs,
-    sharing_pairs,
 )
 from .terms import BUILTIN_KEYS, Program, term_vars
 
@@ -56,7 +55,7 @@ def _is_success(gr: GroundnessPattern, sh: SharingPattern) -> SuccessPattern:
     # evaluating a ground expression grounds the left side; the left
     # side never stays aliased to anything after binding to an integer
     ground = frozenset(gr.ground | {1}) if 2 in gr else gr.ground
-    pairs = {(i, j) for (i, j) in sharing_pairs(sh) if 1 not in (i, j)}
+    pairs = {(i, j) for (i, j) in sh.pairs if 1 not in (i, j)}
     return SuccessPattern(
         GroundnessPattern(2, ground), sharing_from_pairs(2, pairs)
     )
@@ -71,8 +70,7 @@ def _unify_success(gr: GroundnessPattern, sh: SharingPattern) -> SuccessPattern:
         return SuccessPattern(
             GroundnessPattern(2, frozenset({1, 2})), independent_sharing(2)
         )
-    pairs = set(sharing_pairs(sh)) | {(1, 2)}
-    return SuccessPattern(gr, sharing_from_pairs(2, pairs))
+    return SuccessPattern(gr, sharing_from_pairs(2, sh.pairs | {(1, 2)}))
 
 
 def standard_builtin_model() -> BuiltinModel:
@@ -212,27 +210,23 @@ class Analyzer:
     ) -> SuccessPattern:
         pred, arity, gr, sh = key
         oracle = _FixpointOracle(self, key, deps, ensure)
-        exit_ground: Optional[frozenset[int]] = None
+        # met over the clauses; `_solve` runs only on defined keys, so there is one
+        exit_ground = frozenset(range(1, arity + 1))
         exit_pairs: set[tuple[int, int]] = set()
         for clause in self.program.clauses_for(pred, arity):
             equery = body_call_patterns(gr, sh, clause)
             state = head_state(ExtendedAtom(clause.head, gr, sh))
             _, _, end = propagate_success(equery, (), oracle, state)
             free = [term_vars(t) - end.ground for t in clause.head.args]
-            cground = frozenset(i for i in range(1, arity + 1) if not free[i - 1])
-            cpairs = may_share_pairs(free, end.aliases)
-            exit_ground = cground if exit_ground is None else exit_ground & cground
-            exit_pairs |= cpairs
-        if exit_ground is None:
-            # defines() said there were clauses; keep a safe fallback anyway
-            return SuccessPattern(gr, sh)
+            exit_ground &= frozenset(i for i in range(1, arity + 1) if not free[i - 1])
+            exit_pairs |= may_share_pairs(free, end.aliases)
         # joined with the current assumption, so that it only ever weakens
         # and the iteration ends: the transfer is not monotone, since a
         # less instantiated call may succeed more ground
         old = assume[key]
         return SuccessPattern(
-            GroundnessPattern(arity, frozenset(gr.ground | exit_ground) & old.ground.ground),
-            sharing_from_pairs(arity, exit_pairs | sharing_pairs(old.share)),
+            GroundnessPattern(arity, (gr.ground | exit_ground) & old.ground.ground),
+            sharing_from_pairs(arity, exit_pairs | old.share.pairs),
         )
 
 
@@ -332,21 +326,3 @@ def parse_pattern_file(text: str) -> tuple[PatternTable, list[EntryPoint]]:
             raise AnalysisError(f"line {lineno}: {exc}") from None
     return table, entries
 
-
-def load_pattern_overrides(text: str, program: Program) -> PatternTable:
-    """Parse success rows and sanity-check arities against `program`."""
-    table, entries = parse_pattern_file(text)
-    if entries:
-        raise AnalysisError("entry lines are not allowed in an override table")
-    for (pred, arity, _, _), _row in table:
-        if (pred, arity) in BUILTIN_KEYS:
-            continue
-        if program.defines(pred, arity):
-            continue
-        # overriding an unknown predicate is how externals get modelled;
-        # only a clashing arity for a known name is suspicious
-        if any(p == pred for (p, a) in program.predicates()):
-            raise AnalysisError(
-                f"override for {pred}/{arity} but program defines {pred} at a different arity"
-            )
-    return table

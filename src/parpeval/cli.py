@@ -151,10 +151,14 @@ def _run(args: argparse.Namespace) -> int:
 
     scheme = RenamingScheme(program)
     traces = []
-    for e in entries:
-        init = ExtendedAtom(Atom(e.pred, _generic_vars(e.arity)), e.gr, e.sh)
-        traces.append(partially_evaluate(program, init, analyzer))
-    residual = extract_residual(traces, scheme)
+    try:
+        for e in entries:
+            init = ExtendedAtom(Atom(e.pred, _generic_vars(e.arity)), e.gr, e.sh)
+            traces.append(partially_evaluate(program, init, analyzer))
+        residual = extract_residual(traces, scheme)
+    except RecursionError:
+        # terms grow with each unfolding; the parser reports a source term alike
+        raise PELimitExceeded("specialization gave up: a term is nested too deeply") from None
     emitted = (
         add_thread_guards(residual, args.max_threads)
         if args.emit == "guarded"

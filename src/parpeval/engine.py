@@ -27,7 +27,6 @@ from .patterns import (
     format_sharing,
     shared_pairs,
     sharing_from_pairs,
-    sharing_pairs,
 )
 from .terms import (
     BUILTIN_KEYS,
@@ -50,7 +49,8 @@ from .terms import (
 
 
 class PELimitExceeded(Exception):
-    """The driver hit its transition budget before closing the tree."""
+    """The driver gave up before closing the tree: its transition budget
+    ran out, or a term grew too deep to handle."""
 
 
 @dataclass(frozen=True)
@@ -226,8 +226,8 @@ def _refresh(ea: ExtendedAtom, state: PropState, extra_ground: set[str]) -> Exte
         known |= vs[i - 1]
     free = [v - known for v in vs]
     positions = ea.gr.ground | {j for j in range(1, n + 1) if not free[j - 1]}
-    pairs = sharing_pairs(ea.sh) | may_share_pairs(free, state.aliases)
-    if len(positions) == len(ea.gr.ground) and len(pairs) == len(sharing_pairs(ea.sh)):
+    pairs = ea.sh.pairs | may_share_pairs(free, state.aliases)
+    if len(positions) == len(ea.gr.ground) and len(pairs) == len(ea.sh.pairs):
         # nothing learnt; every sharing pattern is built normalised, so
         # the rebuilt one would equal `ea.sh`
         return ea
@@ -240,7 +240,7 @@ def _absorb(ea: ExtendedAtom, success: SuccessPattern, state: PropState) -> None
     state.ground |= claimed_ground_vars(ea.gr, atom)
     for i in success.ground.ground:
         state.ground |= term_vars(atom.args[i - 1])
-    for (i, j) in sharing_pairs(success.share):
+    for (i, j) in success.share.pairs:
         v1 = term_vars(atom.args[i - 1]) - state.ground
         v2 = term_vars(atom.args[j - 1]) - state.ground
         for x in v1:
@@ -488,11 +488,9 @@ class Transition:
     parent: Optional["Transition"]
     sigma: Optional[Subst] = None
     clause_index: Optional[int] = None
-    renamed_clause: Optional[Clause] = None
     head_instance: Optional[Atom] = None
     # u and p: (prefix, left, right, tail); an unfolding is ((), (), (), body)
     quad: Optional[tuple[tuple[Occurrence, ...], ...]] = None
-    matched: Optional[ExtendedAtom] = None  # v and e: the memo entry
 
     @property
     def body(self) -> tuple[Occurrence, ...]:
@@ -563,10 +561,10 @@ def partially_evaluate(
                     f"gave up after {max_transitions} transitions; "
                     f"selected atom was {ea.atom.pred}/{ea.atom.arity}"
                 )
-            label, matched = "v", memo.variant(ea)
-            if matched is None:
-                label, matched = "e", memo.embedding(ea)
-            if matched is None:
+            label, entry = "v", memo.variant(ea)
+            if entry is None:
+                label, entry = "e", memo.embedding(ea)
+            if entry is None:
                 label = "n" if ea.key in BUILTIN_KEYS else "f"
             if label == "f":  # a user atom: unfold it, or close it by failure
                 warn_if_nonlinear(ea.atom, "selected atom")
@@ -576,7 +574,7 @@ def partially_evaluate(
                     stack.extend((b.body + rest, b) for b in reversed(branches))
                     break
             # the selected atom is closed: move on to the next one
-            last = Transition(label, subject, last, matched=matched)
+            last = Transition(label, subject, last)
             visited.append(last)
             queue = rest
         else:  # the queue ran out: `last` ends a derivation
@@ -597,7 +595,7 @@ def _unfold(
         res = unfold_step(ea, clause)
         if res is None:
             continue
-        sigma, rclause, equery = res
+        sigma, _, equery = res
         head_inst = apply_subst(ea.atom, sigma)
         head_ea = ExtendedAtom(head_inst, ea.gr, ea.sh)
         label, quad = "p", split_independent(head_ea, equery, oracle)
@@ -610,7 +608,6 @@ def _unfold(
             parent,
             sigma=sigma,
             clause_index=idx,
-            renamed_clause=rclause,
             head_instance=head_inst,
             quad=tuple(tuple(Occurrence(x) for x in seg) for seg in quad),
         )

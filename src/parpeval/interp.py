@@ -508,10 +508,11 @@ class QueryOutcome:
 class EquivalenceReport:
     outcomes: list[QueryOutcome] = field(default_factory=list)
     rejected: list[tuple[Atom, str]] = field(default_factory=list)
+    accepted: int = 0  # queries that conform to the entry patterns
 
     @property
     def ok(self) -> bool:
-        return bool(self.outcomes) and all(o.ok for o in self.outcomes)
+        return self.accepted > 0 and all(o.ok for o in self.outcomes)
 
     def lines(self) -> list[str]:
         out = [
@@ -543,6 +544,11 @@ class CheckStats:
     violations: int = 0
     examples: list[str] = field(default_factory=list)
 
+    def lines(self, where: str) -> list[str]:
+        """The count line for `where`, then each kept example, indented."""
+        head = "%s checked %d violations %d" % (where, self.checked, self.violations)
+        return [head, *("  " + x for x in self.examples)]
+
 
 # ---------------------------------------------------------------------------
 # independence
@@ -551,7 +557,6 @@ class CheckStats:
 @dataclass
 class IndependenceReport:
     sites: dict[tuple[int, int], CheckStats] = field(default_factory=dict)
-    queries: int = 0
 
     @property
     def ok(self) -> bool:
@@ -559,8 +564,9 @@ class IndependenceReport:
 
     def lines(self) -> list[str]:
         return [
-            "site <%d,%d> checked %d violations %d" % (ci, gi, s.checked, s.violations)
+            line
             for (ci, gi), s in sorted(self.sites.items())
+            for line in s.lines("site <%d,%d>" % (ci, gi))
         ]
 
     def on_par(self, site: Site, left: tuple[Atom, ...], right: tuple[Atom, ...]) -> None:
@@ -611,17 +617,8 @@ class SafenessReport:
         for (pred, arity, gr, sh), stats in sorted(
             self.rows.items(), key=lambda kv: (kv[0][0], kv[0][1], str(kv[0][2]))
         ):
-            out.append(
-                "row %s/%d %s %s checked %d violations %d"
-                % (
-                    pred,
-                    arity,
-                    format_groundness(gr),
-                    format_sharing(sh),
-                    stats.checked,
-                    stats.violations,
-                )
-            )
+            row = "row %s/%d %s %s" % (pred, arity, format_groundness(gr), format_sharing(sh))
+            out += stats.lines(row)
         return out
 
     def on_answer(self, call: Atom, answer: Atom) -> None:
@@ -629,34 +626,29 @@ class SafenessReport:
         must have its success patterns honoured by the answer."""
         for key, success in self._rows_for.get(call.key, ()):
             _, _, gr, sh = key
-            if not _call_conforms(call, gr, sh):
+            if _pattern_violation(call, gr, sh) is not None:
                 continue
             stats = self.rows[key]
             stats.checked += 1
-            issue = _answer_violation(answer, success.ground, success.share)
+            issue = _pattern_violation(answer, success.ground, success.share)
             if issue is not None:
                 stats.violations += 1
                 if len(stats.examples) < 3:
-                    stats.examples.append(issue)
+                    stats.examples.append(f"answer {issue} in {format_atom(answer)}")
 
 
-def _call_conforms(call: Atom, gr: GroundnessPattern, sh: SharingPattern) -> bool:
-    # a table row applies when the call honours its claims; extra
-    # instantiation is fine, a pattern over-approximates
+def _pattern_violation(atom: Atom, gr: GroundnessPattern, sh: SharingPattern) -> Optional[str]:
+    """The first claim of the patterns that `atom` breaks, if any.
+
+    Extra instantiation is fine: a pattern over-approximates, so a table
+    row applies to every call that honours its claims.
+    """
     for i in gr:
-        if term_vars(call.args[i - 1]):
-            return False
-    return _unlicensed_sharing(call, sh) is None
-
-
-def _answer_violation(answer: Atom, gr: GroundnessPattern, sh: SharingPattern) -> Optional[str]:
-    for i in gr:
-        if term_vars(answer.args[i - 1]):
-            return f"answer position {i} not ground in {format_atom(answer)}"
-    shared = _unlicensed_sharing(answer, sh)
+        if term_vars(atom.args[i - 1]):
+            return f"position {i} not ground"
+    shared = _unlicensed_sharing(atom, sh)
     if shared is not None:
-        i, j, _ = shared
-        return f"answer positions {i},{j} share in {format_atom(answer)}"
+        return "positions %d,%d share" % shared[:2]
     return None
 
 
@@ -689,36 +681,37 @@ def verify(
     A conforming query runs the source at most once, its `on_answer`
     hook feeding the safeness rows, and the residual at most once, its
     `on_par` hook feeding the fork sites.  Returns the reports keyed by
-    check name, in `CHECKS` order.
+    check name, in `CHECKS` order.  The `eq` report is always there: it
+    lists the rejected queries, fails when no query conforms, and
+    compares answers only when `eq` is requested.
     """
-    eq = EquivalenceReport() if "eq" in checks else None
+    run_eq = "eq" in checks
+    eq = EquivalenceReport()
     indep = None
     if "indep" in checks:
         indep = IndependenceReport({s: CheckStats() for s in residual.par_sites()})
     safe = SafenessReport(table=table) if "safe" in checks else None
-    if eq is not None and residual.guarded:
+    if run_eq and residual.guarded:
         raise SolverError("guarded output is not interpretable here; verify the plain form")
     # one solver per program, reused for every query
     source_solver = residual_solver = None
-    if eq is not None or safe is not None:
+    if run_eq or safe is not None:
         on_answer = safe.on_answer if safe is not None else None
         source_solver = Solver(source, max_steps, on_answer=on_answer)
-    if eq is not None or indep is not None:
+    if run_eq or indep is not None:
         on_par = indep.on_par if indep is not None else None
         residual_solver = Solver(residual.program(), max_steps, on_par=on_par)
     for query in queries:
         issue = conformance_issue(query, gr, sh)
         if issue is not None:
-            if eq is not None:
-                eq.rejected.append((query, issue))
+            eq.rejected.append((query, issue))
             continue
+        eq.accepted += 1
         if source_solver is not None:
             want = _answer_counts(source_solver, [query])
         if residual_solver is not None:
             got = _answer_counts(residual_solver, [residual.rename_query(query, gr, sh)])
-        if indep is not None:
-            indep.queries += 1
-        if eq is not None:
+        if run_eq:
             eq.compare(query, want, got)
     reports = {"eq": eq, "indep": indep, "safe": safe}
     return {name: report for name, report in reports.items() if report is not None}

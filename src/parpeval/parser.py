@@ -47,21 +47,24 @@ class _Tok(NamedTuple):
     col: int
 
 
-# blanks, then one lexeme: a newline, a comment, a run of word characters
-# (str.isalnum or "_"), symbolic punctuation with the longest one first,
+# blanks, then one lexeme: a newline, a comment, a run of decimal digits,
+# a word (a word character that is no digit, then word characters, as
+# str.isalnum or "_"), symbolic punctuation with the longest one first,
 # or any other character, which is an error; `is` comes out as a word.
 # Every position is matched, so consecutive matches cover the text.
 _LEXEME = re.compile(
-    r"[ \t\r]*(?:(\n)|(%[^\n]*)|(\w+)|(=:=|:-|>=|=<|//|[.,()\[\]|&><=+*-])|(.)|\Z)"
+    r"[ \t\r]*(?:(\n)|(%[^\n]*)|(\d+)|([^\W\d]\w*)|(=:=|:-|>=|=<|//|[.,()\[\]|&><=+*-])|(.)|\Z)"
 )
-_NEWLINE, _COMMENT, _WORD, _SYMBOL = 1, 2, 3, 4
+_NEWLINE, _COMMENT, _INT, _WORD, _SYMBOL = 1, 2, 3, 4, 5
 
 
 def _lex(text: str) -> list[_Tok]:
     """Tokens with 1-based line and column; a column counts characters.
 
-    A comment advances no column, which shows only in the column of an
-    end-of-file token that follows a comment.
+    A word is a variable when its first character is upper case or "_",
+    a name when it is lower case, and an error otherwise.  A comment
+    advances no column, which shows only in the column of an end-of-file
+    token that follows a comment.
     """
     toks: list[_Tok] = []
     line, line_start, n = 1, 0, len(text)
@@ -71,43 +74,24 @@ def _lex(text: str) -> list[_Tok]:
         if kind is None:  # blanks up to the end
             continue
         col = m.start(kind) - line_start + 1
-        if kind == _WORD:
-            _split_word(m.group(kind), line, col, toks)
+        lexeme = m.group(kind)
+        if kind == _INT:
+            toks.append(_Tok("INT", lexeme, line, col))
+        elif kind == _WORD and (lexeme[0].isupper() or lexeme[0] == "_"):
+            toks.append(_Tok("VAR", lexeme, line, col))
+        elif kind == _WORD and lexeme[0].islower():
+            toks.append(_Tok("PUNCT" if lexeme == "is" else "NAME", lexeme, line, col))
         elif kind == _SYMBOL:
-            toks.append(_Tok("PUNCT", m.group(kind), line, col))
+            toks.append(_Tok("PUNCT", lexeme, line, col))
         elif kind == _NEWLINE:
             line, line_start = line + 1, m.end()
         elif kind == _COMMENT:
             if m.end() == n:
                 eof_col = col
         else:
-            raise ParseError(f"unexpected character {m.group(kind)!r}", line, col)
+            raise ParseError(f"unexpected character {lexeme[0]!r}", line, col)
     toks.append(_Tok("EOF", "", line, eof_col or n - line_start + 1))
     return toks
-
-
-def _split_word(word: str, line: int, col: int, toks: list[_Tok]) -> None:
-    """Tokens of one maximal run of word characters: runs of digits
-    (str.isdecimal), then a variable (upper case or "_" first) or a name
-    (lower case first) that takes the rest of the run."""
-    i, n = 0, len(word)
-    while i < n:
-        ch = word[i]
-        if ch.isdecimal():
-            j = i + 1
-            while j < n and word[j].isdecimal():
-                j += 1
-            toks.append(_Tok("INT", word[i:j], line, col + i))
-            i = j
-        elif ch.isupper() or ch == "_":
-            toks.append(_Tok("VAR", word[i:], line, col + i))
-            return
-        elif ch.islower():
-            rest = word[i:]
-            toks.append(_Tok("PUNCT" if rest == "is" else "NAME", rest, line, col + i))
-            return
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col + i)
 
 
 _INFIX = frozenset(("is", ">=", "=<", "=:=", ">", "<", "="))

@@ -1,10 +1,9 @@
 """Groundness and sharing descriptions of predicate arguments.
 
 A groundness pattern is the set of argument positions (1-based) known to be
-bound to ground terms.  A sharing pattern gives, per argument position, the
-set of positions it may share a variable with; it is kept symmetric and
-reflexive but deliberately not transitive, since "1 shares with 2" and
-"2 shares with 3" do not imply a variable common to 1 and 3.
+bound to ground terms.  A sharing pattern is the set of position pairs that
+may share a variable; it is deliberately not transitive, since "1 shares
+with 2" and "2 shares with 3" do not imply a variable common to 1 and 3.
 """
 
 from __future__ import annotations
@@ -48,48 +47,31 @@ def groundness(arity: int, positions: Iterable[int] = ()) -> GroundnessPattern:
 
 @dataclass(frozen=True)
 class SharingPattern:
-    groups: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        self.__dict__["_hash"] = hash((self.groups,))
-
-    def __hash__(self) -> int:
-        return self._hash
+    arity: int
+    #: the unordered position pairs (i<j) the pattern allows to share
+    pairs: frozenset[tuple[int, int]]
 
     @cached_property
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        """The unordered position pairs (i<j) the pattern allows to share."""
-        return frozenset(
-            (i, j) for i, g in enumerate(self.groups, start=1) for j in g if i < j
-        )
-
-    @property
-    def arity(self) -> int:
-        return len(self.groups)
+    def groups(self) -> tuple[frozenset[int], ...]:
+        """Per position, the positions it may share with, itself included."""
+        sets = [{i} for i in range(1, self.arity + 1)]
+        for i, j in self.pairs:
+            sets[i - 1].add(j)
+            sets[j - 1].add(i)
+        return tuple(map(frozenset, sets))
 
     def shares(self, i: int, j: int) -> bool:
-        return j in self.groups[i - 1]
-
-    def group(self, i: int) -> frozenset[int]:
-        return self.groups[i - 1]
+        return i == j or (min(i, j), max(i, j)) in self.pairs
 
     def __repr__(self) -> str:
         return format_sharing(self)
 
 
 def sharing(arity: int, groups: Iterable[Iterable[int]] = ()) -> SharingPattern:
-    """Build a normalised sharing pattern from may-share position groups."""
-    sets = [set() for _ in range(arity)]
-    for g in groups:
-        g = set(g)
-        bad = [i for i in g if not 1 <= i <= arity]
-        if bad:
-            raise ValueError(f"positions {bad} out of range for arity {arity}")
-        for i in g:
-            sets[i - 1] |= g
-    for i in range(arity):
-        sets[i].add(i + 1)
-    return SharingPattern(tuple(frozenset(s) for s in sets))
+    """Build a sharing pattern from may-share position groups."""
+    return sharing_from_pairs(
+        arity, [(i, j) for g in map(set, groups) for i in g for j in g if i <= j]
+    )
 
 
 def independent_sharing(arity: int) -> SharingPattern:
@@ -100,20 +82,17 @@ def worst_sharing(arity: int) -> SharingPattern:
     return sharing(arity, [range(1, arity + 1)])
 
 
-def sharing_pairs(s: SharingPattern) -> frozenset[tuple[int, int]]:
-    """The unordered position pairs (i<j) the pattern allows to share."""
-    return s.pairs
-
-
 def sharing_from_pairs(arity: int, pairs: Iterable[tuple[int, int]]) -> SharingPattern:
-    """`sharing(arity, [{i, j} for i, j in pairs])`, built directly."""
-    sets = [{i} for i in range(1, arity + 1)]
+    """The pattern letting the positions of each pair share; a pair (i, i)
+    only checks that i is in range."""
+    out = set()
     for i, j in pairs:
-        if not (0 < i <= arity and 0 < j <= arity):
-            sharing(arity, [{i, j}])  # raises, naming the position out of range
-        sets[i - 1].add(j)
-        sets[j - 1].add(i)
-    return SharingPattern(tuple(map(frozenset, sets)))
+        if not (1 <= i <= arity and 1 <= j <= arity):
+            bad = [k for k in {i, j} if not 1 <= k <= arity]
+            raise ValueError(f"positions {bad} out of range for arity {arity}")
+        if i != j:
+            out.add((i, j) if i < j else (j, i))
+    return SharingPattern(arity, frozenset(out))
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +118,12 @@ def shared_pairs(s: SharingPattern, atom: Atom) -> frozenset[tuple[str, str]]:
     if s.arity != atom.arity:
         raise ValueError("pattern arity does not match atom")
     out: set[tuple[str, str]] = set()
-    for i in range(1, atom.arity + 1):
-        vi = term_vars(atom.args[i - 1])
-        for j in s.group(i):
-            if j == i:
-                continue
-            vj = term_vars(atom.args[j - 1])
-            for x in vi:
-                for y in vj:
-                    if x != y:
-                        out.add((min(x, y), max(x, y)))
+    for i, j in s.pairs:
+        vj = term_vars(atom.args[j - 1])
+        for x in term_vars(atom.args[i - 1]):
+            for y in vj:
+                if x != y:
+                    out.add((min(x, y), max(x, y)))
     return frozenset(out)
 
 
@@ -193,13 +168,8 @@ def parse_sharing(text: str, arity: int) -> SharingPattern:
     sets = [_parse_set(m.group(0)) for m in _SET_RE.finditer(text[1:-1])]
     if len(sets) != arity:
         raise ValueError(f"expected {arity} share groups, got {len(sets)}")
-    # renormalise: input groups are per-position may-share sets
-    pairs = set()
-    for i, g in enumerate(sets, start=1):
-        for j in g:
-            if i != j:
-                pairs.add((min(i, j), max(i, j)))
-    return sharing_from_pairs(arity, pairs)
+    # input groups are per-position may-share sets
+    return sharing_from_pairs(arity, [(i, j) for i, g in enumerate(sets, start=1) for j in g])
 
 
 # ---------------------------------------------------------------------------

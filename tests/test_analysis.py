@@ -12,7 +12,7 @@ from parpeval import (
     parse_program,
     parse_sharing,
 )
-from parpeval.analysis import load_pattern_overrides, standard_builtin_model
+from parpeval.analysis import standard_builtin_model
 from parpeval.patterns import (
     SuccessPattern,
     groundness,
@@ -168,20 +168,6 @@ def test_pattern_file_round_trip():
     assert len(parsed_entries) == 1
     assert parsed_entries[0].pred == "append"
     assert len(parsed_table) == len(table)
-
-
-def test_load_pattern_overrides_validates():
-    prog = parse_program(APPEND)
-    good = "append/3 : gr {1} -> {1,2,3} ; sh <{1},{2},{3}> -> <{1},{2},{3}>"
-    table = load_pattern_overrides(good, prog)
-    assert len(table) == 1
-    with pytest.raises(AnalysisError):
-        # arity does not match any definition
-        load_pattern_overrides(
-            "append/2 : gr {1} -> {1,2} ; sh <{1},{2}> -> <{1},{2}>", prog
-        )
-    with pytest.raises(AnalysisError):
-        load_pattern_overrides("entry append/3 gr {1}", prog)
 
 
 def test_analysis_is_deterministic():

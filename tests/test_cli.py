@@ -241,6 +241,17 @@ def test_deeply_nested_term_is_a_parse_error(tmp_path, capsys):
     assert "internal error" not in err
 
 
+def test_specialization_that_builds_a_too_deep_term_is_an_analysis_error(tmp_path, capsys):
+    # each unfolding wraps the argument in one more f/1
+    depth = 500
+    chain = "".join(f"p{i}(X) :- p{i + 1}(f(X)).\n" for i in range(depth))
+    prog = write(tmp_path / "deep.pl", chain + f"p{depth}(_).\n")
+    assert main([prog, "--entry", "p0/1 gr {}"]) == 4
+    err = capsys.readouterr().err
+    assert "a term is nested too deeply" in err
+    assert "internal error" not in err
+
+
 def test_undefined_entry_is_an_analysis_error(capsys):
     assert main([str(CORPUS / "fib.pl"), "--entry", "nosuch/1 gr {1}"]) == 4
     assert "not defined" in capsys.readouterr().err
@@ -296,6 +307,40 @@ def test_verify_rejects_a_query_argument_that_repeats_a_variable(tmp_path, capsy
     assert "rejected p([A|A],B) (position 1 repeats A)" in out
     assert "site <0,0> checked 1 violations 0" in out
     assert code == 0
+
+
+def test_verify_reports_rejected_queries_whatever_checks_run(tmp_path, capsys):
+    queries = write(tmp_path / "q.pl", "fibonacci(X, N).\nfibonacci(3, 3).\n")
+    rejected = [
+        "rejected fibonacci(X,N) (position 1 must be ground)",
+        "rejected fibonacci(3,3) (position 2 must be non-ground)",
+    ]
+    for checks in ("eq", "indep,safe", "indep", "safe", "eq,indep,safe"):
+        # every query is rejected, so nothing was verified
+        assert main(fib_args("--verify", checks, "--queries", queries)) == 5, checks
+        out = capsys.readouterr().out.splitlines()
+        verdicts = out[out.index("% residual program") + 1 :]
+        verdicts = [l for l in verdicts if l.startswith(("query ", "rejected ", "site ", "row "))]
+        # after the query lines, before the site and row lines
+        assert verdicts[: len(rejected)] == rejected, checks
+
+
+def test_verify_shows_the_examples_of_a_violated_row(tmp_path, capsys):
+    prog = write(tmp_path / "app.pl", "app([], L, L).\napp([H|T], L, [H|R]) :- app(T, L, R).\n")
+    # the row claims position 3 ground on success; app([1,2], X, Y) leaves it open
+    patterns = write(
+        tmp_path / "pat", "app/3 : gr {1} -> {1,3} ; sh <{1},{2},{3}> -> <{1},{2},{3}>\n"
+    )
+    queries = write(tmp_path / "q.pl", "app([1,2], X, Y).\n")
+    argv = [prog, "--entry", "app/3 gr {1}", "--patterns", patterns, "--queries", queries]
+    assert main([*argv, "--verify", "safe"]) == 5
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("row app/3 {1} <{1},{2},{3}> checked 3 violations 3")
+    assert out[at + 1 :] == [
+        "  answer position 3 not ground in app([],_G2,_G2)",
+        "  answer position 3 not ground in app([2],_G2,[2|_G2])",
+        "  answer position 3 not ground in app([1,2],_G2,[1,2|_G2])",
+    ]
 
 
 # -- the emitted text is identical across runs

@@ -24,7 +24,6 @@ from parpeval.patterns import (
     shared_pairs,
     sharing,
     sharing_from_pairs,
-    sharing_pairs,
     worst_sharing,
 )
 
@@ -48,7 +47,7 @@ def test_sharing_normalizes_but_is_not_transitive():
         frozenset({2, 3}),
     )
     # positions 1 and 3 stay unlinked even though both touch 2
-    assert (1, 3) not in sharing_pairs(mu)
+    assert (1, 3) not in mu.pairs
 
 
 def test_sharing_reflexive_and_symmetric():
@@ -65,14 +64,14 @@ def test_independent_and_worst():
         frozenset({3}),
     )
     assert worst_sharing(2).groups == (frozenset({1, 2}), frozenset({1, 2}))
-    assert sharing_pairs(independent_sharing(3)) == frozenset()
-    assert sharing_pairs(worst_sharing(3)) == frozenset({(1, 2), (1, 3), (2, 3)})
+    assert independent_sharing(3).pairs == frozenset()
+    assert worst_sharing(3).pairs == frozenset({(1, 2), (1, 3), (2, 3)})
 
 
 def test_pairs_round_trip():
     mu = sharing_from_pairs(4, [(1, 3), (2, 3)])
-    assert sharing_pairs(mu) == frozenset({(1, 3), (2, 3)})
-    assert sharing_from_pairs(4, sharing_pairs(mu)) == mu
+    assert mu.pairs == frozenset({(1, 3), (2, 3)})
+    assert sharing_from_pairs(4, mu.pairs) == mu
 
 
 def test_claimed_ground_vars_reads_argument_variables():
@@ -142,4 +141,45 @@ def test_prop_sharing_text_round_trip(mu):
 
 @given(sharings)
 def test_prop_sharing_pairs_round_trip(mu):
-    assert sharing_from_pairs(arity, sharing_pairs(mu)) == mu
+    assert sharing_from_pairs(arity, mu.pairs) == mu
+
+
+def reference_sharing(arity, groups):
+    """The group-based builder the pair form replaced: per position, the
+    positions it may share with, itself included."""
+    sets = [set() for _ in range(arity)]
+    for g in groups:
+        g = set(g)
+        for i in g:
+            sets[i - 1] |= g
+    for i in range(arity):
+        sets[i].add(i + 1)
+    return tuple(frozenset(s) for s in sets)
+
+
+def reference_text(groups):
+    return "<" + ",".join("{" + ",".join(map(str, sorted(g))) + "}" for g in groups) + ">"
+
+
+def _group_lists(n):
+    return st.lists(st.frozensets(st.integers(min_value=1, max_value=n), max_size=n), max_size=4)
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(st.just(n), _group_lists(n), _group_lists(n))
+))
+def test_prop_pair_form_matches_the_group_reference(case):
+    n, groups, others = case
+    mu, ref = sharing(n, groups), reference_sharing(n, groups)
+    assert format_sharing(mu) == reference_text(ref)
+    positions = range(1, n + 1)
+    assert [[mu.shares(i, j) for j in positions] for i in positions] == [
+        [j in ref[i - 1] for j in positions] for i in positions
+    ]
+    # equal exactly when the reference is; equal patterns hash alike,
+    # also when built from the position pairs the reference's groups hold
+    nu = sharing(n, others)
+    assert (mu == nu) == (ref == reference_sharing(n, others))
+    same = sharing(n, [{i, j} for i in positions for j in ref[i - 1]])
+    for other in [nu] * (mu == nu) + [same]:
+        assert other == mu and hash(other) == hash(mu)
