@@ -35,7 +35,7 @@ from .patterns import (
     parse_sharing,
     sharing_from_pairs,
 )
-from .terms import BUILTIN_KEYS, Program, term_vars
+from .terms import BUILTIN_KEYS, COMPARISON_PREDS, Program, term_vars
 
 
 class AnalysisError(Exception):
@@ -75,7 +75,7 @@ def _unify_success(gr: GroundnessPattern, sh: SharingPattern) -> SuccessPattern:
 
 def standard_builtin_model() -> BuiltinModel:
     model: BuiltinModel = {("is", 2): _is_success, ("=", 2): _unify_success}
-    for pred in (">", "<", ">=", "=<", "=:="):
+    for pred in COMPARISON_PREDS:
         model[(pred, 2)] = _comparison_success
     return model
 

@@ -26,8 +26,8 @@ from .terms import (
     Clause,
     ParGroup,
     Program,
-    Struct,
     format_clause,
+    make_conjunction,
 )
 
 
@@ -255,14 +255,6 @@ concurrent_k(A,B,C) :-
 """
 
 
-def _conjunction(atoms: Sequence[Atom]) -> Struct:
-    terms = [a.to_term() for a in atoms]
-    out = terms[-1]
-    for t in reversed(terms[:-1]):
-        out = Struct(",", (t, out))
-    return out
-
-
 def add_thread_guards(rp: ResidualProgram, max_threads: int = 4) -> ResidualProgram:
     """Replace parallel groups by guarded concurrent_k/3 calls.
 
@@ -318,11 +310,11 @@ def add_thread_guards(rp: ResidualProgram, max_threads: int = 4) -> ResidualProg
         body: list[BodyGoal] = []
         for goal in clause.body:
             if isinstance(goal, ParGroup):
-                seq = _conjunction(
-                    [sequential_atom(a) for a in goal.left + goal.right]
+                seq = make_conjunction(
+                    [sequential_atom(a).to_term() for a in goal.left + goal.right]
                 )
-                left = _conjunction([parallel_atom(a) for a in goal.left])
-                right = _conjunction([parallel_atom(a) for a in goal.right])
+                left = make_conjunction([parallel_atom(a).to_term() for a in goal.left])
+                right = make_conjunction([parallel_atom(a).to_term() for a in goal.right])
                 body.append(Atom("concurrent_k", (seq, left, right)))
             else:
                 body.append(sequential_atom(goal))

@@ -237,16 +237,11 @@ def _refresh(ea: ExtendedAtom, state: PropState, extra_ground: set[str]) -> Exte
 def _absorb(ea: ExtendedAtom, success: SuccessPattern, state: PropState) -> None:
     """Fold an answer matching `success` into the state, in place."""
     atom = ea.atom
-    state.ground |= claimed_ground_vars(ea.gr, atom)
+    ground = state.ground
+    ground |= claimed_ground_vars(ea.gr, atom)
     for i in success.ground.ground:
-        state.ground |= term_vars(atom.args[i - 1])
-    for (i, j) in success.share.pairs:
-        v1 = term_vars(atom.args[i - 1]) - state.ground
-        v2 = term_vars(atom.args[j - 1]) - state.ground
-        for x in v1:
-            for y in v2:
-                if x != y:
-                    state.aliases.add((min(x, y), max(x, y)))
+        ground |= term_vars(atom.args[i - 1])
+    state.aliases.update(p for p in shared_pairs(success.share, atom) if ground.isdisjoint(p))
 
 
 def propagate_success(
@@ -303,9 +298,7 @@ def _parallel_role(ea: ExtendedAtom) -> int:
     return 0
 
 
-def _first_cut(
-    rest: ExtendedQuery, fork: PropState, head_pairs: frozenset[tuple[str, str]]
-) -> Optional[tuple[int, int]]:
+def _first_cut(rest: ExtendedQuery, fork: PropState) -> Optional[tuple[int, int]]:
     """Bounds (n2, mid) of the first pair of segments rest[:n2] and
     rest[n2:mid] that may run in parallel from `fork`: shortest tail
     first, then leftmost boundary.
@@ -313,8 +306,9 @@ def _first_cut(
     Each segment needs a user-defined atom and no atom of role -1.  The
     segments are independent when every variable they have in common is
     ground at the fork or claimed ground by one of their atoms, and no
-    other variable of one may alias, by the head pattern or the fork
-    state, a variable of the other.  Variables and claims are taken once
+    other variable of one may alias, by the fork state, a variable of
+    the other; the fork state holds the head pattern's pairs, as every
+    state grows from `head_state`.  Variables and claims are taken once
     per atom; a candidate tests unions of them.
     """
     bad, user = [0], [0]  # prefix counts of role -1 and role 1 atoms
@@ -334,7 +328,7 @@ def _first_cut(
         lvars.append(lvars[-1] | v)
         lclaims.append(lclaims[-1] | c)
     partners: dict[str, set[str]] = {}
-    for x, y in head_pairs | fork.aliases:  # name-sorted pairs, x != y
+    for x, y in fork.aliases:  # name-sorted pairs, x != y
         partners.setdefault(x, set()).add(y)
         partners.setdefault(y, set()).add(x)
     ground = fork.ground
@@ -384,7 +378,6 @@ def split_independent(
     if sum(ea.key not in BUILTIN_KEYS for ea in query) < 2:
         return None  # each parallel segment needs a user-defined atom
     start = head_state(head)
-    head_pairs = shared_pairs(head.sh, head.atom)
     for n1 in range(0, n - 1):
         key = query[n1].key
         if key[0] in COMPARISON_PREDS and key in BUILTIN_KEYS:
@@ -392,7 +385,7 @@ def split_independent(
         # segments and tail together are always query[n1:], so the
         # refreshed rest and the fork state depend on the prefix alone
         p1, rest, fork = propagate_success(query[:n1], query[n1:], oracle, start)
-        cut = _first_cut(rest, fork, head_pairs)
+        cut = _first_cut(rest, fork)
         if cut is None:
             continue
         n2, mid = cut

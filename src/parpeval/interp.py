@@ -16,6 +16,7 @@ and safeness checks together, in one pass over the queries.
 
 from __future__ import annotations
 
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -393,7 +394,7 @@ class Solver:
             if isinstance(t, str):
                 b = values.pop()
                 a = values.pop()
-                values.append(_arith(t, a, b))
+                values.append(None if a is None or b is None else _ARITH[t](a, b))
                 continue
             t = walk(t, self._binds)
             if isinstance(t, Int):
@@ -407,21 +408,13 @@ class Solver:
         return values[0]
 
 
-_ARITH = frozenset({"+", "-", "*", "//"})
-
-
-def _arith(op: str, a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None or b is None:
-        return None
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
+def _floor_div(a: int, b: int) -> int:
     if b == 0:
         raise SolverError("integer division by zero")
     return a // b
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "//": _floor_div}
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Hand-written lexer and recursive-descent parser.  The accepted language is
 definite clauses over integers, variables and compound terms, with list
 syntax, `%` comments, the infix builtins (is > < >= =< =:= =), the
 arithmetic operators + - * // inside `is/2` right-hand sides, and `&` for a
-parallel group inside a clause body.  Operator-free by design: user code
-cannot declare new operators.
+parallel group inside a clause body.  Operator terms are read by precedence
+climbing over `terms._OPERATORS`, the table the printer uses, so each
+operator's level and associativity are written once.  Operator-free by
+design: user code cannot declare new operators.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Callable, NamedTuple, Optional, TypeVar
 
 from .terms import (
     BUILTIN_KEYS,
+    _OPERATORS,
     NIL,
     Atom,
     BodyGoal,
@@ -25,8 +28,9 @@ from .terms import (
     Struct,
     Term,
     Var,
-    cons,
     fresh_names,
+    make_conjunction,
+    make_list,
     warn_if_nonlinear,
 )
 
@@ -58,8 +62,9 @@ _LEXEME = re.compile(
 _NEWLINE, _COMMENT, _INT, _WORD, _SYMBOL = 1, 2, 3, 4, 5
 
 
-def _lex(text: str) -> list[_Tok]:
-    """Tokens with 1-based line and column; a column counts characters.
+def _lex(text: str, line: int = 1) -> list[_Tok]:
+    """Tokens with line and 1-based column, the text starting on `line`;
+    a column counts characters.
 
     A word is a variable when its first character is upper case or "_",
     a name when it is lower case, and an error otherwise.  A comment
@@ -67,7 +72,7 @@ def _lex(text: str) -> list[_Tok]:
     token that follows a comment.
     """
     toks: list[_Tok] = []
-    line, line_start, n = 1, 0, len(text)
+    line_start, n = 0, len(text)
     eof_col = None
     for m in _LEXEME.finditer(text):
         kind = m.lastindex
@@ -94,14 +99,9 @@ def _lex(text: str) -> list[_Tok]:
     return toks
 
 
-_INFIX = frozenset(("is", ">=", "=<", "=:=", ">", "<", "="))
-_ADDITIVE = frozenset(("+", "-"))
-_MULTIPLICATIVE = frozenset(("*", "//"))
-
-
 class _Parser:
-    def __init__(self, text: str) -> None:
-        self.toks = _lex(text)
+    def __init__(self, text: str, line: int = 1) -> None:
+        self.toks = _lex(text, line)
         self.pos = 0
         # each `_` is a new variable, named apart from every variable
         # written in the text
@@ -122,9 +122,12 @@ class _Parser:
         tok = self.toks[self.pos]
         return tok.text == text and tok.kind == "PUNCT"
 
-    def at_one_of(self, texts: frozenset[str]) -> bool:
-        tok = self.toks[self.pos]
-        return tok.text in texts and tok.kind == "PUNCT"
+    def accept(self, text: str) -> bool:
+        """Step over the punctuation `text` if it comes next."""
+        if self.at(text):
+            self.pos += 1
+            return True
+        return False
 
     def expect(self, text: str) -> _Tok:
         if not self.at(text):
@@ -134,29 +137,32 @@ class _Parser:
     def fail(self, message: str) -> ParseError:
         return ParseError(message, self.cur.line, self.cur.col)
 
+    def sequence(self, rule: Callable[[], T]) -> list[T]:
+        """One or more `rule`s separated by commas."""
+        items = [rule()]
+        while self.accept(","):
+            items.append(rule())
+        return items
+
     # -- terms ---------------------------------------------------------------
 
-    def term(self) -> Term:
-        """additive, optionally joined by one infix builtin operator."""
-        left = self.additive()
-        if self.at_one_of(_INFIX):
-            op = self.advance().text
-            return Struct(op, (left, self.additive()))
-        return left
+    def term(self, prec: int = 700) -> Term:
+        """A term of level at most `prec`, by precedence climbing.
 
-    def additive(self) -> Term:
-        left = self.multiplicative()
-        while self.at_one_of(_ADDITIVE):
-            op = self.advance().text
-            left = Struct(op, (left, self.multiplicative()))
-        return left
-
-    def multiplicative(self) -> Term:
-        left = self.primary()
-        while self.at_one_of(_MULTIPLICATIVE):
-            op = self.advance().text
-            left = Struct(op, (left, self.primary()))
-        return left
+        A primary has level 0.  An operator with the entry (bare, left,
+        right) in `_OPERATORS` extends the term read so far when `bare`
+        is at most `prec` and the term's level at most `left`; it takes
+        a right operand of level at most `right`, and the result has
+        level `bare`.
+        """
+        left, level = self.primary(), 0
+        while True:
+            tok = self.cur
+            op = _OPERATORS.get(tok.text) if tok.kind == "PUNCT" else None
+            if op is None or op[0] > prec or level > op[1]:
+                return left
+            self.advance()
+            left, level = Struct(tok.text, (left, self.term(op[2]))), op[0]
 
     def primary(self) -> Term:
         tok = self.cur
@@ -171,50 +177,29 @@ class _Parser:
             return Var(next(self.fresh) if tok.text == "_" else tok.text)
         if tok.kind == "NAME":
             self.advance()
-            if self.at("("):
-                self.advance()
-                args = [self.term()]
-                while self.at(","):
-                    self.advance()
-                    args.append(self.term())
+            if self.accept("("):
+                args = self.sequence(self.term)
                 self.expect(")")
                 return Struct(tok.text, tuple(args))
             return Struct(tok.text)
-        if self.at("["):
+        if self.accept("["):
             return self.list_term()
-        if self.at("("):
+        if self.accept("("):
             # a parenthesised comma sequence is the ','/2 pairing used for
             # goal arguments of scheduling predicates
-            self.advance()
-            items = [self.term()]
-            while self.at(","):
-                self.advance()
-                items.append(self.term())
+            items = self.sequence(self.term)
             self.expect(")")
-            out = items[-1]
-            for item in reversed(items[:-1]):
-                out = Struct(",", (item, out))
-            return out
+            return make_conjunction(items)
         raise self.fail(f"expected a term, found {tok.text!r}")
 
     def list_term(self) -> Term:
-        self.expect("[")
-        if self.at("]"):
-            self.advance()
+        """The rest of a list after its `[`."""
+        if self.accept("]"):
             return NIL
-        items = [self.term()]
-        while self.at(","):
-            self.advance()
-            items.append(self.term())
-        tail: Term = NIL
-        if self.at("|"):
-            self.advance()
-            tail = self.term()
+        items = self.sequence(self.term)
+        tail = self.term() if self.accept("|") else NIL
         self.expect("]")
-        out = tail
-        for item in reversed(items):
-            out = cons(item, out)
-        return out
+        return make_list(items, tail)
 
     # -- atoms and goals -----------------------------------------------------
 
@@ -224,20 +209,11 @@ class _Parser:
             return Atom(t.functor, t.args)
         raise self.fail("expected an atom")
 
-    def goal_conjunction(self) -> list[Atom]:
-        atoms = [self.atom()]
-        while self.at(","):
-            self.advance()
-            atoms.append(self.atom())
-        return atoms
-
     def body_goal(self) -> list[BodyGoal]:
-        if self.at("("):
-            self.advance()
-            left = self.goal_conjunction()
-            if self.at("&"):
-                self.advance()
-                right = self.goal_conjunction()
+        if self.accept("("):
+            left = self.sequence(self.atom)
+            if self.accept("&"):
+                right = self.sequence(self.atom)
                 self.expect(")")
                 return [ParGroup(tuple(left), tuple(right))]
             self.expect(")")
@@ -245,29 +221,20 @@ class _Parser:
             return left
         return [self.atom()]
 
-    def body(self) -> list[BodyGoal]:
-        goals = self.body_goal()
-        while self.at(","):
-            self.advance()
-            goals.extend(self.body_goal())
-        return goals
-
     def clause(self) -> Clause:
         head = self.atom()
         if head.key in BUILTIN_KEYS:
             raise self.fail(f"builtin {head.pred}/{head.arity} cannot be a clause head")
         body: tuple[BodyGoal, ...] = ()
-        if self.at(":-"):
-            self.advance()
-            body = tuple(self.body())
+        if self.accept(":-"):
+            body = tuple(g for goals in self.sequence(self.body_goal) for g in goals)
         self.expect(".")
         warn_if_nonlinear(head, "clause head")
         return Clause(head, body)
 
     def query(self) -> tuple[Atom, ...]:
-        atoms = self.goal_conjunction()
-        if self.at("."):
-            self.advance()
+        atoms = self.sequence(self.atom)
+        self.accept(".")
         return tuple(atoms)
 
     def program(self) -> Program:
@@ -277,13 +244,13 @@ class _Parser:
         return Program(tuple(clauses))
 
 
-def _parse(text: str, rule: Callable[[_Parser], T], what: Optional[str]) -> T:
-    """Apply `rule` to `text`; unless `what` is None, it must take all of it.
+def _parse(p: _Parser, rule: Callable[[_Parser], T], what: Optional[str]) -> T:
+    """Apply `rule` to the parser's text; unless `what` is None, it must
+    take all of it.
 
     The descent recurses once per nesting level of a term, so running
     out of stack is reported as a parse error.
     """
-    p = _Parser(text)
     try:
         out = rule(p)
     except RecursionError:
@@ -294,27 +261,27 @@ def _parse(text: str, rule: Callable[[_Parser], T], what: Optional[str]) -> T:
 
 
 def parse_program(text: str) -> Program:
-    return _parse(text, _Parser.program, None)
-
-
-def parse_term(text: str) -> Term:
-    return _parse(text, _Parser.term, "term")
+    return _parse(_Parser(text), _Parser.program, None)
 
 
 def parse_atom(text: str) -> Atom:
-    return _parse(text, _Parser.atom, "atom")
+    return _parse(_Parser(text), _Parser.atom, "atom")
 
 
 def parse_query(text: str) -> tuple[Atom, ...]:
     """One query: a comma-separated conjunction, optional trailing dot."""
-    return _parse(text, _Parser.query, "query")
+    return _parse(_Parser(text), _Parser.query, "query")
 
 
 def parse_query_file(text: str) -> list[tuple[Atom, ...]]:
-    """One query per nonempty line; `%` comments allowed."""
+    """One query per line that holds a token; `%` comments allowed.
+
+    Each line is read on its own, and errors give its line and column
+    in the file.
+    """
     out = []
-    for raw in text.splitlines():
-        stripped = raw.split("%", 1)[0].strip()
-        if stripped:
-            out.append(parse_query(stripped))
+    for line, raw in enumerate(text.splitlines(), start=1):
+        p = _Parser(raw, line)
+        if p.cur.kind != "EOF":
+            out.append(_parse(p, _Parser.query, "query"))
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Iterator, Optional, Union
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, Union
 
 
 class NonlinearArgumentWarning(UserWarning):
@@ -78,6 +78,14 @@ def make_list(items: Iterable[Term], tail: Term = NIL) -> Term:
     out = tail
     for item in reversed(list(items)):
         out = cons(item, out)
+    return out
+
+
+def make_conjunction(items: Sequence[Term]) -> Term:
+    """The ','/2 pairing of one or more terms, nested to the right."""
+    out = items[-1]
+    for item in reversed(items[:-1]):
+        out = Struct(",", (item, out))
     return out
 
 
@@ -477,9 +485,9 @@ def warn_if_nonlinear(atom: Atom, where: str) -> None:
 # ---------------------------------------------------------------------------
 # printing
 
-_BUILTIN_INFIX = {"is", ">", "<", ">=", "=<", "=:=", "="}
+_BUILTIN_INFIX = {pred for pred, _ in BUILTIN_KEYS}
 # operator -> (lowest context level it prints bare at, the left operand's
-# level, the right operand's level)
+# level, the right operand's level); the parser reads operators by it too
 _OPERATORS = {
     **{op: (700, 500, 500) for op in _BUILTIN_INFIX},
     "+": (500, 500, 400),
@@ -542,12 +550,29 @@ def _format_pieces(t: Term, prec: int) -> list[Union[str, tuple[Term, int]]]:
         return ["(", *_joined(items), ")"]
     if len(t.args) == 2 and t.functor in _OPERATORS:
         bare, left, right = _OPERATORS[t.functor]
-        sep = f" {t.functor} " if t.functor in _BUILTIN_INFIX else t.functor
+        if t.functor in _BUILTIN_INFIX:
+            sep = f" {t.functor} "
+        elif _starts_with_minus(t.args[1], right):
+            sep = t.functor + " "  # `Z- -1`: a symbol run reads as one token
+        else:
+            sep = t.functor
         s = [(t.args[0], left), sep, (t.args[1], right)]
         return s if prec >= bare else ["(", *s, ")"]
     if not t.args:
         return [t.functor]
     return [t.functor, "(", *_joined(t.args), ")"]
+
+
+def _starts_with_minus(t: Term, prec: int) -> bool:
+    """Whether `format_term(t, prec)` starts with a minus sign."""
+    while isinstance(t, Struct) and len(t.args) == 2 and t.functor in _OPERATORS:
+        bare, left, _ = _OPERATORS[t.functor]
+        if bare > prec:
+            return False  # parenthesised
+        t, prec = t.args[0], left
+    if isinstance(t, Int):
+        return t.value < 0
+    return isinstance(t, Struct) and t.functor.startswith("-")
 
 
 def _joined(items) -> list[Union[str, tuple[Term, int]]]:

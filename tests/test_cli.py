@@ -232,6 +232,21 @@ def test_digit_that_is_not_decimal_is_a_parse_error(tmp_path, capsys):
     assert "internal error" not in err
 
 
+def test_query_file_parse_error_names_the_line_and_column_of_the_file(tmp_path, capsys):
+    queries = write(tmp_path / "q.pl", "fibonacci(3,N).\n% a comment\n\n   fibonacci(4 N).\n")
+    assert main(fib_args("--verify", "eq", "--queries", queries)) == 3
+    assert "expected ')', found 'N' at line 4, column 16" in capsys.readouterr().err
+
+
+def test_residual_spaces_a_negative_right_operand_from_its_operator(tmp_path, capsys):
+    # standard Prolog reads `Z--1` and `A//-2` with `--` and `//-` as one token
+    program = write(tmp_path / "neg.pl", "p(X,Y) :- q(Y,Z), X is Z - -1.\nq(A,B) :- B is A // -2.\n")
+    assert main([program, "--entry", "p/2 gr {2}"]) == 0
+    out = capsys.readouterr().out
+    assert "X is Z- -1." in out
+    assert "B is A// -2." in out
+
+
 def test_deeply_nested_term_is_a_parse_error(tmp_path, capsys):
     depth = 600
     deep = write(tmp_path / "deep.pl", "p(" + "f(" * depth + "a" + ")" * depth + ").\n")

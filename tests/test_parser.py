@@ -15,8 +15,13 @@ from parpeval import (
     parse_query,
     parse_query_file,
 )
-from parpeval.parser import _lex, parse_term
+from parpeval.parser import _lex
 from parpeval.terms import format_atom, format_program, format_term, make_list
+
+
+def read_term(text):
+    """The term `text` spells, read as the argument of an atom."""
+    return parse_atom(f"t({text})").args[0]
 
 
 def test_facts_and_rules():
@@ -35,22 +40,22 @@ def test_facts_and_rules():
 
 
 def test_list_sugar_desugars_to_cons():
-    t = parse_term("[1,2|T]")
+    t = read_term("[1,2|T]")
     assert t == Struct(".", (Int(1), Struct(".", (Int(2), Var("T")))))
-    assert parse_term("[]") == Struct("[]", ())
-    assert parse_term("[a]") == make_list([Struct("a", ())])
+    assert read_term("[]") == Struct("[]", ())
+    assert read_term("[a]") == make_list([Struct("a", ())])
 
 
 def test_operators_parse_with_usual_precedence():
     # is binds loosest, comparison in the middle, arithmetic tightest
-    assert format_term(parse_term("X is Y-1+2")) == "X is Y-1+2"
-    assert parse_term("1+2*3") == Struct(
+    assert format_term(read_term("X is Y-1+2")) == "X is Y-1+2"
+    assert read_term("1+2*3") == Struct(
         "+", (Int(1), Struct("*", (Int(2), Int(3))))
     )
-    assert parse_term("1-2-3") == Struct(
+    assert read_term("1-2-3") == Struct(
         "-", (Struct("-", (Int(1), Int(2))), Int(3))
     )
-    assert format_term(parse_term("(1-2)*3")) == "(1-2)*3"
+    assert format_term(read_term("(1-2)*3")) == "(1-2)*3"
 
 
 def test_par_group_requires_parentheses_and_two_sides():

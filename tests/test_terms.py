@@ -1,12 +1,13 @@
 """Term representation, substitution, and unification."""
+import re
 import warnings
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from parpeval import Atom, Clause, Int, ParGroup, Struct, Var, parse_program
-from parpeval.parser import parse_term
+from parpeval import Atom, Clause, Int, ParGroup, Struct, Var, parse_atom, parse_program
 from parpeval.terms import (
+    _OPERATORS,
     NIL,
     NonlinearArgumentWarning,
     apply_subst,
@@ -23,6 +24,11 @@ from parpeval.terms import (
     walk,
     warn_if_nonlinear,
 )
+
+
+def read_term(text):
+    """The term `text` spells, read as the argument of an atom."""
+    return parse_atom(f"t({text})").args[0]
 
 
 def V(n):
@@ -153,9 +159,9 @@ def test_warn_if_nonlinear_fires_on_repeat_within_argument():
 
 
 def test_format_term_list_and_operator_sugar():
-    assert format_term(parse_term("[1,2|T]")) == "[1,2|T]"
-    assert format_term(parse_term("X is Y-1")) == "X is Y-1"
-    assert format_term(parse_term("f(a,[])")) == "f(a,[])"
+    assert format_term(read_term("[1,2|T]")) == "[1,2|T]"
+    assert format_term(read_term("X is Y-1")) == "X is Y-1"
+    assert format_term(read_term("f(a,[])")) == "f(a,[])"
 
 
 def test_format_clause_round_trip():
@@ -203,7 +209,42 @@ def test_prop_mgu_unifies(a, b):
 
 @given(terms)
 def test_prop_format_parse_round_trip(t):
-    assert parse_term(format_term(t)) == t
+    assert read_term(format_term(t)) == t
+
+
+# what the reader reads back: lowercase functors (never `is`, an
+# operator), lists with and without a tail, ','/2, and every operator of
+# the table at arity 2, nested
+readable_terms = st.recursive(
+    st.one_of(
+        _varnames.map(Var),
+        st.integers(min_value=-9, max_value=9).map(Int),
+        st.sampled_from([NIL, S("a")]),
+    ),
+    lambda sub: st.one_of(
+        st.tuples(_functors, st.lists(sub, min_size=1, max_size=3)).map(
+            lambda fa: Struct(fa[0], tuple(fa[1]))
+        ),
+        st.tuples(st.lists(sub, min_size=1, max_size=3), st.one_of(st.just(NIL), sub)).map(
+            lambda it: make_list(*it)
+        ),
+        st.tuples(st.sampled_from([",", *sorted(_OPERATORS)]), sub, sub).map(
+            lambda o: Struct(o[0], o[1:])
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+@given(readable_terms)
+@example(S("-", V("Z"), Int(-1)))
+@example(S("//", V("A"), S("*", Int(-2), V("B"))))
+def test_prop_operator_terms_read_back_and_print_no_glued_symbols(t):
+    text = format_term(t)
+    assert read_term(text) == t
+    # standard Prolog reads a run of symbol characters as one token, so
+    # each run must be one operator: `Z--1` would read as `--`
+    assert set(re.findall(r"[-+*/\\^<>=~:.?@#&$]+", text)) <= _OPERATORS.keys()
 
 
 @given(terms)
@@ -268,6 +309,13 @@ def test_prop_ground_flag_is_not_part_of_equality(t):
     assert twin == t and hash(twin) == hash(t)
 
 
+def _glued(left, op, right):
+    """A symbolic operator between its operands, with a space before a
+    right operand that starts with a minus sign: `Z--1` would read as
+    the one token `--` in standard Prolog."""
+    return f"{left}{op} {right}" if right.startswith("-") else f"{left}{op}{right}"
+
+
 def reference_format_term(t, prec=700):
     """The recursive printer `format_term` replaced; its output is the spec."""
     if isinstance(t, Var):
@@ -294,10 +342,10 @@ def reference_format_term(t, prec=700):
         s = f"{reference_format_term(t.args[0], 500)} {t.functor} {reference_format_term(t.args[1], 500)}"
         return s if prec >= 700 else f"({s})"
     if t.functor in {"+", "-"} and len(t.args) == 2:
-        s = f"{reference_format_term(t.args[0], 500)}{t.functor}{reference_format_term(t.args[1], 400)}"
+        s = _glued(reference_format_term(t.args[0], 500), t.functor, reference_format_term(t.args[1], 400))
         return s if prec >= 500 else f"({s})"
     if t.functor in {"*", "//"} and len(t.args) == 2:
-        s = f"{reference_format_term(t.args[0], 400)}{t.functor}{reference_format_term(t.args[1], 300)}"
+        s = _glued(reference_format_term(t.args[0], 400), t.functor, reference_format_term(t.args[1], 300))
         return s if prec >= 400 else f"({s})"
     if not t.args:
         return t.functor
