@@ -237,11 +237,10 @@ def _refresh(ea: ExtendedAtom, state: PropState, extra_ground: set[str]) -> Exte
 def _absorb(ea: ExtendedAtom, success: SuccessPattern, state: PropState) -> None:
     """Fold an answer matching `success` into the state, in place."""
     atom = ea.atom
-    ground = state.ground
-    ground |= claimed_ground_vars(ea.gr, atom)
+    state.ground |= claimed_ground_vars(ea.gr, atom)
     for i in success.ground.ground:
-        ground |= term_vars(atom.args[i - 1])
-    state.aliases.update(p for p in shared_pairs(success.share, atom) if ground.isdisjoint(p))
+        state.ground |= term_vars(atom.args[i - 1])
+    state.aliases.update(p for p in shared_pairs(success.share, atom) if state.ground.isdisjoint(p))
 
 
 def propagate_success(
