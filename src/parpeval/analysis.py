@@ -100,9 +100,6 @@ class EntryPoint:
 # the analyzer
 
 
-_OPTIMISTIC = "optimistic"
-
-
 class Analyzer:
     """Success-pattern oracle backed by a demand-driven fixpoint.
 

@@ -2,20 +2,19 @@
 
 Every unfolded extended atom becomes a fresh residual predicate whose
 name encodes the call patterns.  Resultants come from the unfold and
-split transitions of a trace.  A body atom is named after its own
-extended atom when the last transition that closed it was a variant
-hit, its own unfolding or an embedding, since each of those has its
-memo key; a builtin or a failing atom keeps its name.  An entity's
-resultants are taken from the first trace that unfolds it, once each.
-Embedding-closed atoms of an entity no trace unfolds fall back to the
-original program through a bridge clause, so the original definitions
-they reach are carried along unchanged.
+split transitions of a trace.  The last transition that closed a body
+atom names it: a variant hit or an unfolding after its own extended
+atom, an embedding after the generalization its trace specializes; a
+builtin or a failing atom keeps its name.  An entity's resultants come
+from the first trace that unfolds it.  So a plain residual calls only
+specialized predicates; the source program is only the sequential
+fallback of guarded output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .engine import ExtendedAtom, Occurrence, Trace
 from .patterns import GroundnessPattern, SharingPattern
@@ -92,11 +91,12 @@ class RenamingScheme:
 @dataclass
 class ResidualProgram:
     residual_clauses: tuple[Clause, ...]
-    original_clauses: tuple[Clause, ...]
     source: Program
     scheme: RenamingScheme
     entries: dict[tuple[str, int, GroundnessPattern, SharingPattern], str]
     failing: frozenset[tuple[str, int]]
+    #: the sequential fallback of guarded output; a plain residual has none
+    original_clauses: tuple[Clause, ...] = ()
     support_text: str = ""
     guarded: bool = False
 
@@ -135,11 +135,10 @@ def extract_residual(
     program = traces[0].program
     scheme = scheme or RenamingScheme(program)
 
-    # the last transition to close an occurrence decides its name
-    renamed: dict[Occurrence, bool] = {}
+    # the entity an occurrence calls, by the last transition to close it
+    callee: dict[Occurrence, Optional[ExtendedAtom]] = {}
     # an entity's resultants come from the first trace that unfolds it
     owner: dict[EntityKey, Trace] = {}
-    bridges: dict[EntityKey, ExtendedAtom] = {}
     failing: set[tuple[str, int]] = set()
 
     for trace in traces:
@@ -147,17 +146,14 @@ def extract_residual(
             raise CodegenError("traces come from different programs")
         for t in trace.transitions():
             ea = t.subject.ea
-            renamed[t.subject] = t.label in "vupe"
+            callee[t.subject] = ea if t.label in "vup" else t.general
             if t.label in "up":
                 owner.setdefault(ea.memo_key, trace)
             elif t.label == "f":
                 failing.add(ea.key)
-            elif t.label == "e":
-                bridges.setdefault(ea.memo_key, ea)
 
     def rename(o: Occurrence) -> Atom:
-        atom = o.ea.atom
-        return Atom(scheme.name(o.ea), atom.args) if renamed[o] else atom
+        return Atom(scheme.name(callee[o]), o.ea.atom.args) if callee[o] else o.ea.atom
 
     clauses: list[Clause] = []
     for trace in traces:
@@ -174,12 +170,6 @@ def extract_residual(
             body.extend(rename(o) for o in tail)
             clauses.append(Clause(head, tuple(body)))
 
-    # an entity some trace unfolds needs no bridge
-    bridged = [ea for key, ea in bridges.items() if key not in owner]
-    for ea in bridged:
-        clauses.append(Clause(Atom(scheme.name(ea), ea.atom.args), (ea.atom,)))
-    original_clauses = _original_closure(program, {ea.key for ea in bridged}, failing)
-
     entries: dict[tuple[str, int, GroundnessPattern, SharingPattern], str] = {}
     for trace in traces:
         init = trace.init
@@ -189,7 +179,6 @@ def extract_residual(
 
     residual = ResidualProgram(
         residual_clauses=tuple(clauses),
-        original_clauses=original_clauses,
         source=program,
         scheme=scheme,
         entries=entries,
@@ -199,33 +188,9 @@ def extract_residual(
     return residual
 
 
-def _original_closure(
-    program: Program,
-    seeds: Iterable[tuple[str, int]],
-    failing: set[tuple[str, int]],
-) -> tuple[Clause, ...]:
-    include: set[tuple[str, int]] = set()
-    work = list(seeds)
-    while work:
-        key = work.pop()
-        if key in include:
-            continue
-        include.add(key)
-        for clause in program.clauses_for(*key):
-            for atom in clause.body_atoms():
-                if atom.key in BUILTIN_KEYS or atom.key in include:
-                    continue
-                if program.defines(*atom.key):
-                    work.append(atom.key)
-                else:
-                    failing.add(atom.key)
-    return tuple(c for c in program.clauses if c.head.key in include)
-
-
 def _check_closedness(rp: ResidualProgram) -> None:
     defined = {c.head.key for c in rp.residual_clauses}
-    defined |= {c.head.key for c in rp.original_clauses}
-    for clause in rp.residual_clauses + rp.original_clauses:
+    for clause in rp.residual_clauses:
         for atom in clause.body_atoms():
             key = atom.key
             if key in BUILTIN_KEYS or key in defined or key in rp.failing:

@@ -42,6 +42,7 @@ from .terms import (
     canonical,
     format_term,
     mgu,
+    msg,
     rename_apart,
     term_vars,
     warn_if_nonlinear,
@@ -483,6 +484,7 @@ class Transition:
     head_instance: Optional[Atom] = None
     # u and p: (prefix, left, right, tail); an unfolding is ((), (), (), body)
     quad: Optional[tuple[tuple[Occurrence, ...], ...]] = None
+    general: Optional[ExtendedAtom] = None  # e: msg of the subject and its memo entry
 
     @property
     def body(self) -> tuple[Occurrence, ...]:
@@ -514,9 +516,6 @@ class Trace:
             out.append(path[::-1])
         return out
 
-    def label_sequences(self) -> list[list[str]]:
-        return [[t.label for t in d] for d in self.derivations]
-
 
 def partially_evaluate(
     program: Program,
@@ -531,6 +530,13 @@ def partially_evaluate(
     so selection is leftmost, mirroring plain resolution.  The memo of
     already-unfolded atoms is global across branches.  A transition is
     visited when it is made, a branch when its continuation is popped.
+
+    An atom that embeds a memo entry is closed by the whistle (`e`); the
+    msg of the two becomes a new root, skipped if the memo has a variant
+    of it by then, and unfolded without the whistle, which it may trip.
+    Termination: atoms unfolded under the whistle form a bad sequence,
+    finite by Kruskal's theorem; each root generalizes one of them, and
+    an atom has finitely many generalizations up to variance.
     """
     memo = Memo()
     stack: list[tuple[tuple[Occurrence, ...], Optional[Transition]]] = [
@@ -544,6 +550,8 @@ def partially_evaluate(
         queue, last = stack.pop()
         if last is not None:
             visited.append(last)
+        elif memo.variant(queue[0].ea) is not None:
+            continue  # a generalization whose variant is specialized already
         while queue:
             subject, rest = queue[0], queue[1:]
             ea = subject.ea
@@ -554,7 +562,7 @@ def partially_evaluate(
                     f"selected atom was {ea.atom.pred}/{ea.atom.arity}"
                 )
             label, entry = "v", memo.variant(ea)
-            if entry is None:
+            if entry is None and last is not None:  # a root skips the whistle
                 label, entry = "e", memo.embedding(ea)
             if entry is None:
                 label = "n" if ea.key in BUILTIN_KEYS else "f"
@@ -566,7 +574,10 @@ def partially_evaluate(
                     stack.extend((b.body + rest, b) for b in reversed(branches))
                     break
             # the selected atom is closed: move on to the next one
-            last = Transition(label, subject, last)
+            if label == "e":  # the generalization becomes a root, below every branch
+                entry = ExtendedAtom(msg(ea.atom, entry.atom), ea.gr, ea.sh)
+                stack.insert(0, ((Occurrence(entry),), None))
+            last = Transition(label, subject, last, general=entry if label == "e" else None)
             visited.append(last)
             queue = rest
         else:  # the queue ran out: `last` ends a derivation

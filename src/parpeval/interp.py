@@ -408,13 +408,13 @@ class Solver:
         return values[0]
 
 
-def _floor_div(a: int, b: int) -> int:
+def _int_div(a: int, b: int) -> int:
     if b == 0:
         raise SolverError("integer division by zero")
-    return a // b
+    return a // b if (a < 0) == (b < 0) else -(-a // b)  # ISO: truncates toward zero
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "//": _floor_div}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "//": _int_div}
 
 
 # ---------------------------------------------------------------------------

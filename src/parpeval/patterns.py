@@ -78,10 +78,6 @@ def independent_sharing(arity: int) -> SharingPattern:
     return sharing(arity)
 
 
-def worst_sharing(arity: int) -> SharingPattern:
-    return sharing(arity, [range(1, arity + 1)])
-
-
 def sharing_from_pairs(arity: int, pairs: Iterable[tuple[int, int]]) -> SharingPattern:
     """The pattern letting the positions of each pair share; a pair (i, i)
     only checks that i is in range."""

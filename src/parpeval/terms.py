@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, Union
 
@@ -414,6 +415,22 @@ def rename_apart(clause: Clause, avoid: Iterable[str]) -> Clause:
     if not clash:
         return clause
     return apply_subst(clause, {v: Var(name) for v, name in zip(clash, fresh_names(avoid | own))})
+
+
+def msg(a: Atom, b: Atom) -> Atom:
+    """Most specific generalization of two atoms of one predicate: equal
+    subterms stay, each pair of differing ones becomes one fresh variable."""
+    names = fresh_names(term_vars((a, b)))
+    pairs: dict[tuple[Term, Term], Var] = defaultdict(lambda: Var(next(names)))
+
+    def go(s: Term, t: Term) -> Term:
+        if s == t:
+            return s
+        if type(s) is type(t) is Struct and (s.functor, len(s.args)) == (t.functor, len(t.args)):
+            return Struct(s.functor, tuple(map(go, s.args, t.args)))
+        return pairs[s, t]
+
+    return Atom(a.pred, tuple(map(go, a.args, b.args)))
 
 
 # ---------------------------------------------------------------------------

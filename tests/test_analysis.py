@@ -18,8 +18,13 @@ from parpeval.patterns import (
     groundness,
     independent_sharing,
     sharing,
-    worst_sharing,
 )
+
+
+def worst_sharing(arity):
+    """Every pair of positions may share."""
+    return sharing(arity, [range(1, arity + 1)])
+
 
 APPEND = """
 append([], Ys, Ys).

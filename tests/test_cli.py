@@ -84,6 +84,21 @@ def test_verify_all_checks_pass(tmp_path, capsys):
     assert "row fibonacci/2 {1}" in out
 
 
+def test_verify_checks_a_fork_at_every_internal_node_of_the_walked_tree(tmp_path, capsys):
+    # the whistle closes both recursive calls; they call the specialized
+    # walk, which forks again, so each of the 4 + 3 internal nodes forks
+    queries = write(
+        tmp_path / "q.pl",
+        "walk(node(node(leaf,leaf),node(leaf,node(leaf,leaf))), 0, N).\n"
+        "walk(node(leaf,node(node(leaf,leaf),leaf)), z, M).\n",
+    )
+    argv = [str(GOLDEN / "walk.pl"), "--entry", "walk/3 gr {1,2}"]
+    assert main([*argv, "--verify", "eq,indep,safe", "--queries", queries]) == 0
+    out = capsys.readouterr().out
+    assert "query walk(node(node(leaf,leaf),node(leaf,node(leaf,leaf))),0,N) ok (1 answers)" in out
+    assert "site <1,0> checked 7 violations 0" in out
+
+
 def test_verify_reports_nonconforming_queries(tmp_path, capsys):
     def run(checks, *goals):
         queries = write(tmp_path / "q.pl", "".join(g + ".\n" for g in goals))
@@ -426,17 +441,19 @@ def test_output_is_deterministic_across_processes(tmp_path):
 # of the benchmark's many-predicates workload, one clause body of two
 # independent chains of six goals, one body atom that a branch closes
 # by failure and a later branch by embedding (its last closing decides
-# the name: the bridge `q_1_1`), the nine corpus programs at their test
-# entries, and two entries that reach one entity under different
-# variable names (the first trace that unfolds it gives its
-# resultants); each fresh `_G` name is drawn from the terms at hand, so
-# the goldens hold in any process
+# the name: its generalization's `q_1_1`), a tree walk whose recursive
+# calls the whistle closes and which forks at every level, the nine
+# corpus programs at their test entries, and two entries that reach one
+# entity under different variable names (the first trace that unfolds
+# it gives its resultants); each fresh `_G` name is drawn from the
+# terms at hand, so the goldens hold in any process
 @pytest.mark.parametrize(
     "name, entries",
     [
         ("preds12", "p0/3 gr {1}"),
         ("twochain6", "r/4 gr {1,2}"),
         ("fail_then_embed", "p/1 gr {}"),
+        ("walk", "walk/3 gr {1,2}"),
         *[
             (name, f"{b.entry.pred}/{b.entry.arity} gr {format_groundness(b.entry.gr)}")
             for name, b in corpus.BENCHES.items()

@@ -1,4 +1,4 @@
-"""Residual extraction: renaming, bridges, and thread guards."""
+"""Residual extraction: renaming, generalization, and thread guards."""
 import pytest
 
 import corpus
@@ -92,35 +92,16 @@ def test_residual_program_answers_queries_via_entry_renaming():
 
 
 # ---------------------------------------------------------------------------
-# embedding bridges
+# embedding-closed atoms call the specialized generalization
 
 
-def test_embedding_closes_with_bridge_to_original():
+def test_embedding_closes_with_generalization():
     rp = compile_text("p(X) :- p(f(X)).", "p", 1, "{}")
     texts = [format_clause(c) for c in rp.residual_clauses]
-    assert texts == [
-        "p__1(X) :- p__1_2(f(X)).",
-        "p__1_2(f(X)) :- p(f(X)).",
-    ]
-    # the bridge target keeps its original definition reachable
-    assert [format_clause(c) for c in rp.original_clauses] == ["p(X) :- p(f(X))."]
+    # p(f(X)) embeds p(X); their msg p(_G1) is a variant of p(X)
+    assert texts == ["p__1(X) :- p__1(f(X))."]
+    assert rp.original_clauses == ()
     assert rp.entries == {("p", 1, groundness(1), independent_sharing(1)): "p__1"}
-
-
-def test_original_closure_is_transitive():
-    rp = compile_text(
-        """
-        p(X) :- p(f(X)).
-        p(X) :- q(X).
-        q(X) :- r(X).
-        r(0).
-        """,
-        "p",
-        1,
-        "{}",
-    )
-    origs = {c.head.pred for c in rp.original_clauses}
-    assert origs == {"p", "q", "r"}
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import corpus
-from parpeval import Analyzer, PELimitExceeded, engine, parse_program, partially_evaluate
+from parpeval import (
+    Analyzer,
+    PELimitExceeded,
+    engine,
+    extract_residual,
+    format_residual,
+    parse_program,
+    partially_evaluate,
+)
 from parpeval.engine import (
     ExtendedAtom,
     Memo,
@@ -28,7 +36,7 @@ from parpeval.patterns import (
     parse_sharing,
     shared_pairs,
     sharing_from_pairs,
-    worst_sharing,
+    sharing,
 )
 from parpeval.terms import (
     BUILTIN_KEYS,
@@ -44,6 +52,12 @@ from parpeval.terms import (
     rename_apart,
     term_vars,
 )
+
+
+def worst_sharing(arity):
+    """Every pair of positions may share."""
+    return sharing(arity, [range(1, arity + 1)])
+
 
 FIB = """
 fibonacci(0, 1).
@@ -487,11 +501,16 @@ def test_embedding_requires_equal_patterns():
 # the driver
 
 
+def label_sequences(trace):
+    """The labels along each derivation of `trace`."""
+    return [[t.label for t in d] for d in trace.derivations]
+
+
 def test_fibonacci_label_sequences():
     prog, an, _ = fib_setup()
     init = ea(Atom("fibonacci", (Var("A"), Var("B"))), "{1}")
     trace = partially_evaluate(prog, init, an)
-    assert trace.label_sequences() == [
+    assert label_sequences(trace) == [
         ["u"],
         ["u"],
         ["p", "n", "n", "v", "n", "v", "n"],
@@ -535,9 +554,37 @@ def test_adversarial_embedding_whistle():
     an = Analyzer(prog)
     init = ea(Atom("p", (Var("A"),)), "{}")
     trace = partially_evaluate(prog, init, an)
-    assert trace.label_sequences() == [["u", "e"]]
+    assert label_sequences(trace) == [["u", "e"]]
     e_steps = [t for t in trace.transitions() if t.label == "e"]
     assert e_steps and any(embeds(e_steps[0].subject.ea, m) for m in trace.memo)
+
+
+def test_embedding_records_its_msg_and_a_root_with_a_variant_is_skipped():
+    prog = parse_program("p(X) :- p(f(X)).")
+    init = ea(Atom("p", (Var("A"),)), "{}")
+    trace = partially_evaluate(prog, init, Analyzer(prog))
+    (e_step,) = [t for t in trace.transitions() if t.label == "e"]
+    # msg(p(f(X)), p(X)) is a variant of the memo entry: no new root
+    assert canonical(e_step.general.atom) == canonical(init.atom)
+    assert len(trace.memo) == 1
+
+
+def test_root_is_unfolded_without_the_whistle():
+    # p(f(Y),Y) embeds p(X,X); the root p(_G1,_G2), their msg, embeds
+    # p(X,X) too: were the root whistled, it would be its own msg and the
+    # driver would loop
+    prog = parse_program("q(X) :- p(X,X). p(X,Y) :- p(f(X),Y). p(a,_).")
+    init = ea(Atom("q", (Var("A"),)), "{}")
+    trace = partially_evaluate(prog, init, Analyzer(prog), max_transitions=20)
+    assert len(trace.transitions()) == 7
+    assert [format_atom(m.atom) for m in trace.memo] == ["q(A)", "p(X,X)", "p(_G1,_G2)"]
+    assert format_residual(extract_residual(trace)) == (
+        "q__1(X) :- p__12_12(X,X).\n"
+        "p__12_12(Y,Y) :- p__12_12_2(f(Y),Y).\n"
+        "p__12_12(a,a).\n"
+        "p__12_12_2(X,Y) :- p__12_12_2(f(X),Y).\n"
+        "p__12_12_2(a,_G3).\n"
+    )
 
 
 def test_transition_budget_is_enforced():
@@ -550,7 +597,7 @@ def test_transition_budget_is_enforced():
 def test_corpus_termination_and_labels():
     for name in corpus.BENCHES:
         _, _, trace, _ = corpus.compiled(name)
-        labels = {l for seq in trace.label_sequences() for l in seq}
+        labels = {l for seq in label_sequences(trace) for l in seq}
         assert labels <= {"u", "p", "v", "e", "n", "f"}, name
 
 

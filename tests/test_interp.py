@@ -21,7 +21,7 @@ from parpeval.patterns import (
     groundness,
     independent_sharing,
     parse_sharing,
-    worst_sharing,
+    sharing,
 )
 from parpeval.terms import (
     Atom,
@@ -39,6 +39,12 @@ from parpeval.terms import (
     unify_in_place,
     walk,
 )
+
+
+def worst_sharing(arity):
+    """Every pair of positions may share."""
+    return sharing(arity, [range(1, arity + 1)])
+
 
 FIB = """
 fibonacci(0, 1).
@@ -115,6 +121,16 @@ def test_is_evaluates_ground_expressions():
     assert answers("", "X is 2-5") == [{"X": Int(-3)}]
     assert answers("", "X is 2*3+1") == [{"X": Int(7)}]
     assert answers("", "X is 7//2") == [{"X": Int(3)}]
+
+
+def test_integer_division_truncates_toward_zero():
+    # ISO Prolog's `//` under SWI-Prolog's default toward_zero rounding
+    d = "d(X, D, Y) :- Y is X // D."
+    assert answers(d, "d(-7, 2, Y)") == [{"Y": Int(-3)}]
+    assert answers(d, "d(7, -2, Y)") == [{"Y": Int(-3)}]
+    assert answers(d, "d(-7, -2, Y)") == [{"Y": Int(3)}]
+    with pytest.raises(SolverError, match="zero"):
+        answers(d, "d(-7, 0, Y)")
 
 
 def test_is_over_unbound_variable_raises():

@@ -24,8 +24,12 @@ from parpeval.patterns import (
     shared_pairs,
     sharing,
     sharing_from_pairs,
-    worst_sharing,
 )
+
+
+def worst_sharing(arity):
+    """Every pair of positions may share."""
+    return sharing(arity, [range(1, arity + 1)])
 
 
 def test_groundness_validates_positions():

@@ -17,6 +17,7 @@ from parpeval.terms import (
     format_term,
     make_list,
     mgu,
+    msg,
     rename_apart,
     resolve,
     term_vars,
@@ -37,6 +38,17 @@ def V(n):
 
 def S(f, *args):
     return Struct(f, tuple(args))
+
+
+def instance_of(t, g, binds=None):
+    """Some substitution for the variables of term `g` maps it onto `t`."""
+    binds = {} if binds is None else binds
+    if isinstance(g, Var):
+        return binds.setdefault(g.name, t) == t
+    if isinstance(g, Struct) and isinstance(t, Struct) and g.functor == t.functor:
+        pairs = zip(t.args, g.args)
+        return len(g.args) == len(t.args) and all(instance_of(x, y, binds) for x, y in pairs)
+    return g == t
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +146,15 @@ def test_rename_all_freshens_everything():
     assert canonical(new) == canonical(old)
 
 
+def test_msg_keeps_equal_subterms_and_names_each_differing_pair_once():
+    a = parse_atom("p(f(X), a, g(a, X), _G1)")
+    b = parse_atom("p(f(Y), a, g(b, Y), _G1)")
+    # the pair (X, Y) recurs and gets one variable; _G1 is taken
+    assert format_atom(msg(a, b)) == "p(f(_G2),a,g(_G3,_G2),_G1)"
+    assert msg(a, a) == a
+    assert format_atom(msg(parse_atom("p(f(X))"), parse_atom("p(g(X))"))) == "p(_G1)"
+
+
 def test_canonical_numbers_by_first_occurrence():
     a = Atom("p", (V("Q"), V("R"), V("Q")))
     b = Atom("p", (V("Z"), V("A"), V("Z")))
@@ -205,6 +226,15 @@ def test_prop_mgu_unifies(a, b):
         ra = apply_subst(a, s)
         assert ra == apply_subst(b, s)
         assert apply_subst(ra, s) == ra
+
+
+@given(terms, terms)
+def test_prop_msg_generalizes_both_and_a_variant_pair_to_a_variant(a, b):
+    pa, pb = Atom("p", (a,)), Atom("p", (b,))
+    g = msg(pa, pb)
+    assert instance_of(pa.to_term(), g.to_term()) and instance_of(pb.to_term(), g.to_term())
+    renamed = apply_subst(pa, {v: Var(v + "r") for v in term_vars(pa)})
+    assert canonical(msg(pa, renamed)) == canonical(pa)
 
 
 @given(terms)

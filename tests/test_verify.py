@@ -4,7 +4,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis import event, example, given, reject, settings, strategies as st
 
 import corpus
 from parpeval import (
@@ -30,7 +30,7 @@ from parpeval.patterns import (
     independent_sharing,
     parse_sharing,
 )
-from parpeval.terms import Int
+from parpeval.terms import Int, Struct
 
 
 def fib_parts():
@@ -315,6 +315,8 @@ _gvar = st.sampled_from(["X", "Y", "Z", "W"])
 _gterm = _term(st.one_of(_gvar, _constant))
 _body_atom = st.one_of(
     st.builds("p({},{})".format, _gterm, _gterm),
+    # a recursion that grows a term, so that the embedding whistle fires
+    st.builds("p(f({}),{})".format, _gvar, _gvar),
     st.builds("q({},{})".format, _gterm, _gterm),
     st.builds("r({})".format, _gterm),
     st.builds("{} = {}".format, _gterm, _gterm),
@@ -363,10 +365,28 @@ def _entry_and_queries(draw):
     return ground, draw(st.lists(st.builds("p({},{})".format, *args), min_size=1, max_size=3))
 
 
+def instance_of(t, g, binds=None):
+    """Some substitution for the variables of term `g` maps it onto `t`."""
+    binds = {} if binds is None else binds
+    if isinstance(g, Var):
+        return binds.setdefault(g.name, t) == t
+    if isinstance(g, Struct) and isinstance(t, Struct) and g.functor == t.functor:
+        pairs = zip(t.args, g.args)
+        return len(g.args) == len(t.args) and all(instance_of(x, y, binds) for x, y in pairs)
+    return g == t
+
+
 @settings(max_examples=150, deadline=None)
 @given(program=_generated_program, entry=_entry_and_queries())
 # two identical resultants must both reach the residual
 @example(program="p(X, X). p(X, X).", entry=(set(), ["p(A, B)"]))
+# a growing recursion: the whistle closes p(f(X),Y) against p(X,Y)
+@example(program="p(X, Y) :- p(f(X), Y).\np(0, 1).", entry=({1}, ["p(0, B)"]))
+# q(f(Y),Y,T) embeds q(X,X,L), and their msg q(_G1,_G2,_G3) is a new root
+@example(
+    program="p(X, L) :- q(X, X, L).\nq(X, Y, []).\nq(X, Y, [Z|T]) :- q(f(X), Y, T).",
+    entry=({2}, ["p(A1, [0,1])", "p(A1, [])"]),
+)
 def test_prop_residual_of_a_generated_program_passes_every_check(program, entry):
     ground, texts = entry
     gr, sh = groundness(2, ground), independent_sharing(2)
@@ -374,7 +394,17 @@ def test_prop_residual_of_a_generated_program_passes_every_check(program, entry)
     analyzer = Analyzer(source)
     analyzer.success("p", 2, gr, sh)
     init = ExtendedAtom(Atom("p", (Var("A"), Var("B"))), gr, sh)
-    residual = extract_residual(partially_evaluate(source, init, analyzer))
+    trace = partially_evaluate(source, init, analyzer)
+    residual = extract_residual(trace)
+    # an embedding-closed atom calls the specialized code of its
+    # generalization, and no call reaches the source program
+    unfolded = {t.subject.ea.memo_key for t in trace.transitions() if t.label in "up"}
+    closed = [t for t in trace.transitions() if t.label == "e"]
+    event("an embedding closes an atom" if closed else "no embedding")
+    for t in closed:
+        assert instance_of(t.subject.ea.atom.to_term(), t.general.atom.to_term())
+        assert t.general.memo_key in unfolded
+    assert residual.original_clauses == ()
     queries = [parse_query(t)[0] for t in texts]
     # every pending call keeps its snapshot, so a query whose terms grow
     # by a cell per step holds steps^2/2 cells: 300 steps stay small,
