@@ -1,17 +1,22 @@
 """Sequential resolution engine used to validate residual programs.
 
 Goals are solved depth-first, left to right, trying clauses in textual
-order with the occurs check on.  A clause head is matched against the
-call rather than renamed: a head variable's first occurrence takes the
-caller's term, so it is never bound or occurs checked.  Ground
-resolutions the hooks ask for are remembered until backtracking undoes
-a binding they read.  Parallel groups run as plain
-conjunctions — the annotations claim independence, they do not change
-sequential meaning — but entering one fires a hook so callers can
-inspect the instantiation of both sides at fork time.  A second hook
-reports every (call, answer) pair of user predicates, which is what the
-safeness check consumes.  `verify` runs the equivalence, independence
-and safeness checks together, in one pass over the queries.
+order with the occurs check on.  Each solver compiles every clause once
+into head and body templates over numbered variable slots.  A clause
+head is matched against the call rather than renamed: a head variable's
+first occurrence takes the caller's term, so it is never bound or
+occurs checked.  A clause whose first head argument has another
+principal functor than the call's is passed over without a match, still
+at the cost of its step.  The body of a clause that matches is built
+from its templates.  Ground resolutions the hooks ask for are
+remembered until backtracking undoes a binding they read.  Parallel
+groups run as plain conjunctions — the annotations claim independence,
+they do not change sequential meaning — but entering one fires a hook
+so callers can inspect the instantiation of both sides at fork time.
+A second hook reports every (call, answer) pair of user predicates,
+which is what the safeness check consumes.  `verify` runs the
+equivalence, independence and safeness checks together, in one pass
+over the queries.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .terms import (
     Subst,
     Term,
     Var,
-    apply_subst,
     canonical,
     format_atom,
     format_term,
@@ -110,24 +114,97 @@ class _Exit:
 
 
 class _ClauseEntry:
-    """A clause's head, body and variable data, worked out once per solver."""
+    """A clause compiled once per solver into slot-numbered templates.
 
-    __slots__ = ("number", "head", "body", "body_only", "vars_in")
+    The clause's variables are numbered in order of first occurrence,
+    head first.  In a template a variable is its slot `int`, a non-ground
+    Struct is a `(functor, *args)` tuple and a ground subterm is itself;
+    a body atom is a `(pred, *args)` tuple.  `head` and `body` keep the
+    clause as written.
+    """
+
+    __slots__ = ("number", "head", "body", "key", "size", "fresh",
+                 "head_t", "body_t", "slots_in")
 
     def __init__(self, number: int, clause: Clause) -> None:
         self.number = number
         self.head = clause.head.args
         self.body = clause.body
-        #: the variables a head match leaves unseen, in name order
-        self.body_only = tuple(sorted(term_vars(clause.body) - term_vars(clause.head)))
-        #: id of each non-ground Struct in the head -> its variables, in
-        #: name order
-        self.vars_in: dict[int, tuple[str, ...]] = {}
-        todo = [t for t in self.head if isinstance(t, Struct) and not t.ground]
-        while todo:
-            t = todo.pop()
-            self.vars_in[id(t)] = tuple(sorted(term_vars(t)))
-            todo += [a for a in t.args if isinstance(a, Struct) and not a.ground]
+        #: the principal functor of the first head argument, None if a
+        #: variable (or no argument) lets any call through
+        self.key = _principal(self.head[0]) if self.head else None
+        slots: dict[str, int] = {}
+        self.head_t = _template(clause.head.pred, self.head, slots)[1:]
+        n_head = len(slots)
+        self.body_t = tuple(
+            ParGroup(tuple([_template(a.pred, a.args, slots) for a in g.left]),
+                     tuple([_template(a.pred, a.args, slots) for a in g.right]))
+            if g.__class__ is ParGroup else _template(g.pred, g.args, slots)
+            for g in self.body
+        )
+        self.size = len(slots)
+        names = list(slots)
+        #: the body-only slots in name order, the order a try draws their
+        #: fresh names in
+        self.fresh = sorted(range(n_head, self.size), key=names.__getitem__)
+        #: id of each tuple in the head template -> its slots in name order
+        self.slots_in: dict[int, list[int]] = {}
+        for t in self.head_t:
+            if t.__class__ is tuple:
+                _collect_slots(t, names, self.slots_in)
+
+
+def _principal(t: Term) -> Union[tuple[str, int], int, None]:
+    """What a first argument is indexed by: `(functor, arity)`, an
+    integer's value, or None for a variable."""
+    if isinstance(t, Struct):
+        return (t.functor, len(t.args))
+    if isinstance(t, Int):
+        return t.value
+    return None
+
+
+def _template(name: str, args: tuple[Term, ...], slots: dict[str, int]) -> tuple:
+    """`(name, *args)`, each variable replaced by its slot and each
+    non-ground Struct by its own template; a new variable gets the next
+    slot."""
+    out: list = [name]
+    for a in args:
+        if a.__class__ is Var:
+            slot = slots.get(a.name)
+            if slot is None:
+                slot = slots[a.name] = len(slots)
+            a = slot
+        elif a.__class__ is Struct and not a.ground:
+            a = _template(a.functor, a.args, slots)
+        out.append(a)
+    return tuple(out)
+
+
+def _collect_slots(t: tuple, names: list[str], out: dict[int, list[int]]) -> set[int]:
+    """The slots in template `t`, recording them in name order for `t`
+    and each tuple in it."""
+    found: set[int] = set()
+    for a in t[1:]:
+        if a.__class__ is int:
+            found.add(a)
+        elif a.__class__ is tuple:
+            found |= _collect_slots(a, names, out)
+    out[id(t)] = sorted(found, key=names.__getitem__)
+    return found
+
+
+def _build(t: tuple, env: list) -> tuple:
+    """The arguments of template `t`, each slot's value taken from `env`."""
+    out = []
+    for a in t[1:]:
+        cls = a.__class__
+        if cls is int:
+            a = env[a]
+        elif cls is tuple:
+            a = Struct(a[0], _build(a, env))
+        out.append(a)
+    return tuple(out)
 
 
 # the continuation: a linked list of (goal, site, rest) ending in (); a
@@ -252,7 +329,7 @@ class Solver:
             frames[-1][1].append(out)
 
     def _resolve_atom(self, atom: Atom) -> Atom:
-        return Atom(atom.pred, tuple(self._resolve(a) for a in atom.args))
+        return Atom(atom.pred, tuple([self._resolve(a) for a in atom.args]))
 
     def _step(self, goals: tuple) -> Goals:
         """Run the first goal: the continuation after it, or None if it fails."""
@@ -270,10 +347,11 @@ class Solver:
             for a in reversed(goal.left + goal.right):
                 rest = (a, site, rest)
             return rest
-        if goal.key in BUILTIN_KEYS:
+        key = goal.key
+        if key in BUILTIN_KEYS:
             self._tick()
             return rest if self._builtin(goal) else None
-        alternatives = self._index.get(goal.key)
+        alternatives = self._index.get(key)
         if not alternatives:
             return None
         call_shot = self._resolve_atom(goal) if self.on_answer is not None else None
@@ -288,71 +366,92 @@ class Solver:
     def _try(self, choice: _Choice) -> Goals:
         """Try the choice's clauses in order from `choice.next`.
 
-        Each try is one step.  The head is matched against the call
-        without being renamed (`_match`), and only a head that matches
-        has its body instantiated, its body-only variables under fresh
-        names.  If clauses remain after the one that matched, the
-        choicepoint goes back on the stack.
+        Each try is one step.  A clause whose first head argument has
+        another principal functor than the call's is passed over there
+        and then: its match would fail on that argument before binding
+        anything or drawing a fresh name.  Any other head is matched
+        against the call without being renamed (`_match`), and only a
+        head that matches has its body built from the templates, its
+        body-only variables under fresh names.  If clauses remain after
+        the one that matched, the choicepoint goes back on the stack.
         """
         atom, alternatives = choice.atom, choice.alternatives
-        while choice.next < len(alternatives):
+        args = atom.args
+        key = None
+        if args:
+            first = args[0]
+            if isinstance(first, Var):
+                first = walk(first, self._binds)
+            key = _principal(first)
+        n = len(alternatives)
+        while choice.next < n:
             entry = alternatives[choice.next]
             choice.next += 1
             self._tick()
-            env: Subst = {}
-            if not self._match(entry, atom.args, env):
+            if key is not None and entry.key is not None and entry.key != key:
+                continue  # the first argument cannot match: nothing to undo
+            env: list = [None] * entry.size
+            if not self._match(entry, args, env):
                 self._undo(choice.mark)
                 continue
-            if choice.next < len(alternatives):
+            if choice.next < n:
                 self._choices.append(choice)
-            for v in entry.body_only:
-                env[v] = Var(next(self._fresh))
+            for i in entry.fresh:
+                env[i] = Var(next(self._fresh))
             goals = choice.rest
             if self.on_answer is not None:
                 goals = (_Exit(choice.call_shot, atom), None, goals)
-            ci, body = entry.number, entry.body
+            ci, body = entry.number, entry.body_t
             for pos in range(len(body) - 1, -1, -1):
-                goals = (apply_subst(body[pos], env), (ci, pos), goals)
+                g = body[pos]
+                if g.__class__ is ParGroup:
+                    g = ParGroup(tuple([Atom(a[0], _build(a, env)) for a in g.left]),
+                                 tuple([Atom(a[0], _build(a, env)) for a in g.right]))
+                else:
+                    g = Atom(g[0], _build(g, env))
+                goals = (g, (ci, pos), goals)
             return goals
         return None
 
-    def _match(self, entry: _ClauseEntry, args: tuple[Term, ...], env: Subst) -> bool:
-        """Unify the call's `args` with the clause head, filling `env`.
+    def _match(self, entry: _ClauseEntry, args: tuple[Term, ...], env: list) -> bool:
+        """Unify the call's `args` with the head template, filling `env`.
 
-        `env` maps each clause variable met so far to its value.  A
-        variable's first occurrence takes the call's term as it is: a
-        clause variable is new, so nothing is bound, trailed or occurs
-        checked.  A later occurrence unifies with its value.  A
-        non-ground head subterm against an unbound variable is
-        instantiated from `env`, its unseen variables under fresh names,
-        and bound; the occurs check is skipped only when every
-        variable in it is unseen.
+        `env` holds the value of each clause variable's slot, None until
+        met.  A variable's first occurrence takes the call's term as it
+        is: a clause variable is new, so nothing is bound, trailed or
+        occurs checked.  A later occurrence unifies with its value.  A
+        non-ground head subterm against an unbound variable is built
+        from `env`, its unseen variables under fresh names, and bound;
+        the occurs check is skipped only when every variable in it is
+        unseen.
         """
         binds, trail = self._binds, self._trail
-        todo = list(zip(reversed(entry.head), reversed(args)))
+        todo = list(zip(reversed(entry.head_t), reversed(args)))
         while todo:
             h, c = todo.pop()
-            if isinstance(c, Var):
+            if c.__class__ is Var:
                 c = walk(c, binds)
-            if isinstance(h, Var):
-                value = env.get(h.name)
+            cls = h.__class__
+            if cls is int:
+                value = env[h]
                 if value is None:
-                    env[h.name] = c
+                    env[h] = c
                 elif not unify_in_place(value, c, binds, trail):
                     return False
-            elif isinstance(h, Struct) and not h.ground:
-                if isinstance(c, Struct):
-                    if c.functor != h.functor or len(c.args) != len(h.args):
+            elif cls is tuple:
+                ccls = c.__class__
+                if ccls is Struct:
+                    if c.functor != h[0] or len(c.args) != len(h) - 1:
                         return False
-                    todo.extend(zip(reversed(h.args), reversed(c.args)))
-                elif isinstance(c, Var):
+                    todo.extend(zip(reversed(h[1:]), reversed(c.args)))
+                elif ccls is Var:
                     unseen = True
-                    for v in entry.vars_in[id(h)]:
-                        if v in env:
-                            unseen = False
-                        else:
+                    for v in entry.slots_in[id(h)]:
+                        if env[v] is None:
                             env[v] = Var(next(self._fresh))
-                    value = apply_subst(h, env)
+                        else:
+                            unseen = False
+                    value = Struct(h[0], _build(h, env))
                     if unseen:
                         binds[c.name] = value
                         trail.append(c.name)
@@ -442,17 +541,21 @@ def _answer_counts(solver: Solver, query: Sequence[Atom]) -> Counter:
 
 
 def _unlicensed_sharing(
-    atom: Atom, sh: SharingPattern
+    vs: Sequence[set[str]], sh: SharingPattern
 ) -> Optional[tuple[int, int, set[str]]]:
-    """The lowest position pair (i, j) of `atom` with variables in common
-    that `sh` does not let share, and those variables; None if none."""
-    vs = [term_vars(t) for t in atom.args]
+    """The lowest position pair (i, j) whose variable sets `vs` have
+    variables in common that `sh` does not let share, and those
+    variables; None if none."""
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
             common = vs[i] & vs[j]
             if common and not sh.shares(i + 1, j + 1):
                 return i + 1, j + 1, common
     return None
+
+
+def _position_vars(atom: Atom) -> list[set[str]]:
+    return [term_vars(t) for t in atom.args]
 
 
 def conformance_issue(
@@ -469,8 +572,9 @@ def conformance_issue(
     """
     if (gr.arity, sh.arity) != (atom.arity, atom.arity):
         return "arity mismatch"
+    vs = _position_vars(atom)
     for i in range(1, atom.arity + 1):
-        ground = not term_vars(atom.args[i - 1])
+        ground = not vs[i - 1]
         if i in gr and not ground:
             return f"position {i} must be ground"
         if i not in gr and ground:
@@ -479,7 +583,7 @@ def conformance_issue(
     if repeats:
         i = min(repeats)
         return f"position {i} repeats {repeats[i]}"
-    shared = _unlicensed_sharing(atom, sh)
+    shared = _unlicensed_sharing(vs, sh)
     if shared is not None:
         i, j, common = shared
         return f"positions {i} and {j} share {sorted(common)[0]}"
@@ -616,30 +720,44 @@ class SafenessReport:
 
     def on_answer(self, call: Atom, answer: Atom) -> None:
         """Solver hook: every row whose call patterns the call honours
-        must have its success patterns honoured by the answer."""
-        for key, success in self._rows_for.get(call.key, ()):
+        must have its success patterns honoured by the answer.
+
+        Each side's variables are collected once per position: the
+        call's for every hook call, the answer's only if a row applies.
+        """
+        rows = self._rows_for.get(call.key)
+        if not rows:
+            return
+        call_vars = _position_vars(call)
+        answer_vars = None
+        for key, success in rows:
             _, _, gr, sh = key
-            if _pattern_violation(call, gr, sh) is not None:
+            if _pattern_violation(call_vars, gr, sh) is not None:
                 continue
             stats = self.rows[key]
             stats.checked += 1
-            issue = _pattern_violation(answer, success.ground, success.share)
+            if answer_vars is None:
+                answer_vars = _position_vars(answer)
+            issue = _pattern_violation(answer_vars, success.ground, success.share)
             if issue is not None:
                 stats.violations += 1
                 if len(stats.examples) < 3:
                     stats.examples.append(f"answer {issue} in {format_atom(answer)}")
 
 
-def _pattern_violation(atom: Atom, gr: GroundnessPattern, sh: SharingPattern) -> Optional[str]:
-    """The first claim of the patterns that `atom` breaks, if any.
+def _pattern_violation(
+    vs: Sequence[set[str]], gr: GroundnessPattern, sh: SharingPattern
+) -> Optional[str]:
+    """The first claim of the patterns that an atom with the per-position
+    variable sets `vs` breaks, if any.
 
     Extra instantiation is fine: a pattern over-approximates, so a table
     row applies to every call that honours its claims.
     """
     for i in gr:
-        if term_vars(atom.args[i - 1]):
+        if vs[i - 1]:
             return f"position {i} not ground"
-    shared = _unlicensed_sharing(atom, sh)
+    shared = _unlicensed_sharing(vs, sh)
     if shared is not None:
         return "positions %d,%d share" % shared[:2]
     return None

@@ -306,6 +306,52 @@ def test_head_match_makes_no_occurs_check_on_open_lists(monkeypatch):
     assert walks == []
 
 
+def counted_matches(monkeypatch):
+    """Record (clause number, the call's first argument) for each head match."""
+    seen = []
+    match = Solver._match
+
+    def counting(self, entry, args, env):
+        seen.append((entry.number, walk(args[0], self._binds)))
+        return match(self, entry, args, env)
+
+    monkeypatch.setattr(Solver, "_match", counting)
+    return seen
+
+
+LEN = "len([], 0). len([_|T], N) :- len(T, M), N is M+1."
+
+
+def test_clause_whose_first_argument_cannot_match_is_not_matched(monkeypatch):
+    seen = counted_matches(monkeypatch)
+    solver = Solver(parse_program(LEN))
+    assert solver.solve(parse_query("len([a,b,c], N)")) == [{"N": Int(3)}]
+    # the [] clause meets a cons cell three times and is matched only
+    # against the [] at the end, where the retry passes over the cons
+    # clause; each of the 8 tries, 4 passed over, is still a step
+    assert [(n, format_term(t)) for n, t in seen] == [
+        (1, "[a,b,c]"), (1, "[b,c]"), (1, "[c]"), (0, "[]"),
+    ]
+    assert solver._steps == 8 + 3  # clause tries and is/2
+
+
+APP = "app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R)."
+
+
+def test_retry_passes_over_clauses_whose_first_argument_cannot_match(monkeypatch):
+    seen = counted_matches(monkeypatch)
+    query = "app([1,2], [3], X), X = [b]"
+    solver = Solver(parse_program(APP))
+    assert solver.solve(parse_query(query)) == []
+    # app([],...) leaves a choicepoint at the cons clause; X = [b] fails
+    # and the retry charges that clause its step without matching it
+    assert [n for n, _ in seen] == [1, 1, 0]
+    assert solver._steps == 7  # as when every clause tried was matched
+    assert Solver(parse_program(APP), max_steps=7).solve(parse_query(query)) == []
+    with pytest.raises(StepLimitExceeded):
+        Solver(parse_program(APP), max_steps=6).solve(parse_query(query))
+
+
 class RenamingSolver(Solver):
     """The solver as it was before head matching and the resolve memo:
     each try renames the whole head and unifies it with the call, and

@@ -22,7 +22,15 @@ from parpeval import (
     parse_query,
     partially_evaluate,
 )
-from parpeval.interp import CHECKS, SolverError, verify
+from parpeval.interp import (
+    CHECKS,
+    CheckStats,
+    IndependenceReport,
+    InstantiationError,
+    Solver,
+    SolverError,
+    verify,
+)
 from parpeval.patterns import (
     PatternTable,
     SuccessPattern,
@@ -30,7 +38,7 @@ from parpeval.patterns import (
     independent_sharing,
     parse_sharing,
 )
-from parpeval.terms import Int, Struct
+from parpeval.terms import Int, ParGroup, Struct
 
 
 def fib_parts():
@@ -285,6 +293,62 @@ def test_corpus_verifies(name):
     assert ind.ok, "\n".join(ind.lines())
     safe = check_safeness(analyzer.table(), program, queries)
     assert safe.ok, "\n".join(safe.lines())
+
+
+# -- the checks catch corrupted corpus residuals
+
+#: residual clauses that the first five queries of a program never reach,
+#: so deleting one changes no answer
+UNREACHED = {"palin": {1, 4}}
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BENCHES))
+def test_corrupted_corpus_residual_is_caught(name):
+    """`eq` sees a deleted clause and `indep` a fork made to share.
+
+    A wrong table row is not tried here: corpus answers are ground, so
+    every success pattern holds and `safe` has nothing to catch.  The
+    hand-made `test_safeness_flags_*` tests above cover `safe`.
+    """
+    program, analyzer, trace, residual = corpus.compiled(name)
+    bench = corpus.BENCHES[name]
+    gr, sh = bench.entry.gr, bench.entry.sh
+    queries = corpus.bench_queries(name)[:5]
+    clauses = residual.residual_clauses
+
+    def corrupted(i, *replacement):
+        return dataclasses.replace(
+            residual, residual_clauses=clauses[:i] + replacement + clauses[i + 1:]
+        )
+
+    missed = {
+        i for i in range(len(clauses))
+        if check_equivalence(program, corrupted(i), gr, sh, queries).ok
+    }
+    assert missed == UNREACHED.get(name, set())
+
+    # each fork: the right side's last atom takes the left side's last
+    # output variable as its last argument
+    sites = residual.par_sites()
+    assert len(sites) == bench.par_sites
+    for ci, pos in sites:
+        clause = clauses[ci]
+        group = clause.body[pos]
+        out = group.left[-1].args[-1]
+        last = group.right[-1]
+        assert isinstance(out, Var) and isinstance(last.args[-1], Var)
+        shared = Atom(last.pred, last.args[:-1] + (out,))
+        body = list(clause.body)
+        body[pos] = ParGroup(group.left, group.right[:-1] + (shared,))
+        bad = corrupted(ci, dataclasses.replace(clause, body=tuple(body)))
+        report = IndependenceReport({site: CheckStats() for site in sites})
+        solver = Solver(bad.program(), on_par=report.on_par)
+        for query in queries:
+            try:
+                solver.solve([bad.rename_query(query, gr, sh)])
+            except InstantiationError:
+                pass  # fib's right side no longer binds N2; its forks are recorded
+        assert report.sites[(ci, pos)].violations > 0, (ci, pos)
 
 
 # -- soundness over generated programs
