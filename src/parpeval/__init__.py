@@ -11,7 +11,6 @@ from .analysis import (
     AnalysisError,
     Analyzer,
     EntryPoint,
-    infer_patterns,
     parse_entry_spec,
     parse_pattern_file,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "format_residual",
     "format_trace",
     "independent_sharing",
-    "infer_patterns",
     "parse_atom",
     "parse_entry_spec",
     "parse_groundness",

@@ -2,7 +2,10 @@
 
 For every (predicate, call groundness, call sharing) reached from the
 entry points, the analyzer computes which argument positions are ground
-on success and which may share.  Success tables start from the most
+on success and which may share.  All rows live in one success table,
+`Analyzer.rows`: the rows of a pattern file come first and are never
+recomputed, and the fixpoint adds the rest.  Builtins answer from one
+module table of success models.  Computed rows start from the most
 optimistic assumption (everything ground, nothing shared) and iterate
 downward, each new row joined with the one before, until stable; the
 result is a fixpoint of the joined transfer, which is sound because
@@ -35,7 +38,7 @@ from .patterns import (
     parse_sharing,
     sharing_from_pairs,
 )
-from .terms import BUILTIN_KEYS, COMPARISON_PREDS, Program, term_vars
+from .terms import COMPARISON_PREDS, Program, term_vars
 
 
 class AnalysisError(Exception):
@@ -44,12 +47,6 @@ class AnalysisError(Exception):
 
 # ---------------------------------------------------------------------------
 # builtin success model
-
-BuiltinModel = dict[
-    tuple[str, int],
-    Callable[[GroundnessPattern, SharingPattern], SuccessPattern],
-]
-
 
 def _is_success(gr: GroundnessPattern, sh: SharingPattern) -> SuccessPattern:
     # evaluating a ground expression grounds the left side; the left
@@ -73,11 +70,10 @@ def _unify_success(gr: GroundnessPattern, sh: SharingPattern) -> SuccessPattern:
     return SuccessPattern(gr, sharing_from_pairs(2, sh.pairs | {(1, 2)}))
 
 
-def standard_builtin_model() -> BuiltinModel:
-    model: BuiltinModel = {("is", 2): _is_success, ("=", 2): _unify_success}
-    for pred in COMPARISON_PREDS:
-        model[(pred, 2)] = _comparison_success
-    return model
+_BUILTINS: dict[
+    tuple[str, int], Callable[[GroundnessPattern, SharingPattern], SuccessPattern]
+] = {("is", 2): _is_success, ("=", 2): _unify_success}
+_BUILTINS.update(((pred, 2), _comparison_success) for pred in COMPARISON_PREDS)
 
 
 # ---------------------------------------------------------------------------
@@ -103,22 +99,24 @@ class EntryPoint:
 class Analyzer:
     """Success-pattern oracle backed by a demand-driven fixpoint.
 
-    Lookup order: explicit overrides, the builtin model, rows already
-    computed, then a fresh fixpoint run seeded at the requested key.
-    Predicates without clauses get the identity success pattern: they
-    can only fail, and a pattern must cover every answer, of which
-    there are none.
+    `rows` is the one success table.  It starts as the override rows,
+    so they win over the builtin model and are never recomputed: a
+    fixpoint run only adds rows for keys that no lookup answers.  A
+    lookup reads `rows`, then the builtin model, and then runs a
+    fixpoint seeded at the requested key.  Predicates without clauses get the
+    identity success pattern: they can only fail, and a pattern must
+    cover every answer, of which there are none.
     """
 
     def __init__(
         self,
         program: Program,
-        overrides: Optional[PatternTable] = None,
+        overrides: Iterable[tuple[PatternKey, SuccessPattern]] = (),
     ) -> None:
         self.program = program
-        self.overrides = overrides
-        self.builtins = standard_builtin_model()
         self.rows = PatternTable()
+        for key, row in overrides:
+            self.rows.put(key, row)
 
     def success(
         self, pred: str, arity: int, gr: GroundnessPattern, sh: SharingPattern
@@ -137,17 +135,13 @@ class Analyzer:
         `rows`, as a top-level request does and a callee lookup inside a
         fixpoint does not.
         """
-        pred, arity, gr, sh = key
-        if self.overrides is not None:
-            row = self.overrides.get(key)
-            if row is not None:
-                return row
-        model = self.builtins.get((pred, arity))
-        if model is not None:
-            return model(gr, sh)
         row = self.rows.get(key)
         if row is not None:
             return row
+        pred, arity, gr, sh = key
+        model = _BUILTINS.get((pred, arity))
+        if model is not None:
+            return model(gr, sh)
         if not self.program.defines(pred, arity):
             row = SuccessPattern(gr, sh)
             if keep_undefined:
@@ -156,14 +150,10 @@ class Analyzer:
         return None
 
     def table(self) -> PatternTable:
-        """Computed rows with overrides winning on key collisions."""
-        merged = PatternTable()
-        for key, row in self.rows:
-            merged.put(key, row)
-        if self.overrides is not None:
-            for key, row in self.overrides:
-                merged.put(key, row)
-        return merged
+        """A copy of `rows`, which later lookups leave as it is."""
+        copy = PatternTable()
+        copy.rows.update(self.rows.rows)
+        return copy
 
     # -- fixpoint machinery
 
@@ -253,20 +243,6 @@ class _FixpointOracle:
             return row
         self.deps.setdefault(inner, set()).add(self.key)
         return self.ensure(inner)
-
-
-def infer_patterns(
-    program: Program,
-    entries: Iterable[EntryPoint],
-    overrides: Optional[PatternTable] = None,
-) -> PatternTable:
-    """Success table for all call patterns reachable from `entries`."""
-    analyzer = Analyzer(program, overrides=overrides)
-    for e in entries:
-        if (e.pred, e.arity) in BUILTIN_KEYS:
-            raise AnalysisError(f"entry {e.pred}/{e.arity} is a builtin")
-        analyzer.success(e.pred, e.arity, e.gr, e.sh)
-    return analyzer.table()
 
 
 # ---------------------------------------------------------------------------

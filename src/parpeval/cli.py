@@ -10,7 +10,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .analysis import AnalysisError, Analyzer, EntryPoint, parse_entry_spec, parse_pattern_file
+from .analysis import AnalysisError, Analyzer, parse_entry_spec, parse_pattern_file
 from .codegen import (
     CodegenError,
     RenamingScheme,
@@ -21,6 +21,7 @@ from .codegen import (
 from .engine import ExtendedAtom, PELimitExceeded, format_trace, partially_evaluate
 from .interp import CHECKS, SolverError, parse_step_limit_env, verify
 from .parser import ParseError, parse_program, parse_query_file
+from .patterns import PatternTable
 from .terms import Atom, Var
 
 EXIT_OK = 0
@@ -110,13 +111,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _run(args: argparse.Namespace) -> int:
     program = parse_program(_read(args.program))
 
-    overrides = None
-    entries: list[EntryPoint] = []
+    overrides, entries = PatternTable(), []
     if args.patterns:
-        overrides, extra = parse_pattern_file(_read(args.patterns))
-        if len(overrides) == 0:
-            overrides = None
-        entries.extend(extra)
+        overrides, entries = parse_pattern_file(_read(args.patterns))
     for spec in args.entry:
         entries.append(parse_entry_spec(spec))
     if not entries:

@@ -241,19 +241,14 @@ def add_thread_guards(rp: ResidualProgram, max_threads: int = 4) -> ResidualProg
 
     # guarded output keeps only the original program plus the _par
     # variants, so names need only avoid those (and the guard's own)
-    used = {c.head.pred for c in rp.source.clauses}
-    used.update(("concurrent_k", "max_threads", "current_threads"))
+    names = RenamingScheme(rp.source)
+    names._used.update(("concurrent_k", "max_threads", "current_threads"))
     par_names: dict[tuple[str, int], str] = {}
     for key in sorted(par_keys):
         orig = rp.scheme.original_of(key[0])
         if orig is None:
             raise CodegenError(f"no original predicate behind {key[0]}/{key[1]}")
-        name, n = orig[0] + "_par", 1
-        while name in used:
-            n += 1
-            name = f"{orig[0]}_par_{n}"
-        used.add(name)
-        par_names[key] = name
+        par_names[key] = names._claim(orig[0] + "_par")
 
     def sequential_atom(atom: Atom) -> Atom:
         orig = rp.scheme.original_of(atom.pred)

@@ -711,9 +711,8 @@ class SafenessReport:
 
     def lines(self) -> list[str]:
         out = []
-        for (pred, arity, gr, sh), stats in sorted(
-            self.rows.items(), key=lambda kv: (kv[0][0], kv[0][1], str(kv[0][2]))
-        ):
+        # in the table's order, which `__post_init__` filled `rows` in
+        for (pred, arity, gr, sh), stats in self.rows.items():
             row = "row %s/%d %s %s" % (pred, arity, format_groundness(gr), format_sharing(sh))
             out += stats.lines(row)
         return out
@@ -794,7 +793,9 @@ def verify(
     `on_par` hook feeding the fork sites.  Returns the reports keyed by
     check name, in `CHECKS` order.  The `eq` report is always there: it
     lists the rejected queries, fails when no query conforms, and
-    compares answers only when `eq` is requested.
+    compares answers only when `eq` is requested.  A guarded residual
+    raises `SolverError` when the residual would run (`eq` or `indep`):
+    its forks are `concurrent_k/3` calls, which no hook sees.
     """
     run_eq = "eq" in checks
     eq = EquivalenceReport()
@@ -802,7 +803,7 @@ def verify(
     if "indep" in checks:
         indep = IndependenceReport({s: CheckStats() for s in residual.par_sites()})
     safe = SafenessReport(table=table) if "safe" in checks else None
-    if run_eq and residual.guarded:
+    if (run_eq or indep is not None) and residual.guarded:
         raise SolverError("guarded output is not interpretable here; verify the plain form")
     # one solver per program, reused for every query
     source_solver = residual_solver = None

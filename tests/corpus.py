@@ -1,4 +1,4 @@
-"""Benchmark programs shared by the test suite.
+"""Benchmark programs and small helpers shared by the test suite.
 
 Each entry names a program under tests/corpus/, its entry point, and a
 seeded query generator.  Generators only produce queries that conform to
@@ -27,6 +27,7 @@ from parpeval import (
     partially_evaluate,
 )
 from parpeval.engine import ExtendedAtom, Trace
+from parpeval.patterns import SharingPattern, sharing
 from parpeval.terms import Term, make_list
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -38,6 +39,16 @@ def int_list(values: list[int]) -> Term:
 
 def matrix(rows: list[list[int]]) -> Term:
     return make_list([int_list(row) for row in rows])
+
+
+def worst_sharing(arity: int) -> SharingPattern:
+    """Every pair of positions may share."""
+    return sharing(arity, [range(1, arity + 1)])
+
+
+def label_sequences(trace: Trace) -> list[list[str]]:
+    """The labels along each derivation of `trace`."""
+    return [[t.label for t in d] for d in trace.derivations]
 
 
 def load(name: str) -> Program:

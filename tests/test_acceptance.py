@@ -10,6 +10,7 @@ import time
 import pytest
 
 import corpus
+from corpus import label_sequences, worst_sharing
 from parpeval import (
     Analyzer,
     EntryPoint,
@@ -17,7 +18,6 @@ from parpeval import (
     check_equivalence,
     check_independence,
     check_safeness,
-    infer_patterns,
     parse_program,
     parse_query,
     partially_evaluate,
@@ -39,14 +39,8 @@ from parpeval.patterns import (
     independent_sharing,
     parse_groundness,
     parse_sharing,
-    sharing,
 )
 from parpeval.terms import Atom, Int, Var, format_atom, format_clause
-
-
-def worst_sharing(arity):
-    """Every pair of positions may share."""
-    return sharing(arity, [range(1, arity + 1)])
 
 
 APPEND = """
@@ -91,7 +85,10 @@ def test_criterion_01_append_analysis():
         EntryPoint("append", 3, groundness(3), parse_sharing("<{1,2},{1,2},{3}>", 3)),
     ]
     start = time.perf_counter()
-    table = infer_patterns(program, entries)
+    analyzer = Analyzer(program)
+    for e in entries:
+        analyzer.success(*e.key)
+    table = analyzer.table()
     elapsed = time.perf_counter() - start
     got = {
         (format_groundness(e.gr), format_sharing(e.sh)): (
@@ -168,11 +165,6 @@ def test_criterion_04_independent_split():
         [("N is N1+N2", "{2}", "<{1},{2}>")],
     ]
     verdict(4, ok, "split quadruple boundaries and patterns for fibonacci")
-
-
-def label_sequences(trace):
-    """The labels along each derivation of `trace`."""
-    return [[t.label for t in d] for d in trace.derivations]
 
 
 def test_criterion_05_trace_labels():

@@ -1,29 +1,23 @@
 """Call/success pattern inference over whole programs."""
 import pytest
 
+from corpus import worst_sharing
 from parpeval import (
     AnalysisError,
     Analyzer,
-    EntryPoint,
-    infer_patterns,
     parse_entry_spec,
     parse_groundness,
     parse_pattern_file,
     parse_program,
     parse_sharing,
 )
-from parpeval.analysis import standard_builtin_model
+from parpeval.cli import main
 from parpeval.patterns import (
+    PatternTable,
     SuccessPattern,
     groundness,
     independent_sharing,
-    sharing,
 )
-
-
-def worst_sharing(arity):
-    """Every pair of positions may share."""
-    return sharing(arity, [range(1, arity + 1)])
 
 
 APPEND = """
@@ -116,29 +110,65 @@ def test_fixpoint_ends_when_a_row_would_flip():
 
 
 def test_builtin_model_rows():
-    model = standard_builtin_model()
-    is_row = model[("is", 2)](gr("{2}", 2), independent_sharing(2))
+    an = Analyzer(parse_program(APPEND))
+    is_row = an.success("is", 2, gr("{2}", 2), independent_sharing(2))
     assert is_row.ground == gr("{1,2}", 2)
-    cmp_row = model[(">", 2)](gr("{1,2}", 2), independent_sharing(2))
+    cmp_row = an.success(">", 2, gr("{1,2}", 2), independent_sharing(2))
     assert cmp_row.ground == gr("{1,2}", 2)
     # =/2 with one ground side grounds both; with none, they may alias
-    eq_ground = model[("=", 2)](gr("{1}", 2), independent_sharing(2))
+    eq_ground = an.success("=", 2, gr("{1}", 2), independent_sharing(2))
     assert eq_ground.ground == gr("{1,2}", 2)
-    eq_free = model[("=", 2)](gr("{}", 2), independent_sharing(2))
+    eq_free = an.success("=", 2, gr("{}", 2), independent_sharing(2))
     assert eq_free.share == sh("<{1,2},{1,2}>", 2)
+    # builtin answers are not table rows
+    assert len(an.table()) == 0
 
 
 def test_overrides_win_over_computed_rows():
     prog = parse_program(APPEND)
     key = ("append", 3, gr("{1}", 3), worst_sharing(3))
     forced = SuccessPattern(gr("{1,2,3}", 3), independent_sharing(3))
-    from parpeval.patterns import PatternTable
-
     overrides = PatternTable()
     overrides.put(key, forced)
     an = Analyzer(prog, overrides=overrides)
     assert an.success(*key) == forced
     assert an.table().get(key) == forced
+
+
+def test_override_of_a_builtin_wins_over_its_model():
+    prog = parse_program("p(X, Y) :- X is Y.")
+    key = ("is", 2, gr("{2}", 2), independent_sharing(2))
+    forced = SuccessPattern(gr("{2}", 2), independent_sharing(2))
+    an = Analyzer(prog, overrides=[(key, forced)])
+    assert an.success(*key) == forced
+    # the callers' fixpoint reads the override too: p leaves X unground
+    row = an.success("p", 2, gr("{2}", 2), independent_sharing(2))
+    assert row.ground == gr("{2}", 2)
+    # without the override the model grounds X
+    plain = Analyzer(prog).success("p", 2, gr("{2}", 2), independent_sharing(2))
+    assert plain.ground == gr("{1,2}", 2)
+
+
+def test_table_is_a_copy_that_later_lookups_leave_alone():
+    an = Analyzer(parse_program(APPEND))
+    an.success("append", 3, gr("{1,2}", 3), independent_sharing(3))
+    before = an.table()
+    text = before.format()
+    an.success("append", 3, gr("{1}", 3), independent_sharing(3))
+    an.success("mystery", 1, groundness(1), independent_sharing(1))
+    assert before.format() == text
+    assert len(an.table()) == len(before) + 2
+
+
+def test_infer_patterns_rejects_builtin_entries(tmp_path, capsys):
+    # a builtin has a success model but no clauses, so it is no entry point;
+    # the entry check refuses it before any table row is computed
+    path = tmp_path / "append.pl"
+    path.write_text(APPEND)
+    assert main([str(path), "--entry", "is/2 gr {2}"]) == 4
+    out, err = capsys.readouterr()
+    assert "entry is/2 is not defined" in err
+    assert out == ""
 
 
 def test_entry_spec_parsing():
@@ -158,16 +188,11 @@ def test_entry_spec_parsing():
         parse_entry_spec("p/2 gr {3}")
 
 
-def test_infer_patterns_rejects_builtin_entries():
-    prog = parse_program(APPEND)
-    with pytest.raises(AnalysisError):
-        infer_patterns(prog, [parse_entry_spec("is/2 gr {2}")])
-
-
 def test_pattern_file_round_trip():
     prog = parse_program(APPEND)
-    entries = [parse_entry_spec("append/3 gr {1,2}")]
-    table = infer_patterns(prog, entries)
+    an = Analyzer(prog)
+    an.success("append", 3, gr("{1,2}", 3), independent_sharing(3))
+    table = an.table()
     text = "entry append/3 gr {1,2} sh <{1},{2},{3}>\n" + table.format()
     parsed_table, parsed_entries = parse_pattern_file(text)
     assert len(parsed_entries) == 1
@@ -181,6 +206,10 @@ def test_analysis_is_deterministic():
         parse_entry_spec("append/3 gr {1}"),
         parse_entry_spec("append/3 gr {3} sh <{1,3},{2},{1,3}>"),
     ]
-    t1 = infer_patterns(prog, e).format()
-    t2 = infer_patterns(prog, e).format()
-    assert t1 == t2
+    tables = []
+    for _ in range(2):
+        an = Analyzer(prog)
+        for entry in e:
+            an.success(*entry.key)
+        tables.append(an.table().format())
+    assert tables[0] == tables[1]

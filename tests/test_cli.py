@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -283,12 +284,31 @@ def test_specialization_that_builds_a_too_deep_term_is_an_analysis_error(tmp_pat
 
 
 def test_undefined_entry_is_an_analysis_error(capsys):
-    assert main([str(CORPUS / "fib.pl"), "--entry", "nosuch/1 gr {1}"]) == 4
-    assert "not defined" in capsys.readouterr().err
+    # a builtin has a success model but no clauses to specialize
+    for spec in ("nosuch/1 gr {1}", "is/2 gr {2}"):
+        assert main([str(CORPUS / "fib.pl"), "--entry", spec]) == 4
+        assert "not defined" in capsys.readouterr().err
 
 
 def test_bad_entry_spec_is_an_analysis_error(capsys):
     assert main([str(CORPUS / "fib.pl"), "--entry", "fibonacci/two"]) == 4
+
+
+def test_safeness_rows_follow_the_table_order(tmp_path, capsys):
+    queries = write(tmp_path / "q.pl", "palindrome([1,2,1]).\npalindrome([1,2]).\n")
+    args = [str(CORPUS / "palin.pl"), "--entry", "palindrome/1 gr {1}"]
+    assert main(args + ["--verify", "safe", "--queries", queries]) == 0
+    out = capsys.readouterr().out.splitlines()
+    table = out[1 : out.index("% residual program")]
+    want = [
+        "row %s %s %s" % m.groups()
+        for m in (re.match(r"(\S+) : gr (\S+) -> \S+ ; sh (\S+) -> \S+$", t) for t in table)
+    ]
+    assert [line.split(" checked")[0] for line in out if line.startswith("row ")] == want
+    assert want[:2] == [
+        "row append/3 {1,2} <{1},{2},{3}>",
+        "row append/3 {1,2,3} <{1},{2,3},{2,3}>",
+    ]
 
 
 def test_verification_failure_exit_code(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import corpus
+from corpus import label_sequences, worst_sharing
 from parpeval import (
     Analyzer,
     PELimitExceeded,
@@ -36,7 +37,6 @@ from parpeval.patterns import (
     parse_sharing,
     shared_pairs,
     sharing_from_pairs,
-    sharing,
 )
 from parpeval.terms import (
     BUILTIN_KEYS,
@@ -52,11 +52,6 @@ from parpeval.terms import (
     rename_apart,
     term_vars,
 )
-
-
-def worst_sharing(arity):
-    """Every pair of positions may share."""
-    return sharing(arity, [range(1, arity + 1)])
 
 
 FIB = """
@@ -499,11 +494,6 @@ def test_embedding_requires_equal_patterns():
 
 # ---------------------------------------------------------------------------
 # the driver
-
-
-def label_sequences(trace):
-    """The labels along each derivation of `trace`."""
-    return [[t.label for t in d] for d in trace.derivations]
 
 
 def test_fibonacci_label_sequences():

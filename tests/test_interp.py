@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from corpus import worst_sharing
 from parpeval import Solver, answer_multiset, parse_program, parse_query, terms
 from parpeval.interp import (
     DEFAULT_STEP_LIMIT,
@@ -21,7 +22,6 @@ from parpeval.patterns import (
     groundness,
     independent_sharing,
     parse_sharing,
-    sharing,
 )
 from parpeval.terms import (
     Atom,
@@ -39,11 +39,6 @@ from parpeval.terms import (
     unify_in_place,
     walk,
 )
-
-
-def worst_sharing(arity):
-    """Every pair of positions may share."""
-    return sharing(arity, [range(1, arity + 1)])
 
 
 FIB = """

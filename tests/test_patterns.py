@@ -2,6 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from corpus import worst_sharing
 from parpeval import (
     Atom,
     GroundnessPattern,
@@ -25,11 +26,6 @@ from parpeval.patterns import (
     sharing,
     sharing_from_pairs,
 )
-
-
-def worst_sharing(arity):
-    """Every pair of positions may share."""
-    return sharing(arity, [range(1, arity + 1)])
 
 
 def test_groundness_validates_positions():

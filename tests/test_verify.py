@@ -14,6 +14,7 @@ from parpeval import (
     RenamingScheme,
     ResidualProgram,
     Var,
+    add_thread_guards,
     check_equivalence,
     check_independence,
     check_safeness,
@@ -109,6 +110,11 @@ def test_equivalence_refuses_guarded_output():
     guarded = dataclasses.replace(residual, guarded=True)
     with pytest.raises(SolverError, match="guarded"):
         check_equivalence(program, guarded, gr, sh, [parse_query("fibonacci(3, N)")[0]])
+    # guarded forks are concurrent_k calls, which indep would never see
+    with pytest.raises(SolverError, match="guarded"):
+        check_independence(
+            add_thread_guards(residual, 4), gr, sh, [parse_query("fibonacci(6, N)")[0]]
+        )
 
 
 # -- independence
