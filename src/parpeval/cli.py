@@ -130,6 +130,10 @@ def _run(args: argparse.Namespace) -> int:
             checks.append(name)
         if not args.queries:
             return _usage_error("--verify needs --queries")
+        try:
+            max_steps = parse_step_limit_env()
+        except SolverError as exc:
+            return _usage_error(str(exc))
 
     queries = []
     if args.queries:
@@ -179,7 +183,6 @@ def _run(args: argparse.Namespace) -> int:
     if not checks:
         return EXIT_OK
 
-    max_steps = parse_step_limit_env()
     all_ok = True
     for e in entries:
         mine = [q for q in queries if q.key == (e.pred, e.arity)]

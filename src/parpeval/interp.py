@@ -8,15 +8,20 @@ first occurrence takes the caller's term, so it is never bound or
 occurs checked.  A clause whose first head argument has another
 principal functor than the call's is passed over without a match, still
 at the cost of its step.  The body of a clause that matches is built
-from its templates.  Ground resolutions the hooks ask for are
-remembered until backtracking undoes a binding they read.  Parallel
-groups run as plain conjunctions — the annotations claim independence,
-they do not change sequential meaning — but entering one fires a hook
-so callers can inspect the instantiation of both sides at fork time.
-A second hook reports every (call, answer) pair of user predicates,
-which is what the safeness check consumes.  `verify` runs the
-equivalence, independence and safeness checks together, in one pass
-over the queries.
+from its templates.  Parallel groups run as plain conjunctions — the
+annotations claim independence, they do not change sequential meaning.
+
+The verification hooks read the bound term graph in place and are
+given variable sets, not copies of terms.  At each user call the
+`on_call` hook gets the call's per-position variable sets and may ask
+for the call's exits, which then get the answer's sets; at each fork
+the `on_par` hook gets the variables of both sides.  The sets come from
+one memo per solve, kept until a binding or an undo makes an entry
+stale, so a term that holds one subterm many times costs its number of
+distinct subterms.  Each hook also gets a callable that resolves its
+atoms, for a violation's example text; the only other resolution is of
+the final answers.  `verify` runs the equivalence, independence and
+safeness checks together, in one pass over the queries.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Collection, Iterator, Optional, Sequence, Union
 
 from .patterns import (
@@ -52,6 +58,7 @@ from .terms import (
     format_term,
     fresh_names,
     repeated_variables,
+    resolve,
     term_vars,
     unify_in_place,
     walk,
@@ -76,8 +83,13 @@ class StepLimitExceeded(SolverError):
 
 
 Site = Optional[tuple[int, int]]
-OnAnswer = Callable[[Atom, Atom], None]
-OnPar = Callable[[Site, tuple[Atom, ...], tuple[Atom, ...]], None]
+VarSets = list[frozenset[str]]  # the free variables of each argument
+Sides = tuple[tuple[Atom, ...], tuple[Atom, ...]]
+OnExit = Callable[[VarSets, Callable[[], Atom]], None]
+OnCall = Callable[[tuple[str, int], VarSets, Callable[[], Atom]], Optional[OnExit]]
+OnPar = Callable[[Site, frozenset[str], frozenset[str], Callable[[], Sides]], None]
+
+_GROUND: frozenset[str] = frozenset()
 
 _COMPARE = {
     ">": lambda a, b: a > b,
@@ -91,12 +103,12 @@ _COMPARE = {
 class _Choice:
     """Clauses still to try for one call, and what to restore first."""
 
-    __slots__ = ("atom", "call_shot", "alternatives", "next", "rest", "mark")
+    __slots__ = ("atom", "exit", "alternatives", "next", "rest", "mark")
 
-    def __init__(self, atom: Atom, call_shot: Optional[Atom],
+    def __init__(self, atom: Atom, exit_: Optional["_Exit"],
                  alternatives: list["_ClauseEntry"], rest: "Goals", mark: int) -> None:
         self.atom = atom
-        self.call_shot = call_shot
+        self.exit = exit_
         self.alternatives = alternatives
         self.next = 0
         self.rest = rest
@@ -104,13 +116,14 @@ class _Choice:
 
 
 class _Exit:
-    """Marks the end of a clause body: the call's answer hook fires here."""
+    """Ends each body of a call whose exits a hook asked for."""
 
-    __slots__ = ("call", "atom")
+    __slots__ = ("hook", "atom", "call_vars")
 
-    def __init__(self, call: Atom, atom: Atom) -> None:
-        self.call = call
+    def __init__(self, hook: OnExit, atom: Atom, call_vars: VarSets) -> None:
+        self.hook = hook
         self.atom = atom
+        self.call_vars = call_vars
 
 
 class _ClauseEntry:
@@ -228,11 +241,11 @@ class Solver:
         self,
         program: Program,
         max_steps: int = DEFAULT_STEP_LIMIT,
-        on_answer: Optional[OnAnswer] = None,
+        on_call: Optional[OnCall] = None,
         on_par: Optional[OnPar] = None,
     ) -> None:
         self.max_steps = max_steps
-        self.on_answer = on_answer
+        self.on_call = on_call
         self.on_par = on_par
         self._index: dict[tuple[str, int], list[_ClauseEntry]] = {}
         for ci, clause in enumerate(program.clauses):
@@ -242,10 +255,10 @@ class Solver:
         self._trail: list[str] = []
         self._choices: list[_Choice] = []
         self._fresh: Iterator[str] = fresh_names(())
-        # id of a non-ground Struct -> (it, its ground resolution, the
-        # trail length the resolution was made at), in insertion order;
-        # holding the Struct keeps its id from being reused
-        self._memo: dict[int, tuple[Struct, Struct, int]] = {}
+        # id of a non-ground Struct -> (it, its free variables, the trail
+        # length they were collected at), in insertion order; holding the
+        # Struct keeps its id from being reused
+        self._memo: dict[int, tuple[Struct, frozenset[str], int]] = {}
 
     def solve(self, query: Sequence[Atom]) -> list[Subst]:
         """All answers, restricted to the query's variables, fully resolved."""
@@ -264,7 +277,7 @@ class Solver:
             while goals:
                 goals = self._step(goals)
             if goals is not None:
-                answers.append({v: self._resolve(Var(v)) for v in qvars})
+                answers.append({v: resolve(Var(v), self._binds) for v in qvars})
             if not self._choices:
                 return answers
             goals = self._retry()
@@ -289,61 +302,72 @@ class Solver:
                 break
             del memo[key]
 
-    def _resolve(self, t: Term) -> Term:
-        """`resolve(t, binds)`, remembering the ground resolutions made.
+    def _vars(self, t: Term) -> frozenset[str]:
+        """The free variables of `t` under the bindings; empty if ground.
 
-        Adding bindings cannot change a ground resolution; only an undo
-        can, and `_undo` drops the entries stamped after its mark.
+        A Struct's remembered set is reused while none of its variables
+        has been bound since; `_undo` drops the sets made after its mark.
+        Each Struct is walked once per call, so a term that holds one
+        subterm many times costs its distinct subterms.
         """
         binds = self._binds
-        if isinstance(t, Var):
-            t = walk(t, binds)
-        if not isinstance(t, Struct) or t.ground:
-            return t
-        memo = self._memo
-        hit = memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-        stamp = len(self._trail)
-        frames: list[tuple[Struct, list[Term]]] = [(t, [])]
-        while True:
-            s, done = frames[-1]
-            if len(done) < len(s.args):
-                a = s.args[len(done)]
-                if isinstance(a, Var):
-                    a = walk(a, binds)
-                if isinstance(a, Struct) and not a.ground:
-                    hit = memo.get(id(a))
-                    if hit is None:
-                        frames.append((a, []))
-                        continue
-                    a = hit[1]
-                done.append(a)
+        while t.__class__ is Var:
+            bound = binds.get(t.name)
+            if bound is None:
+                return frozenset((t.name,))
+            t = bound
+        if t.__class__ is not Struct or t.ground:
+            return _GROUND
+        memo, stamp = self._memo, len(self._trail)
+        todo = [t]
+        while todo:
+            s = todo[-1]
+            hit = memo.get(id(s))
+            if hit is not None and (hit[2] == stamp or binds.keys().isdisjoint(hit[1])):
+                todo.pop()
                 continue
-            frames.pop()
-            out = Struct(s.functor, tuple(done))
-            if out.ground:
-                memo[id(s)] = (s, out, stamp)
-            if not frames:
-                return out
-            frames[-1][1].append(out)
-
-    def _resolve_atom(self, atom: Atom) -> Atom:
-        return Atom(atom.pred, tuple([self._resolve(a) for a in atom.args]))
+            found, waiting = _GROUND, False
+            for a in s.args:
+                while a.__class__ is Var:
+                    bound = binds.get(a.name)
+                    if bound is None:
+                        break
+                    a = bound
+                if a.__class__ is Var:
+                    part = frozenset((a.name,))
+                elif a.__class__ is Struct and not a.ground:
+                    hit = memo.get(id(a))
+                    if hit is None or (hit[2] != stamp and not binds.keys().isdisjoint(hit[1])):
+                        todo.append(a)
+                        waiting = True
+                        continue
+                    part = hit[1]
+                else:
+                    continue
+                if part and part is not found:
+                    found = found | part if found else part
+            if waiting:
+                continue  # its arguments first
+            todo.pop()
+            memo.pop(id(s), None)  # re-inserted, so that stamps stay in insertion order
+            memo[id(s)] = (s, found, stamp)
+        return memo[id(t)][1]
 
     def _step(self, goals: tuple) -> Goals:
         """Run the first goal: the continuation after it, or None if it fails."""
         goal, site, rest = goals
-        if isinstance(goal, _Exit):
-            self.on_answer(goal.call, self._resolve_atom(goal.atom))
+        if goal.__class__ is _Exit:
+            atom = goal.atom
+            # a position ground at the call is ground now
+            vs = [s and self._vars(a) for s, a in zip(goal.call_vars, atom.args)]
+            goal.hook(vs, lambda: resolve(atom, self._binds))
             return rest
-        if isinstance(goal, ParGroup):
+        if goal.__class__ is ParGroup:
             if self.on_par is not None:
-                self.on_par(
-                    site,
-                    tuple(self._resolve_atom(a) for a in goal.left),
-                    tuple(self._resolve_atom(a) for a in goal.right),
-                )
+                left, right = goal.left, goal.right
+                self.on_par(site, _GROUND.union(*[self._vars(a) for g in left for a in g.args]),
+                            _GROUND.union(*[self._vars(a) for g in right for a in g.args]),
+                            lambda: (resolve(left, self._binds), resolve(right, self._binds)))
             for a in reversed(goal.left + goal.right):
                 rest = (a, site, rest)
             return rest
@@ -354,8 +378,13 @@ class Solver:
         alternatives = self._index.get(key)
         if not alternatives:
             return None
-        call_shot = self._resolve_atom(goal) if self.on_answer is not None else None
-        return self._try(_Choice(goal, call_shot, alternatives, rest, len(self._trail)))
+        exit_ = None
+        if self.on_call is not None:
+            vs = [self._vars(a) for a in goal.args]
+            hook = self.on_call(key, vs, lambda: resolve(goal, self._binds))
+            if hook is not None:
+                exit_ = _Exit(hook, goal, vs)
+        return self._try(_Choice(goal, exit_, alternatives, rest, len(self._trail)))
 
     def _retry(self) -> Goals:
         """Resume the newest choicepoint at its next clause."""
@@ -399,8 +428,8 @@ class Solver:
             for i in entry.fresh:
                 env[i] = Var(next(self._fresh))
             goals = choice.rest
-            if self.on_answer is not None:
-                goals = (_Exit(choice.call_shot, atom), None, goals)
+            if choice.exit is not None:
+                goals = (choice.exit, None, goals)
             ci, body = entry.number, entry.body_t
             for pos in range(len(body) - 1, -1, -1):
                 g = body[pos]
@@ -547,15 +576,11 @@ def _unlicensed_sharing(
     variables in common that `sh` does not let share, and those
     variables; None if none."""
     for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            common = vs[i] & vs[j]
-            if common and not sh.shares(i + 1, j + 1):
-                return i + 1, j + 1, common
+        if vs[i]:
+            for j in range(i + 1, len(vs)):
+                if not vs[i].isdisjoint(vs[j]) and not sh.shares(i + 1, j + 1):
+                    return i + 1, j + 1, vs[i] & vs[j]
     return None
-
-
-def _position_vars(atom: Atom) -> list[set[str]]:
-    return [term_vars(t) for t in atom.args]
 
 
 def conformance_issue(
@@ -572,7 +597,7 @@ def conformance_issue(
     """
     if (gr.arity, sh.arity) != (atom.arity, atom.arity):
         return "arity mismatch"
-    vs = _position_vars(atom)
+    vs = [term_vars(t) for t in atom.args]
     for i in range(1, atom.arity + 1):
         ground = not vs[i - 1]
         if i in gr and not ground:
@@ -666,19 +691,22 @@ class IndependenceReport:
             for line in s.lines("site <%d,%d>" % (ci, gi))
         ]
 
-    def on_par(self, site: Site, left: tuple[Atom, ...], right: tuple[Atom, ...]) -> None:
+    def on_par(self, site: Site, left_vars: frozenset[str], right_vars: frozenset[str],
+               sides: Callable[[], Sides]) -> None:
         """Solver hook: test strict independence at a fork being entered.
 
         The two sides must not share a single free variable: any aliasing
-        or shared unbound position shows up as a common variable once both
-        sides are resolved against current bindings.
+        or shared unbound position shows up as a variable of both sides
+        under the current bindings.  `sides` resolves them for the text
+        of an example.
         """
         stats = self.sites.setdefault(site if site else (-1, -1), CheckStats())
         stats.checked += 1
-        shared = term_vars(left) & term_vars(right)
+        shared = left_vars & right_vars
         if shared:
             stats.violations += 1
             if len(stats.examples) < 3:
+                left, right = sides()
                 stats.examples.append(
                     "%s & %s share %s"
                     % (
@@ -699,11 +727,11 @@ class SafenessReport:
     table: PatternTable = field(default_factory=PatternTable, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # the table's rows grouped by predicate, for the answer hook
-        self._rows_for: dict[tuple[str, int], list[tuple[PatternKey, SuccessPattern]]] = {}
+        # the table's rows grouped by predicate, for the call hook
+        self._rows_for: dict[tuple[str, int], list[tuple[CheckStats, PatternKey, SuccessPattern]]] = {}
         for key, success in self.table:
-            self.rows.setdefault(key, CheckStats())
-            self._rows_for.setdefault(key[:2], []).append((key, success))
+            stats = self.rows.setdefault(key, CheckStats())
+            self._rows_for.setdefault(key[:2], []).append((stats, key, success))
 
     @property
     def ok(self) -> bool:
@@ -717,31 +745,34 @@ class SafenessReport:
             out += stats.lines(row)
         return out
 
-    def on_answer(self, call: Atom, answer: Atom) -> None:
-        """Solver hook: every row whose call patterns the call honours
-        must have its success patterns honoured by the answer.
-
-        Each side's variables are collected once per position: the
-        call's for every hook call, the answer's only if a row applies.
-        """
-        rows = self._rows_for.get(call.key)
+    def on_call(self, key: tuple[str, int], call_vars: VarSets,
+                call: Callable[[], Atom]) -> Optional[OnExit]:
+        """Solver hook: the hook checking each exit of the call against
+        the success patterns of the rows whose call patterns the call
+        honours; None when no row applies."""
+        rows = self._rows_for.get(key)
         if not rows:
-            return
-        call_vars = _position_vars(call)
-        answer_vars = None
-        for key, success in rows:
-            _, _, gr, sh = key
-            if _pattern_violation(call_vars, gr, sh) is not None:
-                continue
-            stats = self.rows[key]
+            return None
+        applying = [
+            (stats, success)
+            for stats, (_, _, gr, sh), success in rows
+            if _pattern_violation(call_vars, gr, sh) is None
+        ]
+        return partial(self._on_exit, applying) if applying else None
+
+    @staticmethod
+    def _on_exit(applying: list[tuple[CheckStats, SuccessPattern]], answer_vars: VarSets,
+                 answer: Callable[[], Atom]) -> None:
+        ground = not any(answer_vars)  # honours every success pattern
+        for stats, success in applying:
             stats.checked += 1
-            if answer_vars is None:
-                answer_vars = _position_vars(answer)
+            if ground:
+                continue
             issue = _pattern_violation(answer_vars, success.ground, success.share)
             if issue is not None:
                 stats.violations += 1
                 if len(stats.examples) < 3:
-                    stats.examples.append(f"answer {issue} in {format_atom(answer)}")
+                    stats.examples.append(f"answer {issue} in {format_atom(answer())}")
 
 
 def _pattern_violation(
@@ -788,7 +819,7 @@ def verify(
 
     Queries must instantiate the entry patterns; ill-patterned ones are
     rejected and run by no check, since nothing is claimed about them.
-    A conforming query runs the source at most once, its `on_answer`
+    A conforming query runs the source at most once, its `on_call`
     hook feeding the safeness rows, and the residual at most once, its
     `on_par` hook feeding the fork sites.  Returns the reports keyed by
     check name, in `CHECKS` order.  The `eq` report is always there: it
@@ -808,8 +839,8 @@ def verify(
     # one solver per program, reused for every query
     source_solver = residual_solver = None
     if run_eq or safe is not None:
-        on_answer = safe.on_answer if safe is not None else None
-        source_solver = Solver(source, max_steps, on_answer=on_answer)
+        on_call = safe.on_call if safe is not None else None
+        source_solver = Solver(source, max_steps, on_call=on_call)
     if run_eq or indep is not None:
         on_par = indep.on_par if indep is not None else None
         residual_solver = Solver(residual.program(), max_steps, on_par=on_par)
@@ -866,7 +897,7 @@ def check_safeness(
     runs.
     """
     report = SafenessReport(table=table)
-    solver = Solver(program, max_steps=max_steps, on_answer=report.on_answer)
+    solver = Solver(program, max_steps=max_steps, on_call=report.on_call)
     for query in queries:
         solver.solve([query])
     return report

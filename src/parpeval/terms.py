@@ -315,18 +315,17 @@ def _occurs(name: str, t: Term, binds: Subst) -> bool:
     t = walk(t, binds)
     if not isinstance(t, Struct):
         return isinstance(t, Var) and t.name == name
-    todo = [t]
+    todo = [] if t.ground else [t]
+    seen: set[int] = set()  # the Structs pushed: one held twice is walked once
     while todo:
-        t = todo.pop()
-        if t.ground:
-            continue
-        for a in t.args:
+        for a in todo.pop().args:
             if isinstance(a, Var):
                 a = walk(a, binds)
             if isinstance(a, Var):
                 if a.name == name:
                     return True
-            elif isinstance(a, Struct):
+            elif isinstance(a, Struct) and not a.ground and id(a) not in seen:
+                seen.add(id(a))
                 todo.append(a)
     return False
 

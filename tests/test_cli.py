@@ -233,6 +233,20 @@ def test_bad_thread_bound_is_a_usage_error(capsys):
     assert "--max-threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "abc"])
+def test_bad_step_cap_is_a_usage_error_before_any_output(tmp_path, capsys, monkeypatch, cap):
+    monkeypatch.setenv("PARPEVAL_DEPTH_CAP", cap)
+    queries = write(tmp_path / "q.pl", "fibonacci(3, N).\n")
+    out = tmp_path / "res.pl"
+    assert main(fib_args("--verify", "eq", "--queries", queries, "--out", str(out))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parpeval: PARPEVAL_DEPTH_CAP must be a positive integer, got {cap!r}\n"
+    assert not out.exists()
+    # the cap is read only when verifying
+    assert main(fib_args()) == 0
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = write(tmp_path / "bad.pl", "p(X :- q(X).\n")
     assert main([bad, "--entry", "p/1 gr {1}"]) == 3

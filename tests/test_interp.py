@@ -13,7 +13,6 @@ from parpeval.interp import (
     InstantiationError,
     SolverError,
     StepLimitExceeded,
-    _Exit,
     answer_key,
     conformance_issue,
     parse_step_limit_env,
@@ -30,11 +29,9 @@ from parpeval.terms import (
     Struct,
     Var,
     apply_subst,
-    canonical,
     format_atom,
     format_term,
     make_list,
-    resolve,
     term_vars,
     unify_in_place,
     walk,
@@ -189,25 +186,28 @@ def test_on_par_reports_resolved_sides_and_site():
     forks = []
     solver = Solver(
         parse_program(PAR),
-        on_par=lambda site, left, right: forks.append((site, left, right)),
+        on_par=lambda site, lv, rv, sides: forks.append((site, lv, rv, *sides())),
     )
     solver.solve(parse_query("p(A, B)"))
     assert len(forks) == 1
-    site, left, right = forks[0]
+    site, left_vars, right_vars, left, right = forks[0]
     assert site == (0, 0)
     assert [a.pred for a in left] == ["q"]
     assert [a.pred for a in right] == ["r"]
+    # each side's variables are those of its resolved atoms
+    assert (left_vars, right_vars) == (term_vars(left), term_vars(right))
 
 
 def test_on_par_sees_bindings_made_before_the_fork():
     forks = []
     solver = Solver(
         parse_program("p(X) :- X = 7, (q(X) & r(_)). q(7). r(_)."),
-        on_par=lambda site, left, right: forks.append((left, right)),
+        on_par=lambda site, lv, rv, sides: forks.append((lv, sides())),
     )
     assert solver.solve(parse_query("p(A)")) == [{"A": Int(7)}]
-    left, right = forks[0]
+    left_vars, (left, right) = forks[0]
     assert format_atom(left[0]) == "q(7)"
+    assert left_vars == set()
 
 
 def test_on_par_fires_once_per_entry():
@@ -217,24 +217,32 @@ def test_on_par_fires_once_per_entry():
     one(1).
     """
     forks = []
-    solver = Solver(parse_program(src), on_par=lambda *f: forks.append(f))
+    solver = Solver(parse_program(src), on_par=lambda site, lv, rv, sides: forks.append(sides()))
     out = solver.solve(parse_query("len([a,b,c], N)"))
     assert out == [{"N": Int(3)}]
     assert len(forks) == 3
     # each fork sees the list tail bound at that depth
-    assert [format_term(left[0].args[0]) for _, left, _ in forks] == ["[b,c]", "[c]", "[]"]
+    assert [format_term(left[0].args[0]) for left, _ in forks] == ["[b,c]", "[c]", "[]"]
 
 
-# -- the answer hook drives the safeness check
+# -- the call hook drives the safeness check
 
 
-def test_on_answer_reports_user_calls_and_answers():
+def resolved_calls_and_exits(seen):
+    """A call hook recording the resolved text of each call and exit."""
+
+    def on_call(key, call_vars, call):
+        text = format_atom(call())
+        return lambda answer_vars, answer: seen.append((text, format_atom(answer())))
+
+    return on_call
+
+
+def test_on_call_reports_user_calls_and_their_exits():
     seen = []
     solver = Solver(
         parse_program("p(X) :- q(X), X > 1. q(1). q(2)."),
-        on_answer=lambda call, ans: seen.append(
-            (format_atom(call), format_atom(ans))
-        ),
+        on_call=resolved_calls_and_exits(seen),
     )
     out = solver.solve(parse_query("p(Z)"))
     assert out == [{"Z": Int(2)}]
@@ -246,12 +254,25 @@ def test_on_answer_reports_user_calls_and_answers():
     assert ("p(Z)", "p(2)") in seen
 
 
-def test_on_answer_sequence_is_pinned():
+def test_exits_are_skipped_unless_the_call_hook_asks_for_them():
+    calls, exits = [], []
+
+    def on_call(key, call_vars, call):
+        calls.append((key, call_vars))
+        if key == ("q", 1):
+            return lambda answer_vars, answer: exits.append(answer_vars)
+        return None
+
+    solver = Solver(parse_program("p(X) :- q(X), X > 1. q(1). q(2)."), on_call=on_call)
+    assert solver.solve(parse_query("p(Z)")) == [{"Z": Int(2)}]
+    assert calls == [(("p", 1), [{"Z"}]), (("q", 1), [{"Z"}])]
+    # a position not ground at the call is walked again at each exit
+    assert exits == [[set()], [set()]]
+
+
+def test_call_and_exit_sequence_is_pinned():
     seen = []
-    solver = Solver(
-        parse_program(FIB),
-        on_answer=lambda call, ans: seen.append((format_atom(call), format_atom(ans))),
-    )
+    solver = Solver(parse_program(FIB), on_call=resolved_calls_and_exits(seen))
     solver.solve(parse_query("fibonacci(4, N)"))
     # a solve names the body-only variables M1, M2, N1, N2 of each try
     # of the third clause from one generator: _G1.._G4, _G5.._G8, ...
@@ -268,15 +289,25 @@ def test_on_answer_sequence_is_pinned():
     ]
 
 
-def test_resolve_memo_is_dropped_on_backtracking():
+def test_variable_set_memo_is_dropped_on_backtracking():
     seen = []
+
+    def on_call(key, call_vars, call):
+        if key == ("t", 1):
+            seen.append((format_atom(call()), call_vars))
+
     solver = Solver(
-        parse_program("r(X) :- X = f(Y), s(Y), t(X). s(1). s(2). t(_)."),
-        on_answer=lambda call, ans: seen.append(format_atom(call)),
+        parse_program("r(X) :- X = f(Y), t(g(X)), s(Y), t(g(X)). s(1). s(_). t(_)."),
+        on_call=on_call,
     )
     assert len(solver.solve(parse_query("r(Z)"))) == 2
-    # t(X) resolves to a ground f(1); undoing s(Y) must forget it
-    assert [c for c in seen if c.startswith("t")] == ["t(f(1))", "t(f(2))"]
+    # f(Y)'s set is remembered inside the first g(X); binding Y makes it
+    # stale, and undoing s(Y) must forget the ground set made after
+    assert seen == [
+        ("t(g(f(_G1)))", [{"_G1"}]),
+        ("t(g(f(1)))", [set()]),
+        ("t(g(f(_G1)))", [{"_G1"}]),
+    ]
 
 
 # -- clause heads are matched, not renamed
@@ -348,12 +379,21 @@ def test_retry_passes_over_clauses_whose_first_argument_cannot_match(monkeypatch
 
 
 class RenamingSolver(Solver):
-    """The solver as it was before head matching and the resolve memo:
-    each try renames the whole head and unifies it with the call, and
-    hooks see plain `resolve`.  The reference for the property below."""
+    """The solver as it was before head matching and the variable-set
+    memo: each try renames the whole head and unifies it with the call,
+    and hooks get variable sets from a plain walk of the bindings.  The
+    reference for the property below."""
 
-    def _resolve(self, t):
-        return resolve(t, self._binds)
+    def _vars(self, t):
+        out, seen, todo = set(), set(), [t]
+        while todo:
+            t = walk(todo.pop(), self._binds)
+            if isinstance(t, Var):
+                out.add(t.name)
+            elif isinstance(t, Struct) and id(t) not in seen:
+                seen.add(id(t))  # a subterm held twice is walked once
+                todo.extend(t.args)
+        return frozenset(out)
 
     def _try(self, choice):
         atom, alternatives = choice.atom, choice.alternatives
@@ -370,29 +410,49 @@ class RenamingSolver(Solver):
             if choice.next < len(alternatives):
                 self._choices.append(choice)
             goals = choice.rest
-            if self.on_answer is not None:
-                goals = (_Exit(choice.call_shot, atom), None, goals)
+            if choice.exit is not None:
+                goals = (choice.exit, None, goals)
             for pos in range(len(entry.body) - 1, -1, -1):
                 goals = (apply_subst(entry.body[pos], mapping), (entry.number, pos), goals)
             return goals
         return None
 
 
-def run_traced(solver_class, program, query, max_steps):
-    """Answer keys or the error raised, steps taken, and hook events with
-    their variables numbered canonically.
+def numbered(*sets):
+    """The variable sets with each variable replaced by a number that
+    does not depend on its name: the variables are sorted by the indices
+    of the sets they occur in, and numbered in that order."""
+    where = {}
+    for i, vs in enumerate(sets):
+        for v in vs:
+            where.setdefault(v, []).append(i)
+    out = [set() for _ in sets]
+    for n, positions in enumerate(sorted(where.values())):
+        for i in positions:
+            out[i].add(n)
+    return tuple(map(frozenset, out))
 
-    A call is snapshot before its head is matched, so only the two sides
-    of a fork are numbered together: a caller variable that a head
+
+def run_traced(solver_class, program, query, max_steps):
+    """Answer keys or the error raised, steps taken, and what the hooks
+    receive: the per-position variable sets of each call and exit, and
+    the variables of both sides at each fork, numbered canonically.
+
+    Each event is numbered on its own: a caller variable that a head
     variable takes stays the same variable in the answer, where renaming
     bound it to the head's fresh one.
     """
     events = []
+
+    def on_call(key, call_vars, call):
+        events.append(("call", key, numbered(*call_vars)))
+        return lambda answer_vars, answer: events.append(("exit", numbered(*answer_vars)))
+
     solver = solver_class(
         program,
         max_steps=max_steps,
-        on_answer=lambda call, ans: events.append((canonical(call), canonical(ans))),
-        on_par=lambda site, left, right: events.append((site, canonical((left, right)))),
+        on_call=on_call,
+        on_par=lambda site, left, right, sides: events.append((site, numbered(left, right))),
     )
     qvars = sorted(term_vars(query))
     try:
@@ -462,6 +522,8 @@ _clause = st.builds(
     query="p(A)",
     max_steps=60,
 )
+# the call term doubles as a tree at each step
+@example(clauses=["p(X) :- p(g(X,X))."], query="p(A)", max_steps=60)
 def test_prop_head_match_agrees_with_rename_then_unify(clauses, query, max_steps):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonlinearArgumentWarning)

@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import re
+import warnings
 
 import pytest
 from hypothesis import event, example, given, reject, settings, strategies as st
@@ -30,6 +31,7 @@ from parpeval.interp import (
     InstantiationError,
     Solver,
     SolverError,
+    StepLimitExceeded,
     verify,
 )
 from parpeval.patterns import (
@@ -39,7 +41,7 @@ from parpeval.patterns import (
     independent_sharing,
     parse_sharing,
 )
-from parpeval.terms import Int, ParGroup, Struct
+from parpeval.terms import Int, NonlinearArgumentWarning, ParGroup, Struct
 
 
 def fib_parts():
@@ -284,6 +286,32 @@ def test_safeness_accepts_extra_instantiation_in_calls():
     assert report.rows[key].checked > 0
 
 
+# -- terms that grow at each step
+
+
+@pytest.mark.parametrize(
+    "source, query, max_steps",
+    [
+        # the call term doubles as a tree at each step
+        ("p(X) :- p([X|X]).", "p(A)", 60),
+        # the call term grows by a cell at each step
+        ("p(1, X) :- p(Y, f(X)).", "p(A1, f(B1))", 3000),
+    ],
+)
+def test_a_growing_call_term_runs_every_check_to_the_step_budget(source, query, max_steps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonlinearArgumentWarning)
+        program = parse_program(source)
+    atom = parse_query(query)[0]
+    gr, sh = groundness(atom.arity, ()), independent_sharing(atom.arity)
+    analyzer = Analyzer(program)
+    analyzer.success(atom.pred, atom.arity, gr, sh)
+    init = ExtendedAtom(Atom(atom.pred, tuple(Var(f"V{i}") for i in range(atom.arity))), gr, sh)
+    residual = extract_residual(partially_evaluate(program, init, analyzer))
+    with pytest.raises(StepLimitExceeded):
+        verify(program, residual, analyzer.table(), gr, sh, [atom], CHECKS, max_steps)
+
+
 # -- the whole corpus passes all three checks (small query budgets)
 
 
@@ -369,9 +397,9 @@ def _term(leaf):
     No compound term has two arguments that may hold variables, so no
     clause builds a term that holds one subterm twice (`[X|X]`, or
     `[X|Y]` once X and Y are aliased), and terms grow at most linearly
-    with the steps taken.  The solver's call snapshots copy a term in
-    full, so a term that doubles per step exhausts memory long before
-    any step budget ends.
+    with the steps taken.  The hooks walk each shared subterm once, but
+    `eq` resolves and prints each answer as a tree, so an answer that
+    doubles per step exhausts memory long before any step budget ends.
     """
     return st.one_of(
         leaf,
@@ -476,11 +504,11 @@ def test_prop_residual_of_a_generated_program_passes_every_check(program, entry)
         assert t.general.memo_key in unfolded
     assert residual.original_clauses == ()
     queries = [parse_query(t)[0] for t in texts]
-    # every pending call keeps its snapshot, so a query whose terms grow
-    # by a cell per step holds steps^2/2 cells: 300 steps stay small,
-    # 3000 steps took 86 s and 985 MB on one such query
+    # the hooks read variable sets off the bound terms, so a query whose
+    # terms grow by a cell per step costs about the same per step at any
+    # budget; a run that reaches the budget is rejected, not failed
     try:
-        reports = verify(source, residual, analyzer.table(), gr, sh, queries, CHECKS, 300)
+        reports = verify(source, residual, analyzer.table(), gr, sh, queries, CHECKS, 3000)
     except SolverError:
         reject()
     for report in reports.values():
