@@ -480,7 +480,8 @@ def test_output_is_deterministic_across_processes(tmp_path):
 # corpus programs at their test entries, and two entries that reach one
 # entity under different variable names (the first trace that unfolds
 # it gives its resultants); each fresh `_G` name is drawn from the
-# terms at hand, so the goldens hold in any process
+# terms at hand, so the goldens hold in any process; each program's
+# `--emit guarded` output is pinned beside it
 @pytest.mark.parametrize(
     "name, entries",
     [
@@ -509,3 +510,9 @@ def test_specializer_output_matches_golden(tmp_path, name, entries):
     assert proc.stdout == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert proc.stderr == ""
     assert trace.read_bytes() == (GOLDEN / f"{name}.trace").read_bytes()
+    guarded = run_cli(
+        [str(program), *[a for e in entries for a in ("--entry", e)], "--emit", "guarded"],
+        cwd=tmp_path,
+    )
+    assert guarded.stdout == (GOLDEN / f"{name}.guarded").read_text(encoding="utf-8")
+    assert guarded.stderr == ""
