@@ -3,7 +3,7 @@
 Pipeline: parse a program, infer call/success patterns for the entry
 points, build pattern-extended unfolding trees, and extract a residual
 program whose clause bodies carry independence-certified parallel
-groups — optionally rewritten into thread-guarded goals.  A sequential
+groups — optionally printed as thread-guarded goals.  A sequential
 reference interpreter replays queries to validate the output.
 """
 
@@ -18,8 +18,8 @@ from .codegen import (
     CodegenError,
     RenamingScheme,
     ResidualProgram,
-    add_thread_guards,
     extract_residual,
+    format_guarded,
     format_residual,
 )
 from .engine import (
@@ -80,12 +80,12 @@ __all__ = [
     "SuccessPattern",
     "Trace",
     "Var",
-    "add_thread_guards",
     "answer_multiset",
     "check_equivalence",
     "check_independence",
     "check_safeness",
     "extract_residual",
+    "format_guarded",
     "format_residual",
     "format_trace",
     "independent_sharing",

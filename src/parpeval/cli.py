@@ -11,13 +11,7 @@ import sys
 from typing import Optional, Sequence
 
 from .analysis import AnalysisError, Analyzer, parse_entry_spec, parse_pattern_file
-from .codegen import (
-    CodegenError,
-    RenamingScheme,
-    add_thread_guards,
-    extract_residual,
-    format_residual,
-)
+from .codegen import CodegenError, extract_residual, format_guarded, format_residual
 from .engine import ExtendedAtom, PELimitExceeded, format_trace, partially_evaluate
 from .interp import CHECKS, SolverError, parse_step_limit_env, verify
 from .parser import ParseError, parse_program, parse_query_file
@@ -150,27 +144,24 @@ def _run(args: argparse.Namespace) -> int:
     for e in entries:
         analyzer.success(e.pred, e.arity, e.gr, e.sh)
 
-    scheme = RenamingScheme(program)
     traces = []
     try:
         for e in entries:
             init = ExtendedAtom(Atom(e.pred, _generic_vars(e.arity)), e.gr, e.sh)
             traces.append(partially_evaluate(program, init, analyzer))
-        residual = extract_residual(traces, scheme)
+        residual = extract_residual(traces)
     except RecursionError:
         # terms grow with each unfolding; the parser reports a source term alike
         raise PELimitExceeded("specialization gave up: a term is nested too deeply") from None
-    emitted = (
-        add_thread_guards(residual, args.max_threads)
-        if args.emit == "guarded"
-        else residual
-    )
+    if args.emit == "guarded":
+        text = format_guarded(residual, args.max_threads)
+    else:
+        text = format_residual(residual)
 
     table = analyzer.table()
     print("% analysis table")
     print(table.format(), end="")
 
-    text = format_residual(emitted)
     if args.out:
         _write(args.out, text)
     else:

@@ -6,15 +6,22 @@ split transitions of a trace.  The last transition that closed a body
 atom names it: a variant hit or an unfolding after its own extended
 atom, an embedding after the generalization its trace specializes; a
 builtin or a failing atom keeps its name.  An entity's resultants come
-from the first trace that unfolds it.  So a plain residual calls only
-specialized predicates; the source program is only the sequential
-fallback of guarded output.
+from the first trace that unfolds it.  So a residual calls only
+specialized predicates.
+
+There is one residual program, and two ways to print it.
+`format_residual` prints its clauses, `&` groups and all.
+`format_guarded` prints it for a Prolog with threads: each `&` group
+becomes a `concurrent_k/3` call that forks while a thread bound allows
+and otherwise runs the source program, which the text carries in full.
+Guarded output is text only; the interpreter and `verify` run the
+plain residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .engine import ExtendedAtom, Occurrence, Trace
 from .patterns import GroundnessPattern, SharingPattern
@@ -25,6 +32,7 @@ from .terms import (
     Clause,
     ParGroup,
     Program,
+    Term,
     format_clause,
     make_conjunction,
 )
@@ -94,14 +102,9 @@ class ResidualProgram:
     source: Program
     scheme: RenamingScheme
     entries: dict[tuple[str, int, GroundnessPattern, SharingPattern], str]
-    failing: frozenset[tuple[str, int]]
-    #: the sequential fallback of guarded output; a plain residual has none
-    original_clauses: tuple[Clause, ...] = ()
-    support_text: str = ""
-    guarded: bool = False
 
     def program(self) -> Program:
-        return Program(self.residual_clauses + self.original_clauses)
+        return Program(self.residual_clauses)
 
     def rename_query(self, atom: Atom, gr: GroundnessPattern, sh: SharingPattern) -> Atom:
         name = self.entries.get((atom.pred, atom.arity, gr, sh))
@@ -126,10 +129,8 @@ class ResidualProgram:
 
 
 def extract_residual(
-    traces: Union[Trace, Sequence[Trace]], scheme: Optional[RenamingScheme] = None
+    traces: Sequence[Trace], scheme: Optional[RenamingScheme] = None
 ) -> ResidualProgram:
-    if isinstance(traces, Trace):
-        traces = [traces]
     if not traces:
         raise CodegenError("nothing to extract")
     program = traces[0].program
@@ -170,6 +171,17 @@ def extract_residual(
             body.extend(rename(o) for o in tail)
             clauses.append(Clause(head, tuple(body)))
 
+    # closedness: every call is a builtin, a residual predicate or an
+    # atom that failed during unfolding
+    defined = {c.head.key for c in clauses}
+    for clause in clauses:
+        for atom in clause.body_atoms():
+            key = atom.key
+            if key not in BUILTIN_KEYS and key not in defined and key not in failing:
+                raise CodegenError(
+                    f"dangling call {key[0]}/{key[1]} in residual clause {format_clause(clause)}"
+                )
+
     entries: dict[tuple[str, int, GroundnessPattern, SharingPattern], str] = {}
     for trace in traces:
         init = trace.init
@@ -177,31 +189,13 @@ def extract_residual(
         if name is not None:
             entries[(init.atom.pred, init.atom.arity, init.gr, init.sh)] = name
 
-    residual = ResidualProgram(
-        residual_clauses=tuple(clauses),
-        source=program,
-        scheme=scheme,
-        entries=entries,
-        failing=frozenset(failing),
+    return ResidualProgram(
+        residual_clauses=tuple(clauses), source=program, scheme=scheme, entries=entries
     )
-    _check_closedness(residual)
-    return residual
-
-
-def _check_closedness(rp: ResidualProgram) -> None:
-    defined = {c.head.key for c in rp.residual_clauses}
-    for clause in rp.residual_clauses:
-        for atom in clause.body_atoms():
-            key = atom.key
-            if key in BUILTIN_KEYS or key in defined or key in rp.failing:
-                continue
-            raise CodegenError(
-                f"dangling call {key[0]}/{key[1]} in residual clause {format_clause(clause)}"
-            )
 
 
 # ---------------------------------------------------------------------------
-# output with thread guards
+# output: plain, or with thread guards
 
 _GUARD_TEXT = """\
 :- dynamic current_threads/1.
@@ -219,90 +213,78 @@ concurrent_k(A,B,C) :-
          ;  call(A) ).
 """
 
-
-def add_thread_guards(rp: ResidualProgram, max_threads: int = 4) -> ResidualProgram:
-    """Replace parallel groups by guarded concurrent_k/3 calls.
-
-    Predicates whose residual definition forks get a `_par` variant of
-    their original name; every other residual definition is dropped and
-    its calls fall back to the untouched original program, which is
-    included in full.  Programs with no parallel group pass through
-    unchanged.
-    """
-    if max_threads < 1:
-        raise ValueError("max_threads must be at least 1")
-    par_keys = {
-        c.head.key
-        for c in rp.residual_clauses
-        if any(isinstance(g, ParGroup) for g in c.body)
-    }
-    if not par_keys:
-        return rp
-
-    # guarded output keeps only the original program plus the _par
-    # variants, so names need only avoid those (and the guard's own)
-    names = RenamingScheme(rp.source)
-    names._used.update(("concurrent_k", "max_threads", "current_threads"))
-    par_names: dict[tuple[str, int], str] = {}
-    for key in sorted(par_keys):
-        orig = rp.scheme.original_of(key[0])
-        if orig is None:
-            raise CodegenError(f"no original predicate behind {key[0]}/{key[1]}")
-        par_names[key] = names._claim(orig[0] + "_par")
-
-    def sequential_atom(atom: Atom) -> Atom:
-        orig = rp.scheme.original_of(atom.pred)
-        if orig is None:
-            return atom
-        return Atom(orig[0], atom.args)
-
-    def parallel_atom(atom: Atom) -> Atom:
-        key = atom.key
-        if key in par_names:
-            return Atom(par_names[key], atom.args)
-        return sequential_atom(atom)
-
-    guarded: list[Clause] = []
-    for clause in rp.residual_clauses:
-        if clause.head.key not in par_keys:
-            continue
-        head = Atom(par_names[clause.head.key], clause.head.args)
-        body: list[BodyGoal] = []
-        for goal in clause.body:
-            if isinstance(goal, ParGroup):
-                seq = make_conjunction(
-                    [sequential_atom(a).to_term() for a in goal.left + goal.right]
-                )
-                left = make_conjunction([parallel_atom(a).to_term() for a in goal.left])
-                right = make_conjunction([parallel_atom(a).to_term() for a in goal.right])
-                body.append(Atom("concurrent_k", (seq, left, right)))
-            else:
-                body.append(sequential_atom(goal))
-        guarded.append(Clause(head, tuple(body)))
-
-    entries = {}
-    for ekey, name in rp.entries.items():
-        pred, arity = ekey[0], ekey[1]
-        entries[ekey] = par_names.get((name, arity), pred)
-
-    return ResidualProgram(
-        residual_clauses=tuple(guarded),
-        original_clauses=rp.source.clauses,
-        source=rp.source,
-        scheme=rp.scheme,
-        entries=entries,
-        failing=rp.failing,
-        support_text=_GUARD_TEXT.format(K=max_threads),
-        guarded=True,
-    )
+#: the predicates `_GUARD_TEXT` defines, which a source program must not
+_GUARD_PREDICATES = (("concurrent_k", 3), ("max_threads", 1), ("current_threads", 1))
 
 
 def format_residual(rp: ResidualProgram) -> str:
-    parts = []
-    if rp.residual_clauses:
-        parts.append("\n".join(format_clause(c) for c in rp.residual_clauses))
-    if rp.original_clauses:
-        parts.append("\n".join(format_clause(c) for c in rp.original_clauses))
-    if rp.support_text:
-        parts.append(rp.support_text.rstrip("\n"))
-    return "\n\n".join(parts) + "\n"
+    return "\n".join(format_clause(c) for c in rp.residual_clauses) + "\n"
+
+
+def format_guarded(rp: ResidualProgram, max_threads: int) -> str:
+    """Render the residual with each `&` group as a guarded concurrent_k/3 call.
+
+    Every residual predicate from which the residual call graph reaches
+    a fork gets a `_par` variant of its source name.  A `_par` clause
+    calls the `_par` variant of an atom wherever one exists, and the
+    source predicate otherwise; the sequential fallback of each group
+    calls the source program, which follows in full, then the guard's
+    own predicates.  A residual with no `&` group is its plain text.
+    """
+    if max_threads < 1:
+        raise ValueError("max_threads must be at least 1")
+    callers: dict[tuple[str, int], set[tuple[str, int]]] = {}
+    par_keys = set()
+    for c in rp.residual_clauses:
+        for atom in c.body_atoms():
+            callers.setdefault(atom.key, set()).add(c.head.key)
+        if any(isinstance(g, ParGroup) for g in c.body):
+            par_keys.add(c.head.key)
+    if not par_keys:
+        return format_residual(rp)
+    for pred, arity in _GUARD_PREDICATES:
+        if rp.source.defines(pred, arity):
+            raise CodegenError(
+                f"guarded output reserves {pred}/{arity}, which the program defines"
+            )
+    todo = list(par_keys)
+    while todo:
+        for caller in callers.get(todo.pop(), ()):
+            if caller not in par_keys:
+                par_keys.add(caller)
+                todo.append(caller)
+
+    # guarded output holds the source program and the _par variants, so
+    # names need only avoid the source's
+    names = RenamingScheme(rp.source)
+    par_names = {
+        key: names._claim(rp.scheme.original_of(key[0])[0] + "_par") for key in sorted(par_keys)
+    }
+
+    def sequential_atom(atom: Atom) -> Atom:
+        orig = rp.scheme.original_of(atom.pred)
+        return atom if orig is None else Atom(orig[0], atom.args)
+
+    def parallel_atom(atom: Atom) -> Atom:
+        name = par_names.get(atom.key)
+        return sequential_atom(atom) if name is None else Atom(name, atom.args)
+
+    def conjunction(atoms: Sequence[Atom], rename: Callable[[Atom], Atom]) -> Term:
+        return make_conjunction([rename(a).to_term() for a in atoms])
+
+    par_clauses: list[str] = []
+    for clause in rp.residual_clauses:
+        if clause.head.key not in par_keys:
+            continue
+        body: list[Atom] = []
+        for goal in clause.body:
+            if isinstance(goal, ParGroup):
+                seq = conjunction(goal.left + goal.right, sequential_atom)
+                left = conjunction(goal.left, parallel_atom)
+                right = conjunction(goal.right, parallel_atom)
+                body.append(Atom("concurrent_k", (seq, left, right)))
+            else:
+                body.append(parallel_atom(goal))
+        par_clauses.append(format_clause(Clause(parallel_atom(clause.head), tuple(body))))
+    source = "\n".join(format_clause(c) for c in rp.source.clauses)
+    return "\n".join(par_clauses) + "\n\n" + source + "\n\n" + _GUARD_TEXT.format(K=max_threads)

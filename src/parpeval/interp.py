@@ -824,9 +824,7 @@ def verify(
     `on_par` hook feeding the fork sites.  Returns the reports keyed by
     check name, in `CHECKS` order.  The `eq` report is always there: it
     lists the rejected queries, fails when no query conforms, and
-    compares answers only when `eq` is requested.  A guarded residual
-    raises `SolverError` when the residual would run (`eq` or `indep`):
-    its forks are `concurrent_k/3` calls, which no hook sees.
+    compares answers only when `eq` is requested.
     """
     run_eq = "eq" in checks
     eq = EquivalenceReport()
@@ -834,8 +832,6 @@ def verify(
     if "indep" in checks:
         indep = IndependenceReport({s: CheckStats() for s in residual.par_sites()})
     safe = SafenessReport(table=table) if "safe" in checks else None
-    if (run_eq or indep is not None) and residual.guarded:
-        raise SolverError("guarded output is not interpretable here; verify the plain form")
     # one solver per program, reused for every query
     source_solver = residual_solver = None
     if run_eq or safe is not None:

@@ -23,6 +23,7 @@ from parpeval import (
     Struct,
     Var,
     extract_residual,
+    format_guarded,
     parse_program,
     partially_evaluate,
 )
@@ -199,4 +200,12 @@ def compiled(name: str) -> tuple[Program, Analyzer, Trace, ResidualProgram]:
     program = load(name)
     analyzer = Analyzer(program)
     trace = partially_evaluate(program, entry_atom(bench.entry), analyzer)
-    return program, analyzer, trace, extract_residual(trace)
+    return program, analyzer, trace, extract_residual([trace])
+
+
+def guarded_sections(
+    residual: ResidualProgram, max_threads: int = 4
+) -> tuple[Program, Program, str]:
+    """Guarded output read back: its `_par` clauses, the source and the guard text."""
+    par, source, support = format_guarded(residual, max_threads).split("\n\n", 2)
+    return parse_program(par), parse_program(source), support

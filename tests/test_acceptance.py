@@ -14,7 +14,6 @@ from corpus import label_sequences, worst_sharing
 from parpeval import (
     Analyzer,
     EntryPoint,
-    add_thread_guards,
     check_equivalence,
     check_independence,
     check_safeness,
@@ -224,8 +223,7 @@ def test_criterion_06_residual_programs():
         for side in (group.left, group.right):
             if [origin(q_rp.scheme, a) for a in side] != [("quicksort", 2)]:
                 problems.append("qsort fork side is %s" % [a.pred for a in side])
-        guarded = add_thread_guards(q_rp, 4)
-        rec = guarded.residual_clauses[sites[0][0]]
+        rec = corpus.guarded_sections(q_rp)[0].clauses[sites[0][0]]
         preds = [g.pred for g in rec.body]
         if preds != ["partition", "concurrent_k", "append"]:
             problems.append("guarded qsort body is %s" % preds)
@@ -246,8 +244,7 @@ def test_criterion_06_residual_programs():
             origin(a_rp.scheme, a) for a in group.right
         ] != [("amatrix", 3)]:
             problems.append("amatrix fork is not am1 & amatrix")
-        guarded = add_thread_guards(a_rp, 4)
-        rec = guarded.residual_clauses[sites[0][0]]
+        rec = corpus.guarded_sections(a_rp)[0].clauses[sites[0][0]]
         _, left, right = rec.body[0].args
         if (left.functor, right.functor) != ("am1", "amatrix_par"):
             problems.append("guarded amatrix forks %s" % [left.functor, right.functor])
@@ -303,11 +300,9 @@ def test_criterion_08_independence_and_safeness():
     corrupt_src = parse_program("p(X, Y) :- (q(X, Z) & r(Z, Y)). q(1, 2). r(2, 3).")
     corrupt = ResidualProgram(
         residual_clauses=corrupt_src.clauses,
-        original_clauses=(),
         source=corrupt_src,
         scheme=RenamingScheme(),
         entries={("p", 2, groundness(2, (1,)), independent_sharing(2)): "p"},
-        failing=frozenset(),
     )
     bad_fork = check_independence(
         corrupt,

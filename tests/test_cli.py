@@ -233,6 +233,34 @@ def test_bad_thread_bound_is_a_usage_error(capsys):
     assert "--max-threads" in capsys.readouterr().err
 
 
+# guarded output defines these itself: a second definition in the source
+# would shadow the thread bound or take over every fork
+@pytest.mark.parametrize(
+    "clause, key",
+    [
+        ("max_threads(99).", "max_threads/1"),
+        ("concurrent_k(A, B, C).", "concurrent_k/3"),
+        ("current_threads(0).", "current_threads/1"),
+    ],
+)
+def test_guarded_output_refuses_a_source_that_defines_a_guard_predicate(
+    tmp_path, capsys, clause, key
+):
+    fib = (CORPUS / "fib.pl").read_text(encoding="utf-8")
+    program = write(tmp_path / "p.pl", fib + clause + "\n")
+    assert main([program, "--entry", FIB_ENTRY, "--emit", "guarded"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parpeval: guarded output reserves {key}, which the program defines\n"
+    # the plain residual never calls them, and neither does guarded
+    # output of a residual with no fork, which prints no guard
+    assert main([program, "--entry", FIB_ENTRY]) == 0
+    palin = (CORPUS / "palin.pl").read_text(encoding="utf-8")
+    program = write(tmp_path / "q.pl", palin + clause + "\n")
+    entry = "palindrome/1 gr {1}"
+    assert main([program, "--entry", entry, "--emit", "guarded"]) == 0
+
+
 @pytest.mark.parametrize("cap", ["0", "abc"])
 def test_bad_step_cap_is_a_usage_error_before_any_output(tmp_path, capsys, monkeypatch, cap):
     monkeypatch.setenv("PARPEVAL_DEPTH_CAP", cap)

@@ -1,4 +1,4 @@
-"""Residual extraction: renaming, generalization, and thread guards."""
+"""Residual extraction: renaming, generalization, and guarded output."""
 import pytest
 
 import corpus
@@ -6,8 +6,8 @@ from parpeval import (
     Analyzer,
     CodegenError,
     ParGroup,
-    add_thread_guards,
     extract_residual,
+    format_guarded,
     format_residual,
     parse_program,
     partially_evaluate,
@@ -21,7 +21,7 @@ from parpeval.patterns import (
     parse_sharing,
     sharing,
 )
-from parpeval.terms import Atom, Struct, Var, canonical, format_atom, format_clause
+from parpeval.terms import Atom, Struct, Var, canonical, format_atom, format_clause, format_term
 
 
 def compile_text(text, pred, arity, gr_text, sh_text=None):
@@ -30,7 +30,7 @@ def compile_text(text, pred, arity, gr_text, sh_text=None):
     names = tuple(Var(chr(65 + i)) for i in range(arity))
     sh = parse_sharing(sh_text, arity) if sh_text else independent_sharing(arity)
     init = ExtendedAtom(Atom(pred, names), parse_groundness(gr_text, arity), sh)
-    return extract_residual(partially_evaluate(prog, init, an))
+    return extract_residual([partially_evaluate(prog, init, an)])
 
 
 def clause_set(clauses):
@@ -77,7 +77,6 @@ def test_fibonacci_residual_clauses():
         "N is N1+N2."
     )
     assert rp.par_sites() == [(2, 1)]
-    assert rp.original_clauses == ()
 
 
 def test_residual_program_answers_queries_via_entry_renaming():
@@ -100,7 +99,6 @@ def test_embedding_closes_with_generalization():
     texts = [format_clause(c) for c in rp.residual_clauses]
     # p(f(X)) embeds p(X); their msg p(_G1) is a variant of p(X)
     assert texts == ["p__1(X) :- p__1(f(X))."]
-    assert rp.original_clauses == ()
     assert rp.entries == {("p", 1, groundness(1), independent_sharing(1)): "p__1"}
 
 
@@ -110,7 +108,7 @@ def test_embedding_closes_with_generalization():
 
 def test_unmatched_atom_is_recorded_not_emitted():
     rp = compile_text("p(X) :- missing(X).", "p", 1, "{1}")
-    assert ("missing", 1) in rp.failing
+    assert [format_clause(c) for c in rp.residual_clauses] == ["p_1_1(X) :- missing(X)."]
     preds = {c.head.pred for c in rp.program().clauses}
     assert "missing" not in preds
 
@@ -121,11 +119,10 @@ def test_unmatched_atom_is_recorded_not_emitted():
 
 def test_guarded_fibonacci_renames_every_clause_of_par_predicates():
     _, _, _, rp = corpus.compiled("fib")
-    g = add_thread_guards(rp, max_threads=4)
-    assert g is not rp and g.guarded
-    heads = [c.head.pred for c in g.residual_clauses]
+    par, source, support = corpus.guarded_sections(rp)
+    heads = [c.head.pred for c in par.clauses]
     assert heads == ["fibonacci_par", "fibonacci_par", "fibonacci_par"]
-    rec = g.residual_clauses[2]
+    rec = par.clauses[2]
     assert format_clause(rec) == (
         "fibonacci_par(M,N) :- M > 1, concurrent_k("
         "(M1 is M-1,fibonacci(M1,N1),M2 is M-2,fibonacci(M2,N2)),"
@@ -133,16 +130,15 @@ def test_guarded_fibonacci_renames_every_clause_of_par_predicates():
         "(M2 is M-2,fibonacci_par(M2,N2))), N is N1+N2."
     )
     # the full source rides along for the sequential fallback
-    assert clause_set(g.original_clauses) == clause_set(corpus.load("fib").clauses)
-    assert "max_threads(4)." in g.support_text
-    assert "concurrent_k(A,B,C)" in g.support_text
-    assert ":- dynamic current_threads/1." in g.support_text
+    assert clause_set(source.clauses) == clause_set(corpus.load("fib").clauses)
+    assert "max_threads(4)." in support
+    assert "concurrent_k(A,B,C)" in support
+    assert ":- dynamic current_threads/1." in support
 
 
 def test_guarded_qsort_structure():
     _, _, _, rp = corpus.compiled("qsort")
-    g = add_thread_guards(rp, max_threads=4)
-    rec = g.residual_clauses[1]
+    rec = corpus.guarded_sections(rp)[0].clauses[1]
     body_preds = [goal.pred for goal in rec.body]
     assert body_preds == ["partition", "concurrent_k", "append"]
     seq, left, right = rec.body[1].args
@@ -153,8 +149,7 @@ def test_guarded_qsort_structure():
 
 def test_guarded_amatrix_parallelizes_only_the_recursive_side():
     _, _, _, rp = corpus.compiled("amatrix")
-    g = add_thread_guards(rp, max_threads=4)
-    rec = g.residual_clauses[1]
+    rec = corpus.guarded_sections(rp)[0].clauses[1]
     seq, left, right = rec.body[0].args
     # left segment is not a parallelized predicate: it falls back to the original
     assert left.functor == "am1"
@@ -164,17 +159,47 @@ def test_guarded_amatrix_parallelizes_only_the_recursive_side():
 
 def test_guard_counter_respects_max_threads_argument():
     _, _, _, rp = corpus.compiled("fib")
-    assert "max_threads(2)." in add_thread_guards(rp, max_threads=2).support_text
+    assert "max_threads(2)." in corpus.guarded_sections(rp, max_threads=2)[2]
     with pytest.raises(ValueError):
-        add_thread_guards(rp, max_threads=0)
+        format_guarded(rp, max_threads=0)
 
 
 def test_guarding_twice_gives_the_same_names():
     _, _, _, rp = corpus.compiled("qsort")
-    first = format_residual(add_thread_guards(rp, max_threads=4))
-    second = format_residual(add_thread_guards(rp, max_threads=4))
+    first = format_guarded(rp, max_threads=4)
+    second = format_guarded(rp, max_threads=4)
     assert first == second
     assert "quicksort_par(" in first and "quicksort_par_2" not in first
+
+
+def test_every_predicate_that_reaches_a_fork_gets_a_par_variant():
+    # p does not fork, but it calls s, which does: a user calling p_par
+    # must reach the fork
+    rp = compile_text(
+        """
+        p(X, Y) :- X > 0, s(X, Y).
+        s(X, Y) :- q(X, A), r(X, B), Y is A+B.
+        q(X, Y) :- Y is X+1.
+        r(X, Y) :- Y is X+2.
+        """,
+        "p",
+        2,
+        "{1}",
+    )
+    par = corpus.guarded_sections(rp)[0]
+    assert [c.head.pred for c in par.clauses] == ["p_par", "s_par"]
+    assert [g.pred for g in par.clauses[0].body] == [">", "s_par"]
+
+
+def test_par_clauses_call_par_variants_outside_the_fallback():
+    # tak forks two of its three recursive calls; the third and the
+    # combining call run in the _par code too, so their subtrees fork
+    _, _, _, rp = corpus.compiled("tak")
+    rec = corpus.guarded_sections(rp)[0].clauses[1]
+    preds = [g.pred for g in rec.body]
+    assert preds[-3:] == ["concurrent_k", "tak_par", "tak_par"]
+    # the sequential fallback runs the source program only
+    assert "tak_par" not in format_term(rec.body[-3].args[0])
 
 
 def test_guard_names_avoid_source_predicates():
@@ -192,15 +217,14 @@ def test_guard_names_avoid_source_predicates():
     trace = partially_evaluate(prog, init, an)
     rp = extract_residual([trace], RenamingScheme(prog))
     assert rp.par_sites()
-    g = add_thread_guards(rp, max_threads=4)
-    heads = {c.head.pred for c in g.residual_clauses}
+    heads = {c.head.pred for c in corpus.guarded_sections(rp)[0].clauses}
     assert heads == {"r_par_2"}  # r_par/1 already belongs to the source
 
 
 def test_unparallelized_residual_passes_through_unguarded():
     _, _, _, rp = corpus.compiled("palin")
     assert rp.par_sites() == []
-    assert add_thread_guards(rp) is rp
+    assert format_guarded(rp, 4) == format_residual(rp)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +235,7 @@ def test_format_residual_sections():
     _, _, _, rp = corpus.compiled("fib")
     text = format_residual(rp)
     assert text.endswith("\n") and not text.endswith("\n\n")
-    g = add_thread_guards(rp)
-    gtext = format_residual(g)
+    gtext = format_guarded(rp, 4)
     head, sep, support = gtext.partition(":- dynamic current_threads/1.")
     assert sep and "concurrent_k" in support
     assert "fibonacci_par" in head and "fibonacci(0,1)." in head

@@ -568,7 +568,7 @@ def test_root_is_unfolded_without_the_whistle():
     trace = partially_evaluate(prog, init, Analyzer(prog), max_transitions=20)
     assert len(trace.transitions()) == 7
     assert [format_atom(m.atom) for m in trace.memo] == ["q(A)", "p(X,X)", "p(_G1,_G2)"]
-    assert format_residual(extract_residual(trace)) == (
+    assert format_residual(extract_residual([trace])) == (
         "q__1(X) :- p__12_12(X,X).\n"
         "p__12_12(Y,Y) :- p__12_12_2(f(Y),Y).\n"
         "p__12_12(a,a).\n"

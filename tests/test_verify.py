@@ -15,7 +15,6 @@ from parpeval import (
     RenamingScheme,
     ResidualProgram,
     Var,
-    add_thread_guards,
     check_equivalence,
     check_independence,
     check_safeness,
@@ -107,18 +106,6 @@ def test_equivalence_with_nothing_run_is_not_ok():
     assert not report.ok and report.rejected
 
 
-def test_equivalence_refuses_guarded_output():
-    program, residual, gr, sh = fib_parts()
-    guarded = dataclasses.replace(residual, guarded=True)
-    with pytest.raises(SolverError, match="guarded"):
-        check_equivalence(program, guarded, gr, sh, [parse_query("fibonacci(3, N)")[0]])
-    # guarded forks are concurrent_k calls, which indep would never see
-    with pytest.raises(SolverError, match="guarded"):
-        check_independence(
-            add_thread_guards(residual, 4), gr, sh, [parse_query("fibonacci(6, N)")[0]]
-        )
-
-
 # -- independence
 
 
@@ -148,11 +135,9 @@ def hand_annotated(source_text):
     program = parse_program(source_text)
     return ResidualProgram(
         residual_clauses=program.clauses,
-        original_clauses=(),
         source=program,
         scheme=RenamingScheme(),
         entries={},
-        failing=frozenset(),
     )
 
 
@@ -307,7 +292,7 @@ def test_a_growing_call_term_runs_every_check_to_the_step_budget(source, query, 
     analyzer = Analyzer(program)
     analyzer.success(atom.pred, atom.arity, gr, sh)
     init = ExtendedAtom(Atom(atom.pred, tuple(Var(f"V{i}") for i in range(atom.arity))), gr, sh)
-    residual = extract_residual(partially_evaluate(program, init, analyzer))
+    residual = extract_residual([partially_evaluate(program, init, analyzer)])
     with pytest.raises(StepLimitExceeded):
         verify(program, residual, analyzer.table(), gr, sh, [atom], CHECKS, max_steps)
 
@@ -493,7 +478,7 @@ def test_prop_residual_of_a_generated_program_passes_every_check(program, entry)
     analyzer.success("p", 2, gr, sh)
     init = ExtendedAtom(Atom("p", (Var("A"), Var("B"))), gr, sh)
     trace = partially_evaluate(source, init, analyzer)
-    residual = extract_residual(trace)
+    residual = extract_residual([trace])
     # an embedding-closed atom calls the specialized code of its
     # generalization, and no call reaches the source program
     unfolded = {t.subject.ea.memo_key for t in trace.transitions() if t.label in "up"}
@@ -502,7 +487,6 @@ def test_prop_residual_of_a_generated_program_passes_every_check(program, entry)
     for t in closed:
         assert instance_of(t.subject.ea.atom.to_term(), t.general.atom.to_term())
         assert t.general.memo_key in unfolded
-    assert residual.original_clauses == ()
     queries = [parse_query(t)[0] for t in texts]
     # the hooks read variable sets off the bound terms, so a query whose
     # terms grow by a cell per step costs about the same per step at any
