@@ -8,8 +8,13 @@ first occurrence takes the caller's term, so it is never bound or
 occurs checked.  A clause whose first head argument has another
 principal functor than the call's is passed over without a match, still
 at the cost of its step.  The body of a clause that matches is built
-from its templates.  Parallel groups run as plain conjunctions — the
-annotations claim independence, they do not change sequential meaning.
+from its templates, except for its builtins outside a parallel group:
+such a goal waits as its template and the try's slots, and runs from
+them, so arithmetic builds no term, and only the target of `is/2` and
+the sides of `=/2` are built, when they run.  Arithmetic keeps its own
+stack, so a deep term bound to a slot at run time needs no recursion.
+Parallel groups run as plain conjunctions — the annotations claim
+independence, they do not change sequential meaning.
 
 The verification hooks read the bound term graph in place and are
 given variable sets, not copies of terms.  At each user call the
@@ -91,13 +96,8 @@ OnPar = Callable[[Site, frozenset[str], frozenset[str], Callable[[], Sides]], No
 
 _GROUND: frozenset[str] = frozenset()
 
-_COMPARE = {
-    ">": lambda a, b: a > b,
-    "<": lambda a, b: a < b,
-    ">=": lambda a, b: a >= b,
-    "=<": lambda a, b: a <= b,
-    "=:=": lambda a, b: a == b,
-}
+_COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge, "=<": operator.le,
+            "=:=": operator.eq}
 
 
 class _Choice:
@@ -137,7 +137,7 @@ class _ClauseEntry:
     """
 
     __slots__ = ("number", "head", "body", "key", "size", "fresh",
-                 "head_t", "body_t", "slots_in")
+                 "head_t", "body_t", "builtin", "slots_in")
 
     def __init__(self, number: int, clause: Clause) -> None:
         self.number = number
@@ -155,6 +155,9 @@ class _ClauseEntry:
             if g.__class__ is ParGroup else _template(g.pred, g.args, slots)
             for g in self.body
         )
+        #: whether each body goal is a builtin outside a group
+        self.builtin = tuple(g.__class__ is not ParGroup and g.key in BUILTIN_KEYS
+                             for g in self.body)
         self.size = len(slots)
         names = list(slots)
         #: the body-only slots in name order, the order a try draws their
@@ -220,8 +223,20 @@ def _build(t: tuple, env: list) -> tuple:
     return tuple(out)
 
 
+def _operand_term(a: object, env: Sequence[Term]) -> Term:
+    """Builtin operand `a` as a term: a slot's value, a template built
+    from `env`, or `a` itself."""
+    cls = a.__class__
+    if cls is int:
+        return env[a]
+    if cls is tuple:
+        return Struct(a[0], _build(a, env))
+    return a
+
+
 # the continuation: a linked list of (goal, site, rest) ending in (); a
-# goal that fails leaves None in its place
+# goal is an Atom, a ParGroup, an _Exit or a body builtin's (template,
+# env) pair, and a goal that fails leaves None in its place
 Goals = Optional[tuple]
 
 
@@ -356,6 +371,10 @@ class Solver:
     def _step(self, goals: tuple) -> Goals:
         """Run the first goal: the continuation after it, or None if it fails."""
         goal, site, rest = goals
+        if goal.__class__ is tuple:  # a body builtin: (template, env)
+            self._tick()
+            t, env = goal
+            return rest if self._builtin(t[0], t[1], t[2], env) else None
         if goal.__class__ is _Exit:
             atom = goal.atom
             # a position ground at the call is ground now
@@ -374,7 +393,7 @@ class Solver:
         key = goal.key
         if key in BUILTIN_KEYS:
             self._tick()
-            return rest if self._builtin(goal) else None
+            return rest if self._builtin(goal.pred, *goal.args, ()) else None
         alternatives = self._index.get(key)
         if not alternatives:
             return None
@@ -430,10 +449,12 @@ class Solver:
             goals = choice.rest
             if choice.exit is not None:
                 goals = (choice.exit, None, goals)
-            ci, body = entry.number, entry.body_t
+            ci, body, builtin = entry.number, entry.body_t, entry.builtin
             for pos in range(len(body) - 1, -1, -1):
                 g = body[pos]
-                if g.__class__ is ParGroup:
+                if builtin[pos]:
+                    g = (g, env)  # run from the slots by `_step`
+                elif g.__class__ is ParGroup:
                     g = ParGroup(tuple([Atom(a[0], _build(a, env)) for a in g.left]),
                                  tuple([Atom(a[0], _build(a, env)) for a in g.right]))
                 else:
@@ -494,42 +515,80 @@ class Solver:
 
     # -- builtins
 
-    def _builtin(self, atom: Atom) -> bool:
-        pred = atom.pred
+    def _builtin(self, pred: str, a: object, b: object, env: Sequence[Term]) -> bool:
+        """Run the builtin `pred(a, b)`.
+
+        An operand is a slot of `env`, a template over those slots, or a
+        term.  A goal of a clause body reads its operands from the try's
+        environment, and only the `is` target and the sides of `=` are
+        built; an atom (a query goal or a goal of a group's side) passes
+        its arguments with an empty `env`.
+        """
         if pred == "is":
-            value = self._eval(atom.args[1])
+            value = self._eval(b, env)
             if value is None:
                 return False
-            return unify_in_place(atom.args[0], Int(value), self._binds, self._trail)
+            target = _operand_term(a, env)
+            if target.__class__ is Var:
+                target = walk(target, self._binds)
+                if target.__class__ is Var:  # the usual target: nothing to compare
+                    self._binds[target.name] = Int(value)
+                    self._trail.append(target.name)
+                    return True
+            return unify_in_place(target, Int(value), self._binds, self._trail)
         if pred == "=":
-            return unify_in_place(atom.args[0], atom.args[1], self._binds, self._trail)
-        lhs = self._eval(atom.args[0])
-        rhs = self._eval(atom.args[1])
+            return unify_in_place(_operand_term(a, env), _operand_term(b, env),
+                                  self._binds, self._trail)
+        lhs = self._eval(a, env)
+        rhs = self._eval(b, env)
         if lhs is None or rhs is None:
             return False
         return _COMPARE[pred](lhs, rhs)
 
-    def _eval(self, t: Term) -> Optional[int]:
-        """Value of an arithmetic term, None if it is not arithmetic.
+    def _eval(self, t: object, env: Sequence[Term]) -> Optional[int]:
+        """Value of operand `t` of `_builtin`, None if it is not arithmetic.
 
-        Operands evaluate left to right and in full, so an unbound
-        variable anywhere raises even beside a non-arithmetic operand.
+        A template `(op, x, y)` is evaluated as the term `x op y` would
+        be.  Operands evaluate left to right and in full, so an unbound
+        variable anywhere raises even beside a non-arithmetic operand,
+        whose own subterms are not evaluated.  The descent keeps its own
+        stack, so a deep term built at run time is not bounded by
+        Python's recursion limit.
         """
-        todo: list[Union[Term, str]] = [t]  # subterms, and operators to apply
+        binds = self._binds
+        if t.__class__ is int:
+            t = env[t]
+        if t.__class__ is Var:
+            t = walk(t, binds)
+        if t.__class__ is Int:  # the usual operand needs no stack
+            return t.value
+        todo: list = [t]  # operands, and operators to apply
         values: list[Optional[int]] = []
         while todo:
             t = todo.pop()
-            if isinstance(t, str):
+            cls = t.__class__
+            if cls is str:
                 b = values.pop()
                 a = values.pop()
                 values.append(None if a is None or b is None else _ARITH[t](a, b))
                 continue
-            t = walk(t, self._binds)
-            if isinstance(t, Int):
+            if cls is tuple:
+                if len(t) == 3 and t[0] in _ARITH:
+                    todo += [t[0], t[2], t[1]]
+                else:
+                    values.append(None)
+                continue
+            if cls is int:
+                t = env[t]
+                cls = t.__class__
+            if cls is Var:
+                t = walk(t, binds)
+                cls = t.__class__
+            if cls is Int:
                 values.append(t.value)
-            elif isinstance(t, Var):
+            elif cls is Var:
                 raise InstantiationError(f"arithmetic over unbound variable {t.name}")
-            elif isinstance(t, Struct) and len(t.args) == 2 and t.functor in _ARITH:
+            elif len(t.args) == 2 and t.functor in _ARITH:
                 todo += [t.functor, t.args[1], t.args[0]]
             else:
                 values.append(None)  # not arithmetic: the goal just fails

@@ -10,6 +10,7 @@ from corpus import worst_sharing
 from parpeval import Solver, answer_multiset, parse_program, parse_query, terms
 from parpeval.interp import (
     DEFAULT_STEP_LIMIT,
+    IndependenceReport,
     InstantiationError,
     SolverError,
     StepLimitExceeded,
@@ -167,6 +168,32 @@ def test_builtins_count_against_the_step_budget():
         Solver(prog, max_steps=10).solve(parse_query("count(100)"))
 
 
+def test_body_builtins_raise_and_fail_as_query_goals_do():
+    # a clause body's builtins run from its slots, a query's from its atom
+    with pytest.raises(InstantiationError, match="unbound variable _G1$"):
+        answers("p(X) :- X is f(1)+Y.", "p(A)")
+    with pytest.raises(InstantiationError, match="unbound variable Y$"):
+        answers("", "X is f(1)+Y")
+    with pytest.raises(InstantiationError, match="unbound variable A$"):
+        answers("p(X) :- X > 0.", "p(A)")
+    with pytest.raises(SolverError, match="zero"):
+        answers("p(X) :- Y = 0, X is 1//Y.", "p(A)")
+    assert answers("p(X) :- 1 < foo.", "p(A)") == []
+    # a non-arithmetic operand fails without its subterms being evaluated
+    assert answers("p(X) :- X is f(Y)+1.", "p(A)") == []
+    assert answers("p(X) :- Y = f(Z), X is Y+1.", "p(A)") == []
+
+
+def test_deep_runtime_arithmetic_needs_no_recursion(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the solver must not raise the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    # T is bound to a left-nested sum 5000 deep, built at run time
+    prog = "mk(0,0). mk(N,T+1) :- N > 0, M is N-1, mk(M,T). p(N,X) :- mk(N,T), X is T."
+    assert answers(prog, "p(5000,X)") == [{"X": Int(5000)}]
+
+
 # -- parallel groups run sequentially, with a fork hook
 
 
@@ -223,6 +250,26 @@ def test_on_par_fires_once_per_entry():
     assert len(forks) == 3
     # each fork sees the list tail bound at that depth
     assert [format_term(left[0].args[0]) for left, _ in forks] == ["[b,c]", "[c]", "[]"]
+
+
+def test_builtin_in_a_group_side_reaches_the_fork_hook():
+    report = IndependenceReport()
+    forks = []
+
+    def on_par(site, left_vars, right_vars, sides):
+        forks.append((left_vars, right_vars))
+        report.on_par(site, left_vars, right_vars, sides)
+
+    src = "p(X, Y) :- (q(X, A), B is A+1 & r(B, Y)). q(1, 2). r(3, 4)."
+    solver = Solver(parse_program(src), on_par=on_par)
+    assert solver.solve(parse_query("p(1, Y)")) == [{"Y": Int(4)}]
+    # A and B, unbound at the fork, are in the set of the side whose
+    # builtin binds B
+    assert forks == [({"_G1", "_G2"}, {"_G2", "Y"})]
+    assert report.lines() == [
+        "site <0,0> checked 1 violations 1",
+        "  q(1,_G1),_G2 is _G1+1 & r(_G2,Y) share _G2",
+    ]
 
 
 # -- the call hook drives the safeness check
@@ -484,12 +531,19 @@ def _user_atom(var):
     )
 
 
-_operand = st.one_of(_cvar, st.sampled_from(["0", "1", "2"]))
+# an operand that is not arithmetic makes its goal fail
+_operand = st.one_of(_cvar, st.sampled_from(["0", "1", "2", "a"]), st.builds("f({})".format, _cvar))
+_arith = st.sampled_from(["+", "-", "*", "//"])
+_expr = st.one_of(_operand, st.builds("({} {} {})".format, _operand, _arith, _operand))
+# a goal that starts with `(` reads as a group, so a nested left side of
+# a comparison goes unbracketed: `A+B > C` is `(A+B) > C`
+_lhs = st.one_of(_operand, st.builds("{} {} {}".format, _operand, _arith, _operand))
 _goal = st.one_of(
     _user_atom(_cvar),
     _user_atom(_cvar),
     st.builds("{} = {}".format, _term(_cvar), _term(_cvar)),
-    st.builds("{} is {}+{}".format, _cvar, _operand, _operand),
+    st.builds("{} is {} {} {}".format, _cvar, _expr, _arith, _expr),
+    st.builds("{} {} {}".format, _lhs, st.sampled_from([">", "<", ">=", "=<", "=:="]), _expr),
     st.builds("({} & {})".format, _user_atom(_cvar), _user_atom(_cvar)),
 )
 _clause = st.builds(
@@ -524,6 +578,15 @@ _clause = st.builds(
 )
 # the call term doubles as a tree at each step
 @example(clauses=["p(X) :- p(g(X,X))."], query="p(A)", max_steps=60)
+# body builtins: an unbound operand beside a non-arithmetic one raises,
+# since evaluation is full; a slot bound to 0 divides; a constant fails
+@example(clauses=["p(X) :- X is f(1)+Y."], query="p(A)", max_steps=60)
+@example(clauses=["p(X) :- Y = 0, X is 1//Y."], query="p(A)", max_steps=60)
+@example(clauses=["p(X) :- 1 < foo."], query="p(A)", max_steps=60)
+# a non-arithmetic operand makes the sum fail, without reading f(X)
+@example(clauses=["p(X) :- Y is f(X) + 1."], query="p(A)", max_steps=60)
+# operands evaluate left to right: the unbound Y raises before 1//0 does
+@example(clauses=["p(X) :- X is Y + (1 // 0)."], query="p(A)", max_steps=60)
 def test_prop_head_match_agrees_with_rename_then_unify(clauses, query, max_steps):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonlinearArgumentWarning)
