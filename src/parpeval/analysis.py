@@ -21,9 +21,9 @@ from typing import Callable, Iterable, Optional
 
 from .engine import (
     ExtendedAtom,
-    body_call_patterns,
     head_state,
     may_share_pairs,
+    no_claims,
     propagate_success,
 )
 from .patterns import (
@@ -201,9 +201,8 @@ class Analyzer:
         exit_ground = frozenset(range(1, arity + 1))
         exit_pairs: set[tuple[int, int]] = set()
         for clause in self.program.clauses_for(pred, arity):
-            equery = body_call_patterns(gr, sh, clause)
             state = head_state(ExtendedAtom(clause.head, gr, sh))
-            _, _, end = propagate_success(equery, (), oracle, state)
+            _, _, end = propagate_success(no_claims(clause.body_atoms()), (), oracle, state)
             free = [term_vars(t) - end.ground for t in clause.head.args]
             exit_ground &= frozenset(i for i in range(1, arity + 1) if not free[i - 1])
             exit_pairs |= may_share_pairs(free, end.aliases)

@@ -6,17 +6,17 @@ call time.  Queries are sequences of such extended atoms.  The driver
 builds a tree of derivations: each step either closes the selected atom
 (variant of a memoised atom, embedding whistle, builtin, no matching
 clause) or resolves it against every unifying clause, producing one
-branch per clause.  A resolution step first propagates argument
-patterns through the instantiated clause body and then attempts to
-split the body into two independent segments that a residual clause may
-run in parallel.
+branch per clause.  A resolution step gives the instantiated body its
+call patterns by propagation alone, from the head's patterns left to
+right, and then attempts to split the body into two independent
+segments that a residual clause may run in parallel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Protocol, Sequence
+from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 from .patterns import (
     GroundnessPattern,
@@ -144,47 +144,17 @@ def _may_share(v1: set[str], v2: set[str], aliases: set[tuple[str, str]]) -> boo
 
 
 # ---------------------------------------------------------------------------
-# entry patterns of a clause body
+# resolution
 
 
-def body_call_patterns(
-    call_gr: GroundnessPattern, call_sh: SharingPattern, clause: Clause
-) -> ExtendedQuery:
-    """Call patterns each body atom inherits from the clause head.
-
-    A position is claimed ground when all its variables occur in
-    head positions claimed ground by the call; two positions may share
-    when they have a variable in common or hold variables the head
-    sharing pattern links.  Groundness is not used to prune sharing
-    here: over-claiming a may-share is always sound.
-
-    The result depends on the clause and the call patterns alone, so it
-    is kept on the (immutable) clause, one entry per call pattern.
-    """
-    cache = clause.__dict__.setdefault("_body_call_patterns", {})
-    out = cache.get((call_gr, call_sh))
-    if out is None:
-        out = cache[call_gr, call_sh] = _body_call_patterns(call_gr, call_sh, clause)
-    return out
-
-
-def _body_call_patterns(
-    call_gr: GroundnessPattern, call_sh: SharingPattern, clause: Clause
-) -> ExtendedQuery:
-    head = clause.head
-    ground = claimed_ground_vars(call_gr, head)
-    alias = shared_pairs(call_sh, head)
-    # the result is kept: equal patterns share one object
-    shared: dict = {call_gr: call_gr, call_sh: call_sh}
-    out = []
-    for batom in clause.body_atoms():
-        n = batom.arity
-        vs = [term_vars(t) for t in batom.args]
-        positions = frozenset(j for j in range(1, n + 1) if vs[j - 1] <= ground)
-        gr = GroundnessPattern(n, positions)
-        sh = sharing_from_pairs(n, may_share_pairs(vs, alias))
-        out.append(ExtendedAtom(batom, shared.setdefault(gr, gr), shared.setdefault(sh, sh)))
-    return tuple(out)
+def no_claims(atoms: Iterable[Atom]) -> ExtendedQuery:
+    """The atoms as a query that claims nothing: no position ground, no
+    pair sharing.  Propagation from a head state gives each its call
+    patterns, as it refreshes every atom it walks."""
+    return tuple(
+        ExtendedAtom(a, GroundnessPattern(a.arity, frozenset()), SharingPattern(a.arity, frozenset()))
+        for a in atoms
+    )
 
 
 def unfold_step(
@@ -192,20 +162,14 @@ def unfold_step(
 ) -> Optional[tuple[Subst, Clause, ExtendedQuery]]:
     """Resolve `ea` against `clause`: (mgu, renamed clause, body query).
 
-    The body query carries entry patterns computed on the uninstantiated
-    clause, which a renaming apart does not change; the mgu is then
-    applied to the renamed atoms alone, leaving the patterns untouched.
+    The body query is the renamed body under the mgu, with no claims;
+    `propagate_success` from the head state gives it its patterns.
     """
     rclause = rename_apart(clause, term_vars(ea.atom))
     sigma = mgu(ea.atom, rclause.head)
     if sigma is None:
         return None
-    patterns = body_call_patterns(ea.gr, ea.sh, clause)
-    instantiated = tuple(
-        ExtendedAtom(apply_subst(b, sigma), p.gr, p.sh)
-        for b, p in zip(rclause.body_atoms(), patterns)
-    )
-    return sigma, rclause, instantiated
+    return sigma, rclause, no_claims(apply_subst(b, sigma) for b in rclause.body_atoms())
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,10 @@ class _Parser:
         raise self.fail("expected an atom")
 
     def body_goal(self) -> list[BodyGoal]:
-        if self.accept("("):
+        # `(` opens a `&` group or a conjunction to splice, unless an
+        # operator follows its matching `)`: `(X + 1) > 0` is one goal
+        if self.at("(") and not self._opens_left_operand():
+            self.advance()
             left = self.sequence(self.atom)
             if self.accept("&"):
                 right = self.sequence(self.atom)
@@ -220,6 +223,17 @@ class _Parser:
             # plain parenthesised conjunction: splice
             return left
         return [self.atom()]
+
+    def _opens_left_operand(self) -> bool:
+        depth = 0
+        for i in range(self.pos, len(self.toks)):
+            tok = self.toks[i]
+            if tok.kind == "PUNCT" and tok.text in ("(", ")"):
+                depth += 1 if tok.text == "(" else -1
+                if depth == 0:
+                    after = self.toks[i + 1]
+                    return after.kind == "PUNCT" and after.text in _OPERATORS
+        return False
 
     def clause(self) -> Clause:
         head = self.atom()

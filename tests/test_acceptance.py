@@ -24,8 +24,8 @@ from parpeval import (
 from parpeval.codegen import RenamingScheme, ResidualProgram, extract_residual
 from parpeval.engine import (
     ExtendedAtom,
-    body_call_patterns,
     head_state,
+    no_claims,
     propagate_success,
     split_independent,
 )
@@ -114,7 +114,9 @@ def test_criterion_01_append_analysis():
 def test_criterion_02_entry_patterns():
     program = parse_program(FIB)
     head = fib_head()
-    query = body_call_patterns(head.gr, head.sh, program.clauses[2])
+    # the body refreshed against the head state, before any success is absorbed
+    body = no_claims(program.clauses[2].body_atoms())
+    _, query, _ = propagate_success((), body, Analyzer(program), head_state(head))
     want = [
         ("M > 1", "{1,2}", "<{1},{2}>"),
         ("M1 is M-1", "{2}", "<{1},{2}>"),
@@ -129,7 +131,7 @@ def test_criterion_02_entry_patterns():
 def test_criterion_03_success_propagation():
     program = parse_program(FIB)
     head = fib_head()
-    query = body_call_patterns(head.gr, head.sh, program.clauses[2])
+    query = no_claims(program.clauses[2].body_atoms())
     walked, rest, _ = propagate_success(query, (), Analyzer(program), head_state(head))
     want = [
         ("M > 1", "{1,2}", "<{1},{2}>"),
@@ -149,7 +151,7 @@ def test_criterion_03_success_propagation():
 def test_criterion_04_independent_split():
     program = parse_program(FIB)
     head = fib_head()
-    query = body_call_patterns(head.gr, head.sh, program.clauses[2])
+    query = no_claims(program.clauses[2].body_atoms())
     quad = split_independent(head, query, Analyzer(program))
     ok = quad is not None and [shapes(seg) for seg in quad] == [
         [("M > 1", "{1,2}", "<{1},{2}>")],

@@ -349,8 +349,25 @@ def test_safeness_rows_follow_the_table_order(tmp_path, capsys):
     assert [line.split(" checked")[0] for line in out if line.startswith("row ")] == want
     assert want[:2] == [
         "row append/3 {1,2} <{1},{2},{3}>",
-        "row append/3 {1,2,3} <{1},{2,3},{2,3}>",
+        "row append/3 {1,2,3} <{1},{2},{3}>",
     ]
+
+
+def test_a_ground_variable_links_no_positions_so_the_callee_forks(tmp_path, capsys):
+    # X is ground at the call, so f(X,Y) and g(X,Z) share no variable:
+    # q is specialized with no sharing and r(B), s(C) run in parallel
+    prog = write(
+        tmp_path / "p.pl",
+        "p(X, Y, Z) :- q(f(X, Y), g(X, Z)).\n"
+        "q(f(A, B), g(A, C)) :- r(B), s(C).\nr(1). r(2). s(3).\n",
+    )
+    queries = write(tmp_path / "q.pl", "p(1,Y,Z).\np(7,Y,Z).\n")
+    args = [prog, "--entry", "p/3 gr {1}", "--verify", "eq,indep,safe", "--queries", queries]
+    assert main(args) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "q/2 : gr {} -> {} ; sh <{1},{2}> -> <{1,2},{1,2}>" in out
+    assert "q__1_2(f(A,B),g(A,C)) :- (r__1(B) & s__1(C))." in out
+    assert "site <1,0> checked 2 violations 0" in out
 
 
 def test_verification_failure_exit_code(tmp_path, capsys):

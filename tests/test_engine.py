@@ -18,12 +18,12 @@ from parpeval.engine import (
     Memo,
     PropState,
     Transition,
-    body_call_patterns,
     embeds,
     format_subst,
     format_trace,
     format_transition,
     head_state,
+    no_claims,
     propagate_success,
     split_independent,
     unfold_step,
@@ -83,9 +83,17 @@ def shapes(query):
 # entry patterns
 
 
+def entry_query(head, clause, oracle):
+    """The entry patterns of `clause`'s body under `head`, whose atom is
+    the clause head: the body refreshed against the head state before
+    any success is absorbed."""
+    _, out, _ = propagate_success((), no_claims(clause.body_atoms()), oracle, head_state(head))
+    return out
+
+
 def test_entry_patterns_fibonacci_recursive_clause():
-    prog, _, head = fib_setup()
-    q = body_call_patterns(head.gr, head.sh, prog.clauses[2])
+    prog, an, head = fib_setup()
+    q = entry_query(head, prog.clauses[2], an)
     assert shapes(q) == [
         ("M > 1", "{1,2}", "<{1},{2}>"),
         ("M1 is M-1", "{2}", "<{1},{2}>"),
@@ -98,18 +106,20 @@ def test_entry_patterns_fibonacci_recursive_clause():
 
 def test_entry_patterns_respect_head_sharing():
     prog = parse_program("p(X, Y) :- q(X, Y).")
-    clause = prog.clauses[0]
-    linked = body_call_patterns(
-        groundness(2), parse_sharing("<{1,2},{1,2}>", 2), clause
-    )
+    clause, an = prog.clauses[0], Analyzer(prog)
+    head = ExtendedAtom(clause.head, groundness(2), parse_sharing("<{1,2},{1,2}>", 2))
+    linked = entry_query(head, clause, an)
     assert format_sharing(linked[0].sh) == "<{1,2},{1,2}>"
-    free = body_call_patterns(groundness(2), independent_sharing(2), clause)
+    head = ExtendedAtom(clause.head, groundness(2), independent_sharing(2))
+    free = entry_query(head, clause, an)
     assert format_sharing(free[0].sh) == "<{1},{2}>"
 
 
 def test_entry_links_positions_sharing_a_variable():
     prog = parse_program("p(X) :- q(X, f(X), Y).")
-    (q,) = body_call_patterns(groundness(1), independent_sharing(1), prog.clauses[0])
+    clause = prog.clauses[0]
+    head = ExtendedAtom(clause.head, groundness(1), independent_sharing(1))
+    (q,) = entry_query(head, clause, Analyzer(prog))
     assert format_sharing(q.sh) == "<{1,2},{1,2},{3}>"
 
 
@@ -119,7 +129,7 @@ def test_entry_links_positions_sharing_a_variable():
 
 def test_propagation_matches_sequential_walk():
     prog, an, head = fib_setup()
-    q = body_call_patterns(head.gr, head.sh, prog.clauses[2])
+    q = no_claims(prog.clauses[2].body_atoms())
     walked, rest, state = propagate_success(q, (), an, head_state(head))
     assert rest == ()
     assert shapes(walked) == [
@@ -140,7 +150,7 @@ def test_propagation_claims_only_for_right_part():
     head = ExtendedAtom(
         Atom("p", (Var("X"), Var("Y"))), parse_groundness("{1}", 2), independent_sharing(2)
     )
-    q = body_call_patterns(head.gr, head.sh, prog.clauses[0])
+    q = no_claims(prog.clauses[0].body_atoms())
     _, rest, _ = propagate_success((), q, an, head_state(head))
     # r's first position is not claimed: q's success was never consulted
     assert shapes(rest)[1][1] == "{}"
@@ -151,7 +161,7 @@ def test_propagation_absorbs_aliases():
     prog = parse_program("p(X) :- s(Y, Z), t(Y, Z).")
     an = Analyzer(prog)  # s undefined: identity success keeps the alias claim
     head = ExtendedAtom(Atom("p", (Var("X"),)), groundness(1, (1,)), independent_sharing(1))
-    q = body_call_patterns(head.gr, head.sh, prog.clauses[0])
+    q = no_claims(prog.clauses[0].body_atoms())
     seeded = (
         ExtendedAtom(q[0].atom, q[0].gr, parse_sharing("<{1,2},{1,2}>", 2)),
         q[1],
@@ -167,7 +177,7 @@ def test_propagation_absorbs_aliases():
 
 def test_split_fibonacci_quadruple():
     prog, an, head = fib_setup()
-    q = body_call_patterns(head.gr, head.sh, prog.clauses[2])
+    q = no_claims(prog.clauses[2].body_atoms())
     quad = split_independent(head, q, an)
     assert quad is not None
     q1, q2, q3, q4 = quad
@@ -183,7 +193,7 @@ def test_split_rejects_shared_free_variable():
     prog = parse_program("p(X) :- q(X, Y), r(Y, Z).")
     an = Analyzer(prog)
     head = ExtendedAtom(Atom("p", (Var("X"),)), groundness(1, (1,)), independent_sharing(1))
-    q = body_call_patterns(head.gr, head.sh, prog.clauses[0])
+    q = no_claims(prog.clauses[0].body_atoms())
     assert split_independent(head, q, an) is None
 
 
@@ -193,7 +203,7 @@ def test_split_needs_a_user_atom_per_segment():
     head = ExtendedAtom(
         Atom("p", (Var("X"), Var("Y"))), groundness(2, (1,)), independent_sharing(2)
     )
-    q = body_call_patterns(head.gr, head.sh, prog.clauses[0])
+    q = no_claims(prog.clauses[0].body_atoms())
     assert split_independent(head, q, an) is None
 
 
@@ -201,7 +211,7 @@ def test_split_never_forks_comparisons():
     prog = parse_program("p(X) :- X > 0, q(X), r(X).")
     an = Analyzer(prog)
     head = ExtendedAtom(Atom("p", (Var("X"),)), groundness(1, (1,)), independent_sharing(1))
-    q = body_call_patterns(head.gr, head.sh, prog.clauses[0])
+    q = no_claims(prog.clauses[0].body_atoms())
     quad = split_independent(head, q, an)
     assert quad is not None
     q1, q2, q3, _ = quad
@@ -211,7 +221,7 @@ def test_split_never_forks_comparisons():
 
 
 def driver_split(head, clause, oracle):
-    # mirror the driver: patterns from the renamed clause, atoms under the mgu
+    # mirror the driver: the renamed body under the mgu, with no claims
     out = unfold_step(head, clause)
     assert out is not None
     sigma, _, equery = out
@@ -260,8 +270,7 @@ def test_split_none_for_vmul_and_merge():
         groundness(3, (1, 2)),
         independent_sharing(3),
     )
-    q = body_call_patterns(head.gr, head.sh, mm.clauses[5])
-    assert split_independent(head, q, an) is None
+    assert driver_split(head, mm.clauses[5], an) is None
 
 
 def reference_split(head, query, oracle):
@@ -355,8 +364,8 @@ def test_prop_split_matches_per_candidate_search(goals, ground, pairs, claims):
     prog = parse_program(SPLIT_HELPERS + "p(A, B, C) :- " + ", ".join(goals) + ".")
     clause = prog.clauses[-1]
     head = ExtendedAtom(clause.head, groundness(3, ground), sharing_from_pairs(3, pairs))
-    query = body_call_patterns(head.gr, head.sh, clause)
-    # extra groundness claims, as instantiation under an mgu can add
+    query = no_claims(clause.body_atoms())
+    # groundness claims, as an earlier propagation can add
     claimed = []
     for i, x in enumerate(query):
         extra = {j for j in claims[i] if j <= x.atom.arity} if i < len(claims) else set()
@@ -390,7 +399,7 @@ def test_prop_split_asks_the_oracle_as_the_full_search_does(goals, ground):
     prog = parse_program(SPLIT_HELPERS + "p(A, B, C) :- " + ", ".join(goals) + ".")
     clause = prog.clauses[-1]
     head = ExtendedAtom(clause.head, groundness(3, ground), independent_sharing(3))
-    query = body_call_patterns(head.gr, head.sh, clause)
+    query = no_claims(clause.body_atoms())
     orders = []
     for split in (reference_split, split_independent):
         oracle = FirstRequests(Analyzer(prog))
@@ -406,7 +415,7 @@ def test_split_propagates_once_per_prefix(monkeypatch):
     prog = parse_program(f"q(X, Y) :- Y is X + 1.\nr(X0, X24) :- {goals}.")
     clause = prog.clauses[-1]
     head = ExtendedAtom(clause.head, groundness(2, (1,)), independent_sharing(2))
-    query = body_call_patterns(head.gr, head.sh, clause)
+    query = no_claims(clause.body_atoms())
     an = Analyzer(prog)
     calls = []
     propagate = engine.propagate_success
@@ -622,17 +631,15 @@ def test_unfold_transitions_replay_as_resolution():
         assert seen > 0, name
 
 
-def test_unfold_step_preserves_patterns_under_mgu():
+def test_unfold_step_returns_the_instantiated_body_without_claims():
     prog, _, head = fib_setup()
     out = unfold_step(head, prog.clauses[2])
     assert out is not None
     sigma, rclause, query = out
     assert apply_subst(rclause.head, sigma) == apply_subst(head.atom, sigma)
-    uninstantiated = body_call_patterns(head.gr, head.sh, rclause)
-    assert [(x.gr, x.sh) for x in query] == [(x.gr, x.sh) for x in uninstantiated]
-    assert [x.atom for x in query] == [
-        apply_subst(x.atom, sigma) for x in uninstantiated
-    ]
+    assert [x.atom for x in query] == [apply_subst(b, sigma) for b in rclause.body_atoms()]
+    # propagation from the head state gives every body atom its patterns
+    assert all(not x.gr.ground and not x.sh.pairs for x in query)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +662,7 @@ def test_trace_text_matches_golden():
 
 
 # ---------------------------------------------------------------------------
-# cost of the memo of `partially_evaluate` and of the body call patterns
+# cost of the memo of `partially_evaluate`; the program is left as it is
 
 
 def many_preds(n):
@@ -689,22 +696,12 @@ def test_whistle_compares_only_atoms_of_one_predicate_and_pattern(monkeypatch):
     assert calls == {"all": 0, "builtin": 0}
 
 
-def test_body_call_patterns_computed_once_per_clause_and_pattern(monkeypatch):
+def test_analysis_and_specialization_leave_the_program_clauses_as_they_are():
+    # nothing is cached on a program object, so output cannot depend on
+    # what ran on the program before
     prog = parse_program(many_preds(100))
-    computed = []
-    real = engine._body_call_patterns
-
-    def counting(gr, sh, clause):
-        computed.append((id(clause), gr, sh))
-        return real(gr, sh, clause)
-
-    monkeypatch.setattr(engine, "_body_call_patterns", counting)
+    before = [dict(c.__dict__) for c in prog.clauses]
     an = Analyzer(prog)
     an.success("p0", 3, groundness(3, (1,)), independent_sharing(3))
-    in_analysis = len(computed)
-    trace = partially_evaluate(prog, ea(Atom("p0", (Var("A"), Var("B"), Var("C"))), "{1}"), an)
-    unfolds = sum(t.label in ("u", "p") for t in trace.transitions())
-    assert len(set(computed)) == len(computed) == in_analysis == 203
-    # the 203 unfolds of `partially_evaluate` find every body pattern
-    # computed already
-    assert unfolds == 203
+    partially_evaluate(prog, ea(Atom("p0", (Var("A"), Var("B"), Var("C"))), "{1}"), an)
+    assert [c.__dict__ for c in prog.clauses] == before

@@ -535,9 +535,13 @@ def _user_atom(var):
 _operand = st.one_of(_cvar, st.sampled_from(["0", "1", "2", "a"]), st.builds("f({})".format, _cvar))
 _arith = st.sampled_from(["+", "-", "*", "//"])
 _expr = st.one_of(_operand, st.builds("({} {} {})".format, _operand, _arith, _operand))
-# a goal that starts with `(` reads as a group, so a nested left side of
-# a comparison goes unbracketed: `A+B > C` is `(A+B) > C`
-_lhs = st.one_of(_operand, st.builds("{} {} {}".format, _operand, _arith, _operand))
+# a nested left side of a comparison, bare or bracketed: `A+B > C` and
+# `(A+B) > C` read alike
+_lhs = st.one_of(
+    _operand,
+    st.builds("{} {} {}".format, _operand, _arith, _operand),
+    st.builds("({} {} {})".format, _operand, _arith, _operand),
+)
 _goal = st.one_of(
     _user_atom(_cvar),
     _user_atom(_cvar),
@@ -587,6 +591,8 @@ _clause = st.builds(
 @example(clauses=["p(X) :- Y is f(X) + 1."], query="p(A)", max_steps=60)
 # operands evaluate left to right: the unbound Y raises before 1//0 does
 @example(clauses=["p(X) :- X is Y + (1 // 0)."], query="p(A)", max_steps=60)
+# a goal may start with a bracketed left operand
+@example(clauses=["p(X) :- X = 1, (X + X) > X."], query="p(A)", max_steps=60)
 def test_prop_head_match_agrees_with_rename_then_unify(clauses, query, max_steps):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonlinearArgumentWarning)

@@ -72,6 +72,16 @@ def test_par_group_requires_parentheses_and_two_sides():
     assert [a.pred for a in group.right] == ["c", "d"]
 
 
+def test_bracketed_left_operand_starts_a_goal_not_a_group():
+    # an operator after the matching `)` makes the bracket an operand
+    (clause,) = parse_program("p(X) :- (X + 1) > 0, ((X) * 2) =:= 4.").clauses
+    assert [format_atom(g) for g in clause.body] == ["X+1 > 0", "X*2 =:= 4"]
+    assert clause.body[0] == Atom(">", (Struct("+", (Var("X"), Int(1))), Int(0)))
+    # otherwise a bracketed conjunction still splices, and `&` still groups
+    (clause,) = parse_program("p(X) :- (q(X), r(X)), (q(X) & r(X)).").clauses
+    assert [type(g).__name__ for g in clause.body] == ["Atom", "Atom", "ParGroup"]
+
+
 def test_anonymous_variables_are_distinct():
     clause = parse_program("p(_, _).").clauses[0]
     a, b = clause.head.args

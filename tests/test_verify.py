@@ -470,6 +470,8 @@ def instance_of(t, g, binds=None):
     program="p(X, L) :- q(X, X, L).\nq(X, Y, []).\nq(X, Y, [Z|T]) :- q(f(X), Y, T).",
     entry=({2}, ["p(A1, [0,1])", "p(A1, [])"]),
 )
+# q's arguments repeat X, which the head claims ground: they share nothing
+@example(program="p(X, Y) :- q(f(X), [X|0]), r(Y).\nq(f(X), Y).\nr(1).", entry=({1}, ["p(0, B)"]))
 def test_prop_residual_of_a_generated_program_passes_every_check(program, entry):
     ground, texts = entry
     gr, sh = groundness(2, ground), independent_sharing(2)
