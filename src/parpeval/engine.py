@@ -15,7 +15,7 @@ segments that a residual clause may run in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 from .patterns import (
@@ -147,14 +147,17 @@ def _may_share(v1: set[str], v2: set[str], aliases: set[tuple[str, str]]) -> boo
 # resolution
 
 
+@cache
+def _empty_patterns(arity: int) -> tuple[GroundnessPattern, SharingPattern]:
+    return GroundnessPattern(arity, frozenset()), SharingPattern(arity, frozenset())
+
+
 def no_claims(atoms: Iterable[Atom]) -> ExtendedQuery:
     """The atoms as a query that claims nothing: no position ground, no
     pair sharing.  Propagation from a head state gives each its call
-    patterns, as it refreshes every atom it walks."""
-    return tuple(
-        ExtendedAtom(a, GroundnessPattern(a.arity, frozenset()), SharingPattern(a.arity, frozenset()))
-        for a in atoms
-    )
+    patterns, as it refreshes every atom it walks.  Atoms of one arity
+    share one pair of empty patterns."""
+    return tuple(ExtendedAtom(a, *_empty_patterns(a.arity)) for a in atoms)
 
 
 def unfold_step(
@@ -208,6 +211,28 @@ def _absorb(ea: ExtendedAtom, success: SuccessPattern, state: PropState) -> None
     state.aliases.update(p for p in shared_pairs(success.share, atom) if state.ground.isdisjoint(p))
 
 
+def _advance(ea: ExtendedAtom, state: PropState, oracle: SuccessOracle) -> ExtendedAtom:
+    """Refresh `ea` against `state`, look up its success pattern under
+    the refreshed call pattern and absorb the answer into `state`, in
+    place; the refreshed atom."""
+    refreshed = _refresh(ea, state, set())
+    atom = refreshed.atom
+    _absorb(refreshed, oracle.success(atom.pred, atom.arity, refreshed.gr, refreshed.sh), state)
+    return refreshed
+
+
+def _look_ahead(q: Sequence[ExtendedAtom], state: PropState) -> ExtendedQuery:
+    """`q` refreshed against `state` plus the groundness claims of the
+    atoms of `q` to the left of each; no success of `q` is assumed."""
+    out = []
+    later_claims: set[str] = set()
+    for ea in q:
+        refreshed = _refresh(ea, state, later_claims)
+        later_claims |= claimed_ground_vars(refreshed.gr, refreshed.atom)
+        out.append(refreshed)
+    return tuple(out)
+
+
 def propagate_success(
     q1: Sequence[ExtendedAtom],
     q2: Sequence[ExtendedAtom],
@@ -223,21 +248,8 @@ def propagate_success(
     their left; no successes of `q2` are assumed.
     """
     st = state.copy()
-    out1 = []
-    for ea in q1:
-        refreshed = _refresh(ea, st, set())
-        succ = oracle.success(
-            refreshed.atom.pred, refreshed.atom.arity, refreshed.gr, refreshed.sh
-        )
-        out1.append(refreshed)
-        _absorb(refreshed, succ, st)
-    out2 = []
-    later_claims: set[str] = set()
-    for ea in q2:
-        refreshed = _refresh(ea, st, later_claims)
-        later_claims |= claimed_ground_vars(refreshed.gr, refreshed.atom)
-        out2.append(refreshed)
-    return tuple(out1), tuple(out2), st
+    out1 = tuple(_advance(ea, st, oracle) for ea in q1)
+    return out1, _look_ahead(q2, st), st
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +344,28 @@ def split_independent(
     run before the fork, each parallel segment propagated from the fork
     state alone, and the tail under the join of both segment states.
 
-    A prefix that cannot lead to a split is not propagated.  Its oracle
-    calls are the first calls of the next prefix's propagation, or of
-    the propagation of the whole body that `partially_evaluate` runs
-    when no split is found, so the oracle receives each new request in
-    the same order.
+    The prefix is propagated once: before each prefix is tried, one
+    walk from the head state is extended by the atoms it does not cover
+    yet, so a prefix atom is looked up once however many prefixes are
+    tried.  A prefix that cannot lead to a split is passed over without
+    extending the walk; its atoms are looked up when the next prefix is
+    tried, or by the propagation of the whole body that
+    `partially_evaluate` runs when no split is found, so the oracle
+    receives each new request in the same order.
     """
     n = len(query)
     if sum(ea.key not in BUILTIN_KEYS for ea in query) < 2:
         return None  # each parallel segment needs a user-defined atom
-    start = head_state(head)
+    fork = head_state(head)
+    prefix: list[ExtendedAtom] = []
     for n1 in range(0, n - 1):
         key = query[n1].key
         if key[0] in COMPARISON_PREDS and key in BUILTIN_KEYS:
             continue  # the first segment would start with a comparison
+        prefix.extend(_advance(ea, fork, oracle) for ea in query[len(prefix) : n1])
         # segments and tail together are always query[n1:], so the
         # refreshed rest and the fork state depend on the prefix alone
-        p1, rest, fork = propagate_success(query[:n1], query[n1:], oracle, start)
+        rest = _look_ahead(query[n1:], fork)
         cut = _first_cut(rest, fork)
         if cut is None:
             continue
@@ -356,7 +373,7 @@ def split_independent(
         f2, p4, s2 = propagate_success(rest[:n2], rest[mid:], oracle, fork)
         f3, p4, s3 = propagate_success(rest[n2:mid], p4, oracle, fork)
         f4, _, _ = propagate_success(p4, (), oracle, PropState.join(s2, s3))
-        return p1, f2, f3, f4
+        return tuple(prefix), f2, f3, f4
     return None
 
 

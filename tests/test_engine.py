@@ -360,6 +360,16 @@ _goal = st.one_of(
 @example(goals=["D = E", "t(D,A)", "t(E,B)"], ground={1, 2}, pairs=set(), claims=[])
 # the left t claims E ground, so the segments may share it
 @example(goals=["t(D,E)", "t(f(E,C),A)"], ground=set(), pairs=set(), claims=[{2}])
+# the walk grows by two atoms at a time over prefixes that would start
+# with a comparison
+@example(
+    goals=["q(A,C)", "A > B", "q(B,D)", "B > C", "t(C,D)", "q(D,E)"],
+    ground={1, 2},
+    pairs=set(),
+    claims=[],
+)
+# the only cut is at the last prefix tried, once q has grounded E
+@example(goals=["q(A,D)", "q(D,E)", "t(E,B)", "t(E,C)"], ground={1}, pairs=set(), claims=[])
 def test_prop_split_matches_per_candidate_search(goals, ground, pairs, claims):
     prog = parse_program(SPLIT_HELPERS + "p(A, B, C) :- " + ", ".join(goals) + ".")
     clause = prog.clauses[-1]
@@ -392,6 +402,8 @@ class FirstRequests:
 @settings(max_examples=200, deadline=None)
 @given(goals=st.lists(_goal, min_size=2, max_size=8), ground=st.sets(st.sampled_from([1, 2, 3])))
 @example(goals=["A > B", "q(A,C)", "B > C", "q(B,D)", "t(C,D)"], ground={1, 2})
+@example(goals=["q(A,C)", "A > B", "q(B,D)", "B > C", "t(C,D)", "q(D,E)"], ground={1, 2})
+@example(goals=["q(A,D)", "q(D,E)", "t(E,B)", "t(E,C)"], ground={1})
 def test_prop_split_asks_the_oracle_as_the_full_search_does(goals, ground):
     # a skipped prefix leaves the analyzer's rows, and so the table, as
     # they are; `partially_evaluate` propagates the whole body when no split
@@ -409,24 +421,29 @@ def test_prop_split_asks_the_oracle_as_the_full_search_does(goals, ground):
     assert orders[0] == orders[1]
 
 
-def test_split_propagates_once_per_prefix(monkeypatch):
-    # a dependent chain: every boundary shares a variable, no split exists
+class CountingOracle:
+    """An oracle that counts the requests made to it."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def success(self, pred, arity, gr, sh):
+        self.calls += 1
+        return self.inner.success(pred, arity, gr, sh)
+
+
+def test_split_looks_up_each_prefix_atom_once():
+    # a dependent chain: every boundary shares a variable, no split
+    # exists, and prefixes of 0..22 goals are tried: one lookup per atom
+    # of the longest, where a walk per prefix makes 0 + 1 + ... + 22 = 253
     goals = ", ".join(f"q(X{i},X{i + 1})" for i in range(24))
     prog = parse_program(f"q(X, Y) :- Y is X + 1.\nr(X0, X24) :- {goals}.")
     clause = prog.clauses[-1]
     head = ExtendedAtom(clause.head, groundness(2, (1,)), independent_sharing(2))
     query = no_claims(clause.body_atoms())
-    an = Analyzer(prog)
-    calls = []
-    propagate = engine.propagate_success
-
-    def counting(*args):
-        calls.append(len(args[0]))
-        return propagate(*args)
-
-    monkeypatch.setattr(engine, "propagate_success", counting)
-    assert split_independent(head, query, an) is None
-    assert calls == list(range(23))
+    oracle = CountingOracle(Analyzer(prog))
+    assert split_independent(head, query, oracle) is None
+    assert oracle.calls == 22
 
 
 # ---------------------------------------------------------------------------
