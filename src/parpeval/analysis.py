@@ -23,7 +23,6 @@ from .engine import (
     ExtendedAtom,
     head_state,
     may_share_pairs,
-    no_claims,
     propagate_success,
 )
 from .patterns import (
@@ -202,7 +201,7 @@ class Analyzer:
         exit_pairs: set[tuple[int, int]] = set()
         for clause in self.program.clauses_for(pred, arity):
             state = head_state(ExtendedAtom(clause.head, gr, sh))
-            _, _, end = propagate_success(no_claims(clause.body_atoms()), (), oracle, state)
+            _, end = propagate_success(clause.body_atoms(), oracle, state)
             free = [term_vars(t) - end.ground for t in clause.head.args]
             exit_ground &= frozenset(i for i in range(1, arity + 1) if not free[i - 1])
             exit_pairs |= may_share_pairs(free, end.aliases)

@@ -9,14 +9,16 @@ clause) or resolves it against every unifying clause, producing one
 branch per clause.  A resolution step gives the instantiated body its
 call patterns by propagation alone, from the head's patterns left to
 right, and then attempts to split the body into two independent
-segments that a residual clause may run in parallel.
+segments that a residual clause may run in parallel.  Body atoms enter
+propagation as plain atoms: an atom's call patterns are a function of
+the atom and the state reached at it, nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Optional, Protocol, Sequence
+from typing import Iterator, Optional, Protocol, Sequence
 
 from .patterns import (
     GroundnessPattern,
@@ -92,9 +94,10 @@ class SuccessOracle(Protocol):
 class PropState:
     """Ground variables and may-alias pairs accumulated along a walk.
 
-    `aliases` holds name-sorted pairs of distinct variables; a variable
-    in `ground` can never alias anything, but stale pairs mentioning it
-    are kept and filtered at query time.
+    It is all a body atom's call patterns are read from.  `aliases`
+    holds name-sorted pairs of distinct variables; a variable in
+    `ground` can never alias anything, but stale pairs mentioning it are
+    kept and filtered at query time.
     """
 
     __slots__ = ("ground", "aliases")
@@ -152,104 +155,65 @@ def _empty_patterns(arity: int) -> tuple[GroundnessPattern, SharingPattern]:
     return GroundnessPattern(arity, frozenset()), SharingPattern(arity, frozenset())
 
 
-def no_claims(atoms: Iterable[Atom]) -> ExtendedQuery:
-    """The atoms as a query that claims nothing: no position ground, no
-    pair sharing.  Propagation from a head state gives each its call
-    patterns, as it refreshes every atom it walks.  Atoms of one arity
-    share one pair of empty patterns."""
-    return tuple(ExtendedAtom(a, *_empty_patterns(a.arity)) for a in atoms)
-
-
 def unfold_step(
     ea: ExtendedAtom, clause: Clause
-) -> Optional[tuple[Subst, Clause, ExtendedQuery]]:
-    """Resolve `ea` against `clause`: (mgu, renamed clause, body query).
+) -> Optional[tuple[Subst, Clause, tuple[Atom, ...]]]:
+    """Resolve `ea` against `clause`: (mgu, renamed clause, body).
 
-    The body query is the renamed body under the mgu, with no claims;
-    `propagate_success` from the head state gives it its patterns.
+    The body is the renamed body under the mgu, as plain atoms;
+    `propagate_success` from the head state gives them their patterns.
     """
     rclause = rename_apart(clause, term_vars(ea.atom))
     sigma = mgu(ea.atom, rclause.head)
     if sigma is None:
         return None
-    return sigma, rclause, no_claims(apply_subst(b, sigma) for b in rclause.body_atoms())
+    return sigma, rclause, tuple(apply_subst(b, sigma) for b in rclause.body_atoms())
 
 
 # ---------------------------------------------------------------------------
 # success propagation
 
 
-def _refresh(ea: ExtendedAtom, state: PropState, extra_ground: set[str]) -> ExtendedAtom:
-    """Strengthen `ea`'s patterns with what `state` already knows.
-
-    The atom's own groundness claims count as established: they were
-    justified when the pattern was computed and instantiation only
-    refines them.
-    """
-    atom = ea.atom
+def _refresh(atom: Atom, state: PropState) -> ExtendedAtom:
+    """`atom` under the call patterns `state` justifies: a position is
+    ground when all its variables are, and two positions may share when
+    their free variables meet or `state` may alias them."""
     n = atom.arity
-    vs = [term_vars(t) for t in atom.args]
-    known = state.ground | extra_ground
-    for i in ea.gr.ground:
-        known |= vs[i - 1]
-    free = [v - known for v in vs]
-    positions = ea.gr.ground | {j for j in range(1, n + 1) if not free[j - 1]}
-    pairs = ea.sh.pairs | may_share_pairs(free, state.aliases)
-    if len(positions) == len(ea.gr.ground) and len(pairs) == len(ea.sh.pairs):
-        # nothing learnt; every sharing pattern is built normalised, so
-        # the rebuilt one would equal `ea.sh`
-        return ea
+    free = [term_vars(t) - state.ground for t in atom.args]
+    positions = frozenset(j for j in range(1, n + 1) if not free[j - 1])
+    pairs = may_share_pairs(free, state.aliases)
+    if not positions and not pairs:
+        return ExtendedAtom(atom, *_empty_patterns(n))
     return ExtendedAtom(atom, GroundnessPattern(n, positions), sharing_from_pairs(n, pairs))
 
 
-def _absorb(ea: ExtendedAtom, success: SuccessPattern, state: PropState) -> None:
-    """Fold an answer matching `success` into the state, in place."""
-    atom = ea.atom
-    state.ground |= claimed_ground_vars(ea.gr, atom)
+def _absorb(atom: Atom, success: SuccessPattern, state: PropState) -> None:
+    """Fold an answer of `atom` matching `success` into the state, in
+    place."""
     for i in success.ground.ground:
         state.ground |= term_vars(atom.args[i - 1])
     state.aliases.update(p for p in shared_pairs(success.share, atom) if state.ground.isdisjoint(p))
 
 
-def _advance(ea: ExtendedAtom, state: PropState, oracle: SuccessOracle) -> ExtendedAtom:
-    """Refresh `ea` against `state`, look up its success pattern under
+def _advance(atom: Atom, state: PropState, oracle: SuccessOracle) -> ExtendedAtom:
+    """Refresh `atom` against `state`, look up its success pattern under
     the refreshed call pattern and absorb the answer into `state`, in
     place; the refreshed atom."""
-    refreshed = _refresh(ea, state, set())
-    atom = refreshed.atom
-    _absorb(refreshed, oracle.success(atom.pred, atom.arity, refreshed.gr, refreshed.sh), state)
+    refreshed = _refresh(atom, state)
+    _absorb(atom, oracle.success(atom.pred, atom.arity, refreshed.gr, refreshed.sh), state)
     return refreshed
 
 
-def _look_ahead(q: Sequence[ExtendedAtom], state: PropState) -> ExtendedQuery:
-    """`q` refreshed against `state` plus the groundness claims of the
-    atoms of `q` to the left of each; no success of `q` is assumed."""
-    out = []
-    later_claims: set[str] = set()
-    for ea in q:
-        refreshed = _refresh(ea, state, later_claims)
-        later_claims |= claimed_ground_vars(refreshed.gr, refreshed.atom)
-        out.append(refreshed)
-    return tuple(out)
-
-
 def propagate_success(
-    q1: Sequence[ExtendedAtom],
-    q2: Sequence[ExtendedAtom],
-    oracle: SuccessOracle,
-    state: PropState,
-) -> tuple[ExtendedQuery, ExtendedQuery, PropState]:
-    """Push success information of `q1` into both queries, left to right.
-
-    Atoms of `q1` are refreshed against the accumulated state, their
-    success pattern is looked up under the refreshed call pattern, and
-    the answer is absorbed before moving right.  Atoms of `q2` only see
-    the state after `q1` plus the groundness claims of `q2` atoms to
-    their left; no successes of `q2` are assumed.
-    """
+    atoms: Sequence[Atom], oracle: SuccessOracle, state: PropState
+) -> tuple[ExtendedQuery, PropState]:
+    """Walk `atoms` left to right from `state`: each is refreshed against
+    the accumulated state, its success pattern is looked up under the
+    refreshed call pattern, and the answer is absorbed before moving
+    right.  The refreshed atoms and the final state; `state` is left as
+    it was."""
     st = state.copy()
-    out1 = tuple(_advance(ea, st, oracle) for ea in q1)
-    return out1, _look_ahead(q2, st), st
+    return tuple(_advance(a, st, oracle) for a in atoms), st
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +245,10 @@ def _first_cut(rest: ExtendedQuery, fork: PropState) -> Optional[tuple[int, int]
 
     Each segment needs a user-defined atom and no atom of role -1.  The
     segments are independent when every variable they have in common is
-    ground at the fork or claimed ground by one of their atoms, and no
-    other variable of one may alias, by the fork state, a variable of
-    the other; the fork state holds the head pattern's pairs, as every
-    state grows from `head_state`.  Variables and claims are taken once
-    per atom; a candidate tests unions of them.
+    ground at the fork, and no other variable of one may alias, by the
+    fork state, a variable of the other; the fork state holds the head
+    pattern's pairs, as every state grows from `head_state`.  Variables
+    are taken once per atom; a candidate tests unions of them.
     """
     bad, user = [0], [0]  # prefix counts of role -1 and role 1 atoms
     for ea in rest:
@@ -297,12 +260,9 @@ def _first_cut(rest: ExtendedQuery, fork: PropState) -> Optional[tuple[int, int]
         return bad[a] == bad[b] and user[a] < user[b]
 
     avars = [term_vars(ea.atom) for ea in rest]
-    claims = [claimed_ground_vars(ea.gr, ea.atom) for ea in rest]
     lvars: list[set[str]] = [set()]
-    lclaims: list[set[str]] = [set()]
-    for v, c in zip(avars, claims):
+    for v in avars:
         lvars.append(lvars[-1] | v)
-        lclaims.append(lclaims[-1] | c)
     partners: dict[str, set[str]] = {}
     for x, y in fork.aliases:  # name-sorted pairs, x != y
         partners.setdefault(x, set()).add(y)
@@ -311,38 +271,37 @@ def _first_cut(rest: ExtendedQuery, fork: PropState) -> Optional[tuple[int, int]
     empty: set[str] = set()
     for mid in range(len(rest), 1, -1):
         rvars: list[set[str]] = [empty] * mid
-        rclaims: list[set[str]] = [empty] * mid
-        v, c = empty, empty
+        v = empty
         for j in range(mid - 1, 0, -1):
-            v, c = v | avars[j], c | claims[j]
-            rvars[j], rclaims[j] = v, c
+            v = v | avars[j]
+            rvars[j] = v
         for n2 in range(1, mid):
             if not (admissible(0, n2) and admissible(n2, mid)):
                 continue
-            lv, lc, rv, rc = lvars[n2], lclaims[n2], rvars[n2], rclaims[n2]
-            if (lv & rv).difference(ground, lc, rc):
+            lv, rv = lvars[n2], rvars[n2]
+            if not (lv & rv) <= ground:
                 continue
-            rfree = rv.difference(ground, lc, rc)
-            if any(
-                not partners.get(x, empty).isdisjoint(rfree)
-                for x in lv.difference(ground, lc, rc)
-            ):
+            rfree = rv - ground
+            if any(not partners.get(x, empty).isdisjoint(rfree) for x in lv - ground):
                 continue
             return n2, mid
     return None
 
 
 def split_independent(
-    head: ExtendedAtom, query: ExtendedQuery, oracle: SuccessOracle
+    head: ExtendedAtom, atoms: Sequence[Atom], oracle: SuccessOracle
 ) -> Optional[Quad]:
-    """Split `query` into prefix, two independent segments, and a tail.
+    """Split the body `atoms` into prefix, two independent segments, and
+    a tail, or None when there is no split.
 
     Candidates are tried with the shortest prefix first, then the
     shortest tail (widening the parallel window), then the leftmost
     boundary between the segments; the first admissible split wins.
-    Returned segments carry their propagated patterns: the prefix as
-    run before the fork, each parallel segment propagated from the fork
-    state alone, and the tail under the join of both segment states.
+    The segments are chosen by the rest of the body refreshed against
+    the fork state.  Returned segments carry their propagated patterns:
+    the prefix as run before the fork, each parallel segment propagated
+    from the fork state alone, and the tail from the join of both
+    segment states.
 
     The prefix is propagated once: before each prefix is tried, one
     walk from the head state is extended by the atoms it does not cover
@@ -353,26 +312,25 @@ def split_independent(
     `partially_evaluate` runs when no split is found, so the oracle
     receives each new request in the same order.
     """
-    n = len(query)
-    if sum(ea.key not in BUILTIN_KEYS for ea in query) < 2:
+    n = len(atoms)
+    if sum(a.key not in BUILTIN_KEYS for a in atoms) < 2:
         return None  # each parallel segment needs a user-defined atom
     fork = head_state(head)
     prefix: list[ExtendedAtom] = []
     for n1 in range(0, n - 1):
-        key = query[n1].key
+        key = atoms[n1].key
         if key[0] in COMPARISON_PREDS and key in BUILTIN_KEYS:
             continue  # the first segment would start with a comparison
-        prefix.extend(_advance(ea, fork, oracle) for ea in query[len(prefix) : n1])
-        # segments and tail together are always query[n1:], so the
-        # refreshed rest and the fork state depend on the prefix alone
-        rest = _look_ahead(query[n1:], fork)
-        cut = _first_cut(rest, fork)
+        prefix.extend(_advance(a, fork, oracle) for a in atoms[len(prefix) : n1])
+        # segments and tail together are atoms[n1:], each refreshed
+        # against the fork state alone: the prefix decides them
+        cut = _first_cut(tuple(_refresh(a, fork) for a in atoms[n1:]), fork)
         if cut is None:
             continue
-        n2, mid = cut
-        f2, p4, s2 = propagate_success(rest[:n2], rest[mid:], oracle, fork)
-        f3, p4, s3 = propagate_success(rest[n2:mid], p4, oracle, fork)
-        f4, _, _ = propagate_success(p4, (), oracle, PropState.join(s2, s3))
+        n2, mid = n1 + cut[0], n1 + cut[1]
+        f2, s2 = propagate_success(atoms[n1:n2], oracle, fork)
+        f3, s3 = propagate_success(atoms[n2:mid], oracle, fork)
+        f4, _ = propagate_success(atoms[mid:], oracle, PropState.join(s2, s3))
         return tuple(prefix), f2, f3, f4
     return None
 
@@ -579,12 +537,12 @@ def _unfold(
         res = unfold_step(ea, clause)
         if res is None:
             continue
-        sigma, _, equery = res
+        sigma, _, body = res
         head_inst = apply_subst(ea.atom, sigma)
         head_ea = ExtendedAtom(head_inst, ea.gr, ea.sh)
-        label, quad = "p", split_independent(head_ea, equery, oracle)
+        label, quad = "p", split_independent(head_ea, body, oracle)
         if quad is None:
-            propped, _, _ = propagate_success(equery, (), oracle, head_state(head_ea))
+            propped, _ = propagate_success(body, oracle, head_state(head_ea))
             label, quad = "u", ((), (), (), propped)
         yield Transition(
             label,

@@ -370,6 +370,24 @@ def test_a_ground_variable_links_no_positions_so_the_callee_forks(tmp_path, caps
     assert "site <1,0> checked 2 violations 0" in out
 
 
+def test_a_call_after_a_fork_is_specialized_under_the_join(tmp_path, capsys):
+    # a and b ground Y and Z in parallel; c(f(Y),g(Y)) then shares nothing
+    prog = write(
+        tmp_path / "p.pl",
+        "a(X,Y) :- Y is X+1.\nb(X,Z) :- Z is X*2.\nc(A,B).\n"
+        "p(X) :- a(X,Y), b(X,Z), c(f(Y),g(Y)).\n",
+    )
+    queries = write(tmp_path / "q.pl", "p(1).\n")
+    args = [prog, "--entry", "p/1 gr {1}", "--verify", "eq,indep,safe", "--queries", queries]
+    assert main(args) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "p_1_1(X) :- (a_1_1_2(X,Y) & b_1_1_2(X,Z)), c_1_2_1_2(f(Y),g(Y))." in out
+    assert "c_1_2_1_2(f(Y),g(Y))." in out
+    assert [line for line in out if line.startswith("c/2 ")] == [
+        "c/2 : gr {1,2} -> {1,2} ; sh <{1},{2}> -> <{1},{2}>"
+    ]
+
+
 def test_verification_failure_exit_code(tmp_path, capsys):
     # claim p/1 grounds its argument; it provably does not
     prog = write(tmp_path / "p.pl", "p(X) :- r(X, _).\nr(f(Z), Z).\n")

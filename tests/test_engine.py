@@ -23,7 +23,6 @@ from parpeval.engine import (
     format_trace,
     format_transition,
     head_state,
-    no_claims,
     propagate_success,
     split_independent,
     unfold_step,
@@ -83,17 +82,17 @@ def shapes(query):
 # entry patterns
 
 
-def entry_query(head, clause, oracle):
+def entry_query(head, clause):
     """The entry patterns of `clause`'s body under `head`, whose atom is
     the clause head: the body refreshed against the head state before
     any success is absorbed."""
-    _, out, _ = propagate_success((), no_claims(clause.body_atoms()), oracle, head_state(head))
-    return out
+    state = head_state(head)
+    return tuple(engine._refresh(a, state) for a in clause.body_atoms())
 
 
 def test_entry_patterns_fibonacci_recursive_clause():
     prog, an, head = fib_setup()
-    q = entry_query(head, prog.clauses[2], an)
+    q = entry_query(head, prog.clauses[2])
     assert shapes(q) == [
         ("M > 1", "{1,2}", "<{1},{2}>"),
         ("M1 is M-1", "{2}", "<{1},{2}>"),
@@ -106,12 +105,12 @@ def test_entry_patterns_fibonacci_recursive_clause():
 
 def test_entry_patterns_respect_head_sharing():
     prog = parse_program("p(X, Y) :- q(X, Y).")
-    clause, an = prog.clauses[0], Analyzer(prog)
+    clause = prog.clauses[0]
     head = ExtendedAtom(clause.head, groundness(2), parse_sharing("<{1,2},{1,2}>", 2))
-    linked = entry_query(head, clause, an)
+    linked = entry_query(head, clause)
     assert format_sharing(linked[0].sh) == "<{1,2},{1,2}>"
     head = ExtendedAtom(clause.head, groundness(2), independent_sharing(2))
-    free = entry_query(head, clause, an)
+    free = entry_query(head, clause)
     assert format_sharing(free[0].sh) == "<{1},{2}>"
 
 
@@ -119,7 +118,7 @@ def test_entry_links_positions_sharing_a_variable():
     prog = parse_program("p(X) :- q(X, f(X), Y).")
     clause = prog.clauses[0]
     head = ExtendedAtom(clause.head, groundness(1), independent_sharing(1))
-    (q,) = entry_query(head, clause, Analyzer(prog))
+    (q,) = entry_query(head, clause)
     assert format_sharing(q.sh) == "<{1,2},{1,2},{3}>"
 
 
@@ -129,9 +128,7 @@ def test_entry_links_positions_sharing_a_variable():
 
 def test_propagation_matches_sequential_walk():
     prog, an, head = fib_setup()
-    q = no_claims(prog.clauses[2].body_atoms())
-    walked, rest, state = propagate_success(q, (), an, head_state(head))
-    assert rest == ()
+    walked, state = propagate_success(prog.clauses[2].body_atoms(), an, head_state(head))
     assert shapes(walked) == [
         ("M > 1", "{1,2}", "<{1},{2}>"),
         ("M1 is M-1", "{2}", "<{1},{2}>"),
@@ -143,30 +140,25 @@ def test_propagation_matches_sequential_walk():
     assert state.ground >= {"M", "N", "M1", "N1", "M2", "N2"}
 
 
-def test_propagation_claims_only_for_right_part():
-    # q2 sees groundness claims of atoms to its left but no successes
-    prog = parse_program("p(X,Y) :- q(X,Z), r(Z,Y).")
-    an = Analyzer(prog)
-    head = ExtendedAtom(
-        Atom("p", (Var("X"), Var("Y"))), parse_groundness("{1}", 2), independent_sharing(2)
-    )
-    q = no_claims(prog.clauses[0].body_atoms())
-    _, rest, _ = propagate_success((), q, an, head_state(head))
-    # r's first position is not claimed: q's success was never consulted
-    assert shapes(rest)[1][1] == "{}"
+def test_refresh_reads_the_state_alone():
+    # the entry patterns assume no success of an atom to the left; the
+    # walk absorbs q's success before it refreshes r
+    prog = parse_program("q(X, Z) :- Z is X+1.\np(X,Y) :- q(X,Z), r(Z,Y).")
+    clause = prog.clauses[-1]
+    head = ExtendedAtom(clause.head, parse_groundness("{1}", 2), independent_sharing(2))
+    entry = entry_query(head, clause)
+    assert shapes(entry) == [("q(X,Z)", "{1}", "<{1},{2}>"), ("r(Z,Y)", "{}", "<{1},{2}>")]
+    walked, _ = propagate_success(clause.body_atoms(), Analyzer(prog), head_state(head))
+    assert shapes(walked)[1] == ("r(Z,Y)", "{1}", "<{1},{2}>")
 
 
 def test_propagation_absorbs_aliases():
     # s(Y,Z) links its arguments; a later atom must see them shared
-    prog = parse_program("p(X) :- s(Y, Z), t(Y, Z).")
-    an = Analyzer(prog)  # s undefined: identity success keeps the alias claim
+    prog = parse_program("s(A, A).\np(X) :- s(Y, Z), t(Y, Z).")
+    an = Analyzer(prog)
     head = ExtendedAtom(Atom("p", (Var("X"),)), groundness(1, (1,)), independent_sharing(1))
-    q = no_claims(prog.clauses[0].body_atoms())
-    seeded = (
-        ExtendedAtom(q[0].atom, q[0].gr, parse_sharing("<{1,2},{1,2}>", 2)),
-        q[1],
-    )
-    walked, _, state = propagate_success(seeded, (), an, head_state(head))
+    walked, state = propagate_success(prog.clauses[-1].body_atoms(), an, head_state(head))
+    assert format_sharing(walked[0].sh) == "<{1},{2}>"
     assert ("Y", "Z") in state.aliases
     assert format_sharing(walked[1].sh) == "<{1,2},{1,2}>"
 
@@ -177,8 +169,7 @@ def test_propagation_absorbs_aliases():
 
 def test_split_fibonacci_quadruple():
     prog, an, head = fib_setup()
-    q = no_claims(prog.clauses[2].body_atoms())
-    quad = split_independent(head, q, an)
+    quad = split_independent(head, prog.clauses[2].body_atoms(), an)
     assert quad is not None
     q1, q2, q3, q4 = quad
     assert [format_atom(ea.atom) for ea in q1] == ["M > 1"]
@@ -193,8 +184,7 @@ def test_split_rejects_shared_free_variable():
     prog = parse_program("p(X) :- q(X, Y), r(Y, Z).")
     an = Analyzer(prog)
     head = ExtendedAtom(Atom("p", (Var("X"),)), groundness(1, (1,)), independent_sharing(1))
-    q = no_claims(prog.clauses[0].body_atoms())
-    assert split_independent(head, q, an) is None
+    assert split_independent(head, prog.clauses[0].body_atoms(), an) is None
 
 
 def test_split_needs_a_user_atom_per_segment():
@@ -203,16 +193,14 @@ def test_split_needs_a_user_atom_per_segment():
     head = ExtendedAtom(
         Atom("p", (Var("X"), Var("Y"))), groundness(2, (1,)), independent_sharing(2)
     )
-    q = no_claims(prog.clauses[0].body_atoms())
-    assert split_independent(head, q, an) is None
+    assert split_independent(head, prog.clauses[0].body_atoms(), an) is None
 
 
 def test_split_never_forks_comparisons():
     prog = parse_program("p(X) :- X > 0, q(X), r(X).")
     an = Analyzer(prog)
     head = ExtendedAtom(Atom("p", (Var("X"),)), groundness(1, (1,)), independent_sharing(1))
-    q = no_claims(prog.clauses[0].body_atoms())
-    quad = split_independent(head, q, an)
+    quad = split_independent(head, prog.clauses[0].body_atoms(), an)
     assert quad is not None
     q1, q2, q3, _ = quad
     assert [format_atom(ea.atom) for ea in q1] == ["X > 0"]
@@ -220,13 +208,41 @@ def test_split_never_forks_comparisons():
     assert [ea.atom.pred for ea in q3] == ["r"]
 
 
+def test_split_tail_patterns_come_from_the_join():
+    # both q calls ground D and E, so t(D,D) is called with D ground: no
+    # pair survives from the fork, where D was free
+    prog = parse_program("q(X,Y) :- Y is X+1.\nt(X,Y).\np(A,B,C) :- q(A,D), q(A,E), t(D,D).")
+    clause = prog.clauses[-1]
+    head = ExtendedAtom(clause.head, groundness(3, (1,)), independent_sharing(3))
+    quad = split_independent(head, clause.body_atoms(), Analyzer(prog))
+    assert quad is not None
+    assert [shapes(seg) for seg in quad] == [
+        [],
+        [("q(A,D)", "{1}", "<{1},{2}>")],
+        [("q(A,E)", "{1}", "<{1},{2}>")],
+        [("t(D,D)", "{1,2}", "<{1},{2}>")],
+    ]
+
+
+def test_split_segment_patterns_come_from_the_walk_from_the_fork():
+    # g grounds Y before b is called, so b's positions share nothing,
+    # though the head lets Y and Z alias at the fork
+    prog = parse_program("g(a).\nb(A,B).\nr(C).\np(Y,Z,W) :- g(Y), b(Y,Z), r(W).")
+    clause = prog.clauses[-1]
+    head = ExtendedAtom(clause.head, groundness(3), parse_sharing("<{1,2},{1,2},{3}>", 3))
+    quad = split_independent(head, clause.body_atoms(), Analyzer(prog))
+    assert quad is not None
+    assert shapes(quad[1]) == [("g(Y)", "{}", "<{1}>"), ("b(Y,Z)", "{1}", "<{1},{2}>")]
+    assert shapes(quad[2]) == [("r(W)", "{}", "<{1}>")]
+
+
 def driver_split(head, clause, oracle):
-    # mirror the driver: the renamed body under the mgu, with no claims
+    # mirror the driver: the renamed body under the mgu, as plain atoms
     out = unfold_step(head, clause)
     assert out is not None
-    sigma, _, equery = out
+    sigma, _, body = out
     head_ea = ExtendedAtom(apply_subst(head.atom, sigma), head.gr, head.sh)
-    return split_independent(head_ea, equery, oracle)
+    return split_independent(head_ea, body, oracle)
 
 
 def test_split_blocked_by_head_sharing():
@@ -275,10 +291,8 @@ def test_split_none_for_vmul_and_merge():
 
 def reference_split(head, query, oracle):
     """The search as first written: every candidate (prefix, tail,
-    boundary) propagated afresh from the head state."""
-
-    def claims(ea):
-        return term_vars([ea.atom.args[i - 1] for i in ea.gr])
+    boundary) propagated afresh from the head state, each segment from
+    the fork and the tail from the join of the segment states."""
 
     def admissible(segment):
         has_user = False
@@ -294,9 +308,7 @@ def reference_split(head, query, oracle):
     def independent(left, right, fork, head_pairs):
         vleft = term_vars([x.atom for x in left])
         vright = term_vars([x.atom for x in right])
-        grounded = set(fork.ground)
-        for x in left + right:
-            grounded |= claims(x)
+        grounded = fork.ground
         if (vleft & vright) - grounded:
             return False
         forbidden = head_pairs | fork.aliases
@@ -314,17 +326,16 @@ def reference_split(head, query, oracle):
         for n4 in range(0, n - n1 - 1):
             mid = n - n1 - n4
             for n2 in range(1, mid):
-                p1, rest, fork = propagate_success(
-                    query[:n1], query[n1:], oracle, head_state(head)
-                )
-                p2, p3, p4 = rest[:n2], rest[n2:mid], rest[mid:]
+                p1, fork = propagate_success(query[:n1], oracle, head_state(head))
+                rest = tuple(engine._refresh(a, fork) for a in query[n1:])
+                p2, p3 = rest[:n2], rest[n2:mid]
                 if not (admissible(p2) and admissible(p3)):
                     continue
                 if not independent(p2, p3, fork, head_pairs):
                     continue
-                f2, p4, s2 = propagate_success(p2, p4, oracle, fork)
-                f3, p4, s3 = propagate_success(p3, p4, oracle, fork)
-                f4, _, _ = propagate_success(p4, (), oracle, PropState.join(s2, s3))
+                f2, s2 = propagate_success(query[n1 : n1 + n2], oracle, fork)
+                f3, s3 = propagate_success(query[n1 + n2 : n1 + mid], oracle, fork)
+                f4, _ = propagate_success(query[n1 + mid :], oracle, PropState.join(s2, s3))
                 return p1, f2, f3, f4
     return None
 
@@ -354,33 +365,25 @@ _goal = st.one_of(
     goals=st.lists(_goal, min_size=2, max_size=8),
     ground=st.sets(st.sampled_from([1, 2, 3])),
     pairs=st.sets(st.sampled_from([(1, 2), (1, 3), (2, 3)])),
-    claims=st.lists(st.sets(st.sampled_from([1, 2])), max_size=8),
 )
 # a prefix =/2 links D and E, so only the fork state forbids the split
-@example(goals=["D = E", "t(D,A)", "t(E,B)"], ground={1, 2}, pairs=set(), claims=[])
-# the left t claims E ground, so the segments may share it
-@example(goals=["t(D,E)", "t(f(E,C),A)"], ground=set(), pairs=set(), claims=[{2}])
+@example(goals=["D = E", "t(D,A)", "t(E,B)"], ground={1, 2}, pairs=set())
 # the walk grows by two atoms at a time over prefixes that would start
 # with a comparison
 @example(
     goals=["q(A,C)", "A > B", "q(B,D)", "B > C", "t(C,D)", "q(D,E)"],
     ground={1, 2},
     pairs=set(),
-    claims=[],
 )
 # the only cut is at the last prefix tried, once q has grounded E
-@example(goals=["q(A,D)", "q(D,E)", "t(E,B)", "t(E,C)"], ground={1}, pairs=set(), claims=[])
-def test_prop_split_matches_per_candidate_search(goals, ground, pairs, claims):
+@example(goals=["q(A,D)", "q(D,E)", "t(E,B)", "t(E,C)"], ground={1}, pairs=set())
+# the segments ground D, which the tail repeats
+@example(goals=["q(A,D)", "q(A,E)", "t(D,D)"], ground={1}, pairs=set())
+def test_prop_split_matches_per_candidate_search(goals, ground, pairs):
     prog = parse_program(SPLIT_HELPERS + "p(A, B, C) :- " + ", ".join(goals) + ".")
     clause = prog.clauses[-1]
     head = ExtendedAtom(clause.head, groundness(3, ground), sharing_from_pairs(3, pairs))
-    query = no_claims(clause.body_atoms())
-    # groundness claims, as an earlier propagation can add
-    claimed = []
-    for i, x in enumerate(query):
-        extra = {j for j in claims[i] if j <= x.atom.arity} if i < len(claims) else set()
-        claimed.append(ExtendedAtom(x.atom, groundness(x.atom.arity, x.gr.ground | extra), x.sh))
-    query = tuple(claimed)
+    query = clause.body_atoms()
     want = reference_split(head, query, Analyzer(prog))
     got = split_independent(head, query, Analyzer(prog))
     # equal extended atoms: the same canonical atoms under the same patterns
@@ -411,12 +414,12 @@ def test_prop_split_asks_the_oracle_as_the_full_search_does(goals, ground):
     prog = parse_program(SPLIT_HELPERS + "p(A, B, C) :- " + ", ".join(goals) + ".")
     clause = prog.clauses[-1]
     head = ExtendedAtom(clause.head, groundness(3, ground), independent_sharing(3))
-    query = no_claims(clause.body_atoms())
+    query = clause.body_atoms()
     orders = []
     for split in (reference_split, split_independent):
         oracle = FirstRequests(Analyzer(prog))
         if split(head, query, oracle) is None:
-            propagate_success(query, (), oracle, head_state(head))
+            propagate_success(query, oracle, head_state(head))
         orders.append(oracle.order)
     assert orders[0] == orders[1]
 
@@ -440,9 +443,8 @@ def test_split_looks_up_each_prefix_atom_once():
     prog = parse_program(f"q(X, Y) :- Y is X + 1.\nr(X0, X24) :- {goals}.")
     clause = prog.clauses[-1]
     head = ExtendedAtom(clause.head, groundness(2, (1,)), independent_sharing(2))
-    query = no_claims(clause.body_atoms())
     oracle = CountingOracle(Analyzer(prog))
-    assert split_independent(head, query, oracle) is None
+    assert split_independent(head, clause.body_atoms(), oracle) is None
     assert oracle.calls == 22
 
 
@@ -652,11 +654,11 @@ def test_unfold_step_returns_the_instantiated_body_without_claims():
     prog, _, head = fib_setup()
     out = unfold_step(head, prog.clauses[2])
     assert out is not None
-    sigma, rclause, query = out
+    sigma, rclause, body = out
     assert apply_subst(rclause.head, sigma) == apply_subst(head.atom, sigma)
-    assert [x.atom for x in query] == [apply_subst(b, sigma) for b in rclause.body_atoms()]
-    # propagation from the head state gives every body atom its patterns
-    assert all(not x.gr.ground and not x.sh.pairs for x in query)
+    # plain atoms: propagation from the head state gives them their patterns
+    assert body == tuple(apply_subst(b, sigma) for b in rclause.body_atoms())
+    assert all(isinstance(x, Atom) for x in body)
 
 
 # ---------------------------------------------------------------------------
