@@ -19,12 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .engine import (
-    ExtendedAtom,
-    head_state,
-    may_share_pairs,
-    propagate_success,
-)
+from .engine import ExtendedAtom, _refresh, head_state, propagate_success
 from .patterns import (
     GroundnessPattern,
     PatternKey,
@@ -37,7 +32,7 @@ from .patterns import (
     parse_sharing,
     sharing_from_pairs,
 )
-from .terms import COMPARISON_PREDS, Program, term_vars
+from .terms import COMPARISON_PREDS, Program
 
 
 class AnalysisError(Exception):
@@ -202,9 +197,9 @@ class Analyzer:
         for clause in self.program.clauses_for(pred, arity):
             state = head_state(ExtendedAtom(clause.head, gr, sh))
             _, end = propagate_success(clause.body_atoms(), oracle, state)
-            free = [term_vars(t) - end.ground for t in clause.head.args]
-            exit_ground &= frozenset(i for i in range(1, arity + 1) if not free[i - 1])
-            exit_pairs |= may_share_pairs(free, end.aliases)
+            exit = _refresh(clause.head, end)
+            exit_ground &= exit.gr.ground
+            exit_pairs |= exit.sh.pairs
         # joined with the current assumption, so that it only ever weakens
         # and the iteration ends: the transfer is not monotone, since a
         # less instantiated call may succeed more ground

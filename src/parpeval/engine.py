@@ -24,10 +24,8 @@ from .patterns import (
     GroundnessPattern,
     SharingPattern,
     SuccessPattern,
-    claimed_ground_vars,
     format_groundness,
     format_sharing,
-    shared_pairs,
     sharing_from_pairs,
 )
 from .terms import (
@@ -92,56 +90,53 @@ class SuccessOracle(Protocol):
 
 
 class PropState:
-    """Ground variables and may-alias pairs accumulated along a walk.
+    """Ground variables and may-alias partners accumulated along a walk.
 
-    It is all a body atom's call patterns are read from.  `aliases`
-    holds name-sorted pairs of distinct variables; a variable in
-    `ground` can never alias anything, but stale pairs mentioning it are
-    kept and filtered at query time.
+    It is all a body atom's call patterns are read from.  `partners` is
+    a symmetric may-alias map: y is in `partners[x]` exactly when x is
+    in `partners[y]`, for distinct x and y.  A variable in `ground` can
+    never alias anything, but partners mentioning it are kept, since
+    every reading subtracts `ground` first.
     """
 
-    __slots__ = ("ground", "aliases")
+    __slots__ = ("ground", "partners")
 
-    def __init__(self, ground: set[str] | None = None, aliases: set[tuple[str, str]] | None = None):
+    def __init__(
+        self, ground: set[str] | None = None, partners: dict[str, set[str]] | None = None
+    ):
         self.ground: set[str] = set() if ground is None else set(ground)
-        self.aliases: set[tuple[str, str]] = set() if aliases is None else set(aliases)
+        self.partners: dict[str, set[str]] = (
+            {} if partners is None else {x: set(ys) for x, ys in partners.items()}
+        )
 
     def copy(self) -> "PropState":
-        return PropState(self.ground, self.aliases)
+        return PropState(self.ground, self.partners)
 
     @staticmethod
     def join(a: "PropState", b: "PropState") -> "PropState":
-        return PropState(a.ground | b.ground, a.aliases | b.aliases)
+        out = PropState(a.ground | b.ground, a.partners)
+        for x, ys in b.partners.items():
+            out.partners.setdefault(x, set()).update(ys)
+        return out
 
 
 def head_state(head: ExtendedAtom) -> PropState:
-    """Initial state justified by the claims of a selected atom."""
-    return PropState(
-        claimed_ground_vars(head.gr, head.atom),
-        set(shared_pairs(head.sh, head.atom)),
-    )
+    """The state a selected atom's call patterns justify: its own
+    patterns absorbed into the empty state, as an answer's would be."""
+    state = PropState()
+    _absorb(head.atom, SuccessPattern(head.gr, head.sh), state)
+    return state
 
 
-def may_share_pairs(
-    free: Sequence[set[str]], aliases: set[tuple[str, str]]
-) -> set[tuple[int, int]]:
-    """Position pairs (i<j) that may share, given each position's free
-    variables: a variable in common, or two variables `aliases` links."""
-    out = set()
-    live = [(i, v) for i, v in enumerate(free, start=1) if v]
-    for k, (i, vi) in enumerate(live):
-        for j, vj in live[k + 1 :]:
-            if _may_share(vi, vj, aliases):
-                out.add((i, j))
-    return out
-
-
-def _may_share(v1: set[str], v2: set[str], aliases: set[tuple[str, str]]) -> bool:
-    if v1 & v2:
+def _may_share(v1: set[str], v2: set[str], partners: dict[str, set[str]]) -> bool:
+    """Whether free variable sets `v1` and `v2` may share: a variable in
+    common, or two variables `partners` links."""
+    if not v1.isdisjoint(v2):
         return True
-    for x in v1:
-        for y in v2:
-            if (min(x, y), max(x, y)) in aliases:  # x != y: no variable in common
+    if partners:
+        for x in v1:
+            ys = partners.get(x)
+            if ys is not None and not ys.isdisjoint(v2):
                 return True
     return False
 
@@ -181,7 +176,13 @@ def _refresh(atom: Atom, state: PropState) -> ExtendedAtom:
     n = atom.arity
     free = [term_vars(t) - state.ground for t in atom.args]
     positions = frozenset(j for j in range(1, n + 1) if not free[j - 1])
-    pairs = may_share_pairs(free, state.aliases)
+    live = [(i, v) for i, v in enumerate(free, start=1) if v]
+    pairs = [
+        (i, j)
+        for k, (i, vi) in enumerate(live)
+        for j, vj in live[k + 1 :]
+        if _may_share(vi, vj, state.partners)
+    ]
     if not positions and not pairs:
         return ExtendedAtom(atom, *_empty_patterns(n))
     return ExtendedAtom(atom, GroundnessPattern(n, positions), sharing_from_pairs(n, pairs))
@@ -189,10 +190,21 @@ def _refresh(atom: Atom, state: PropState) -> ExtendedAtom:
 
 def _absorb(atom: Atom, success: SuccessPattern, state: PropState) -> None:
     """Fold an answer of `atom` matching `success` into the state, in
-    place."""
+    place: the variables of its ground positions become ground, and each
+    free variable of a position links every free variable of each
+    position it may share with."""
+    ground, partners = state.ground, state.partners
     for i in success.ground.ground:
-        state.ground |= term_vars(atom.args[i - 1])
-    state.aliases.update(p for p in shared_pairs(success.share, atom) if state.ground.isdisjoint(p))
+        ground |= term_vars(atom.args[i - 1])
+    for i, j in success.share.pairs:
+        vj = term_vars(atom.args[j - 1]) - ground
+        if not vj:
+            continue
+        for x in term_vars(atom.args[i - 1]) - ground:
+            for y in vj:
+                if x != y:
+                    partners.setdefault(x, set()).add(y)
+                    partners.setdefault(y, set()).add(x)
 
 
 def _advance(atom: Atom, state: PropState, oracle: SuccessOracle) -> ExtendedAtom:
@@ -244,11 +256,11 @@ def _first_cut(rest: ExtendedQuery, fork: PropState) -> Optional[tuple[int, int]
     first, then leftmost boundary.
 
     Each segment needs a user-defined atom and no atom of role -1.  The
-    segments are independent when every variable they have in common is
-    ground at the fork, and no other variable of one may alias, by the
-    fork state, a variable of the other; the fork state holds the head
-    pattern's pairs, as every state grows from `head_state`.  Variables
-    are taken once per atom; a candidate tests unions of them.
+    segments are independent when their free variables at the fork may
+    not share (`_may_share` over the fork's partners); the head's own
+    sharing is among those partners, as every state grows from
+    `head_state`.  Free variables are taken once per atom; a candidate
+    tests unions of them.
     """
     bad, user = [0], [0]  # prefix counts of role -1 and role 1 atoms
     for ea in rest:
@@ -259,15 +271,10 @@ def _first_cut(rest: ExtendedQuery, fork: PropState) -> Optional[tuple[int, int]
     def admissible(a: int, b: int) -> bool:
         return bad[a] == bad[b] and user[a] < user[b]
 
-    avars = [term_vars(ea.atom) for ea in rest]
+    avars = [term_vars(ea.atom) - fork.ground for ea in rest]
     lvars: list[set[str]] = [set()]
     for v in avars:
         lvars.append(lvars[-1] | v)
-    partners: dict[str, set[str]] = {}
-    for x, y in fork.aliases:  # name-sorted pairs, x != y
-        partners.setdefault(x, set()).add(y)
-        partners.setdefault(y, set()).add(x)
-    ground = fork.ground
     empty: set[str] = set()
     for mid in range(len(rest), 1, -1):
         rvars: list[set[str]] = [empty] * mid
@@ -278,11 +285,7 @@ def _first_cut(rest: ExtendedQuery, fork: PropState) -> Optional[tuple[int, int]
         for n2 in range(1, mid):
             if not (admissible(0, n2) and admissible(n2, mid)):
                 continue
-            lv, rv = lvars[n2], rvars[n2]
-            if not (lv & rv) <= ground:
-                continue
-            rfree = rv - ground
-            if any(not partners.get(x, empty).isdisjoint(rfree) for x in lv - ground):
+            if _may_share(lvars[n2], rvars[n2], fork.partners):
                 continue
             return n2, mid
     return None

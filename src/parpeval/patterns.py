@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .terms import Atom, term_vars
-
 
 @dataclass(frozen=True)
 class GroundnessPattern:
@@ -92,44 +90,14 @@ def sharing_from_pairs(arity: int, pairs: Iterable[tuple[int, int]]) -> SharingP
 
 
 # ---------------------------------------------------------------------------
-# relating patterns to concrete atoms
-
-
-def claimed_ground_vars(p: GroundnessPattern, atom: Atom) -> set[str]:
-    """Variables occurring in the atom's claimed-ground argument positions."""
-    if p.arity != atom.arity:
-        raise ValueError("pattern arity does not match atom")
-    out: set[str] = set()
-    for i in p.ground:
-        out |= term_vars(atom.args[i - 1])
-    return out
-
-
-def shared_pairs(s: SharingPattern, atom: Atom) -> frozenset[tuple[str, str]]:
-    """Variable pairs the pattern allows to be aliased in this atom.
-
-    Distinct variables x,y may share only if they occur in argument
-    positions i,j the pattern links.  Pairs are returned name-sorted.
-    """
-    if s.arity != atom.arity:
-        raise ValueError("pattern arity does not match atom")
-    out: set[tuple[str, str]] = set()
-    for i, j in s.pairs:
-        vj = term_vars(atom.args[j - 1])
-        for x in term_vars(atom.args[i - 1]):
-            for y in vj:
-                if x != y:
-                    out.add((min(x, y), max(x, y)))
-    return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
 # textual form
 #
 #   gr {1,3}        groundness positions
 #   sh <{1},{2,3},{2,3}>   per-position share groups
 
-_SET_RE = re.compile(r"\{([\d,\s]*)\}")
+_SET = r"\{[\d,\s]*\}"
+_SET_RE = re.compile(_SET)
+_SHARING_RE = re.compile(rf"<\s*(?:{_SET}\s*(?:,\s*{_SET}\s*)*)?>")
 
 
 def format_groundness(p: GroundnessPattern) -> str:
@@ -158,14 +126,20 @@ def parse_groundness(text: str, arity: int) -> GroundnessPattern:
 
 
 def parse_sharing(text: str, arity: int) -> SharingPattern:
+    """Read per-position may-share groups `<{..},..>`: group i must hold
+    i, and j in group i must go with i in group j."""
     text = text.strip()
-    if not (text.startswith("<") and text.endswith(">")):
-        raise ValueError(f"expected a <..> sharing pattern, got {text!r}")
-    sets = [_parse_set(m.group(0)) for m in _SET_RE.finditer(text[1:-1])]
+    if not _SHARING_RE.fullmatch(text):
+        raise ValueError(f"expected a <{{..}},..> sharing pattern, got {text!r}")
+    sets = [_parse_set(m.group(0)) for m in _SET_RE.finditer(text)]
     if len(sets) != arity:
         raise ValueError(f"expected {arity} share groups, got {len(sets)}")
-    # input groups are per-position may-share sets
-    return sharing_from_pairs(arity, [(i, j) for i, g in enumerate(sets, start=1) for j in g])
+    out = sharing_from_pairs(arity, [(i, j) for i, g in enumerate(sets, start=1) for j in g])
+    if out.groups != tuple(sets):  # the groups of a pattern hold both
+        raise ValueError(
+            f"share groups of {text!r} must hold their own positions and mirror each other"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,16 @@ def test_bad_entry_spec_is_an_analysis_error(capsys):
     assert main([str(CORPUS / "fib.pl"), "--entry", "fibonacci/two"]) == 4
 
 
+def test_malformed_sharing_groups_are_an_analysis_error(tmp_path, capsys):
+    # text between groups, and a group 2 that does not mirror group 1
+    assert main([str(CORPUS / "fib.pl"), "--entry", "fibonacci/2 gr {1} sh <{1},junk{2}>"]) == 4
+    assert "bad entry spec" in capsys.readouterr().err
+    row = "fibonacci/2 : gr {1} -> {1,2} ; sh <{1,2},{2}> -> <{1},{2}>\n"
+    patterns = write(tmp_path / "pat", "entry fibonacci/2 gr {1}\n" + row)
+    assert main([str(CORPUS / "fib.pl"), "--patterns", patterns]) == 4
+    assert "line 2: share groups" in capsys.readouterr().err
+
+
 def test_safeness_rows_follow_the_table_order(tmp_path, capsys):
     queries = write(tmp_path / "q.pl", "palindrome([1,2,1]).\npalindrome([1,2]).\n")
     args = [str(CORPUS / "palin.pl"), "--entry", "palindrome/1 gr {1}"]

@@ -34,7 +34,6 @@ from parpeval.patterns import (
     independent_sharing,
     parse_groundness,
     parse_sharing,
-    shared_pairs,
     sharing_from_pairs,
 )
 from parpeval.terms import (
@@ -159,8 +158,36 @@ def test_propagation_absorbs_aliases():
     head = ExtendedAtom(Atom("p", (Var("X"),)), groundness(1, (1,)), independent_sharing(1))
     walked, state = propagate_success(prog.clauses[-1].body_atoms(), an, head_state(head))
     assert format_sharing(walked[0].sh) == "<{1},{2}>"
-    assert ("Y", "Z") in state.aliases
+    assert "Z" in state.partners["Y"]
     assert format_sharing(walked[1].sh) == "<{1,2},{1,2}>"
+
+
+@st.composite
+def disjoint_patterned_atoms(draw):
+    """An atom whose arguments have non-empty, pairwise disjoint variable
+    sets, under any groundness and sharing patterns."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    args = []
+    for i in range(1, n + 1):
+        names = [Var(f"V{i}_{k}") for k in range(draw(st.integers(min_value=1, max_value=3)))]
+        if len(names) == 1 and draw(st.booleans()):
+            args.append(names[0])
+        else:
+            args.append(Struct("f", (*names, Int(i))))
+    positions = st.integers(min_value=1, max_value=n)
+    gr = groundness(n, draw(st.sets(positions)))
+    pairs = draw(st.sets(st.tuples(positions, positions).filter(lambda p: p[0] < p[1])))
+    return ExtendedAtom(Atom("p", tuple(args)), gr, sharing_from_pairs(n, pairs))
+
+
+@given(disjoint_patterned_atoms())
+def test_prop_refresh_reads_back_what_head_state_absorbed(ea):
+    # pattern -> state -> pattern keeps the groundness and every pair
+    # of free positions; a ground position shares with nothing
+    got = engine._refresh(ea.atom, head_state(ea))
+    assert got.gr == ea.gr
+    free_pairs = [(i, j) for i, j in ea.sh.pairs if i not in ea.gr and j not in ea.gr]
+    assert got.sh == sharing_from_pairs(ea.atom.arity, free_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +338,26 @@ def reference_split(head, query, oracle):
         grounded = fork.ground
         if (vleft & vright) - grounded:
             return False
-        forbidden = head_pairs | fork.aliases
         for x in vleft - grounded:
             for y in vright - grounded:
-                if x != y and (min(x, y), max(x, y)) in forbidden:
+                if (x, y) in head_pairs or y in fork.partners.get(x, ()):
                     return False
         return True
 
     n = len(query)
     if n < 2:
         return None
-    head_pairs = shared_pairs(head.sh, head.atom)
+    # the variables of each pair of positions the head's pattern links,
+    # both ways round
+    args = [term_vars(a) for a in head.atom.args]
+    head_pairs = {
+        (x, y)
+        for i, j in head.sh.pairs
+        for x in args[i - 1]
+        for y in args[j - 1]
+        if x != y
+    }
+    head_pairs |= {(y, x) for x, y in head_pairs}
     for n1 in range(0, n - 1):
         for n4 in range(0, n - n1 - 1):
             mid = n - n1 - n4

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from corpus import worst_sharing
 from parpeval import (
     Atom,
+    ExtendedAtom,
     GroundnessPattern,
     Int,
     SharingPattern,
@@ -14,15 +15,14 @@ from parpeval import (
     parse_pattern_file,
     parse_sharing,
 )
+from parpeval.engine import head_state
 from parpeval.patterns import (
     PatternTable,
     SuccessPattern,
-    claimed_ground_vars,
     format_groundness,
     format_sharing,
     groundness,
     independent_sharing,
-    shared_pairs,
     sharing,
     sharing_from_pairs,
 )
@@ -74,19 +74,20 @@ def test_pairs_round_trip():
     assert sharing_from_pairs(4, mu.pairs) == mu
 
 
-def test_claimed_ground_vars_reads_argument_variables():
+def test_head_state_grounds_the_variables_of_ground_positions():
     atom = Atom("p", (Struct("f", (Var("X"), Var("Y"))), Var("Z"), Int(1)))
-    assert claimed_ground_vars(groundness(3, (1,)), atom) == {"X", "Y"}
-    assert claimed_ground_vars(groundness(3, (1, 2)), atom) == {"X", "Y", "Z"}
-    assert claimed_ground_vars(groundness(3, (3,)), atom) == set()
+    free = independent_sharing(3)
+    assert head_state(ExtendedAtom(atom, groundness(3, (1,)), free)).ground == {"X", "Y"}
+    assert head_state(ExtendedAtom(atom, groundness(3, (1, 2)), free)).ground == {"X", "Y", "Z"}
+    assert head_state(ExtendedAtom(atom, groundness(3, (3,)), free)).ground == set()
 
 
-def test_shared_pairs_links_variables_across_linked_positions():
+def test_head_state_links_variables_across_linked_positions():
     atom = Atom("p", (Var("X"), Struct("f", (Var("Y"), Var("X")))))
-    linked = sharing(2, [{1, 2}])
-    assert shared_pairs(linked, atom) == frozenset({("X", "Y")})
+    linked = head_state(ExtendedAtom(atom, groundness(2), sharing(2, [{1, 2}])))
+    assert linked.partners == {"X": {"Y"}, "Y": {"X"}}
     # independent positions contribute nothing, even with a repeated var
-    assert shared_pairs(independent_sharing(2), atom) == frozenset()
+    assert head_state(ExtendedAtom(atom, groundness(2), independent_sharing(2))).partners == {}
 
 
 def test_format_parse_groundness():
@@ -104,6 +105,22 @@ def test_format_parse_sharing():
     assert parse_sharing("<{1},{2,3},{2,3}>", 3) == mu
     with pytest.raises(ValueError):
         parse_sharing("<{1},{2}>", 3)
+    assert parse_sharing("<>", 0) == independent_sharing(0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<{1},junk{2}>",  # text between groups
+        "<{1}{2}>",  # no comma between groups
+        "<{2},{1}>",  # group i lacks i
+        "<{1},{}>",
+        "<{1,2},{2}>",  # 2 in group 1, 1 not in group 2
+    ],
+)
+def test_parse_sharing_refuses_malformed_groups(text):
+    with pytest.raises(ValueError):
+        parse_sharing(text, 2)
 
 
 def test_pattern_table_round_trip():
