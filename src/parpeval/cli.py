@@ -14,9 +14,9 @@ from .analysis import AnalysisError, Analyzer, parse_entry_spec, parse_pattern_f
 from .codegen import CodegenError, extract_residual, format_guarded, format_residual
 from .engine import ExtendedAtom, PELimitExceeded, format_trace, partially_evaluate
 from .interp import CHECKS, SolverError, parse_step_limit_env, verify
-from .parser import ParseError, parse_program, parse_query_file
+from .parser import ParseError, parse_program, parse_query_lines
 from .patterns import PatternTable
-from .terms import Atom, Var
+from .terms import Atom, Var, format_atom
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -131,9 +131,13 @@ def _run(args: argparse.Namespace) -> int:
 
     queries = []
     if args.queries:
-        for q in parse_query_file(_read(args.queries)):
+        entry_keys = {(e.pred, e.arity) for e in entries}
+        for line, q in parse_query_lines(_read(args.queries)):
             if len(q) != 1:
                 return _usage_error("query files must hold one atom per line")
+            # a query that no entry runs would pass unchecked
+            if checks and q[0].key not in entry_keys:
+                return _usage_error(f"query {format_atom(q[0])} on line {line} matches no entry")
             queries.append(q[0])
 
     for e in entries:

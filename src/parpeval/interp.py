@@ -7,14 +7,15 @@ head is matched against the call rather than renamed: a head variable's
 first occurrence takes the caller's term, so it is never bound or
 occurs checked.  A clause whose first head argument has another
 principal functor than the call's is passed over without a match, still
-at the cost of its step.  The body of a clause that matches is built
-from its templates, except for its builtins outside a parallel group:
-such a goal waits as its template and the try's slots, and runs from
-them, so arithmetic builds no term, and only the target of `is/2` and
-the sides of `=/2` are built, when they run.  Arithmetic keeps its own
-stack, so a deep term bound to a slot at run time needs no recursion.
-Parallel groups run as plain conjunctions — the annotations claim
-independence, they do not change sequential meaning.
+at the cost of its step.  Every goal waits as a template over slot
+values: a body goal's are its try's, a query goal's are its arguments.
+A user call's atom is built only when the call is selected and some
+clause defines it.  A builtin runs from its slots, so arithmetic builds
+no term, and only the target of `is/2` and the sides of `=/2` are built.
+Arithmetic keeps its own stack, so a deep term bound to a slot at run
+time needs no recursion.  A parallel group is a fork marker followed by
+its sides' goals: it runs as a plain conjunction — the annotations
+claim independence, they do not change sequential meaning.
 
 The verification hooks read the bound term graph in place and are
 given variable sets, not copies of terms.  At each user call the
@@ -36,7 +37,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Collection, Iterator, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Callable, Collection, Iterator, NamedTuple, Optional,
+                    Sequence, Union)
 
 from .patterns import (
     GroundnessPattern,
@@ -50,6 +52,7 @@ from .patterns import (
 from .terms import (
     BUILTIN_KEYS,
     Atom,
+    BodyGoal,
     Clause,
     Int,
     ParGroup,
@@ -87,12 +90,11 @@ class StepLimitExceeded(SolverError):
     """The step budget ran out; distinct from finite failure."""
 
 
-Site = Optional[tuple[int, int]]
 VarSets = list[frozenset[str]]  # the free variables of each argument
 Sides = tuple[tuple[Atom, ...], tuple[Atom, ...]]
 OnExit = Callable[[VarSets, Callable[[], Atom]], None]
 OnCall = Callable[[tuple[str, int], VarSets, Callable[[], Atom]], Optional[OnExit]]
-OnPar = Callable[[Site, frozenset[str], frozenset[str], Callable[[], Sides]], None]
+OnPar = Callable[[tuple[int, int], frozenset[str], frozenset[str], Callable[[], Sides]], None]
 
 _GROUND: frozenset[str] = frozenset()
 
@@ -115,15 +117,24 @@ class _Choice:
         self.mark = mark
 
 
-class _Exit:
+class _Exit(NamedTuple):
     """Ends each body of a call whose exits a hook asked for."""
 
-    __slots__ = ("hook", "atom", "call_vars")
+    hook: OnExit
+    atom: Atom
+    call_vars: VarSets
 
-    def __init__(self, hook: OnExit, atom: Atom, call_vars: VarSets) -> None:
-        self.hook = hook
-        self.atom = atom
-        self.call_vars = call_vars
+
+class _Fork(NamedTuple):
+    """A `&` group in a compiled body, where the templates of its left
+    side and then its right side follow it.  It takes no step; it holds
+    what the fork hook needs."""
+
+    site: tuple[int, int]  # (clause number, body position)
+    left: tuple  # each side's templates, and the slots they hold
+    right: tuple
+    left_slots: tuple[int, ...]
+    right_slots: tuple[int, ...]
 
 
 class _ClauseEntry:
@@ -132,12 +143,12 @@ class _ClauseEntry:
     The clause's variables are numbered in order of first occurrence,
     head first.  In a template a variable is its slot `int`, a non-ground
     Struct is a `(functor, *args)` tuple and a ground subterm is itself;
-    a body atom is a `(pred, *args)` tuple.  `head` and `body` keep the
+    a body goal is a `(pred, *args)` tuple.  `head` and `body` keep the
     clause as written.
     """
 
     __slots__ = ("number", "head", "body", "key", "size", "fresh",
-                 "head_t", "body_t", "builtin", "slots_in")
+                 "head_t", "body_t", "slots_in")
 
     def __init__(self, number: int, clause: Clause) -> None:
         self.number = number
@@ -149,15 +160,7 @@ class _ClauseEntry:
         slots: dict[str, int] = {}
         self.head_t = _template(clause.head.pred, self.head, slots)[1:]
         n_head = len(slots)
-        self.body_t = tuple(
-            ParGroup(tuple([_template(a.pred, a.args, slots) for a in g.left]),
-                     tuple([_template(a.pred, a.args, slots) for a in g.right]))
-            if g.__class__ is ParGroup else _template(g.pred, g.args, slots)
-            for g in self.body
-        )
-        #: whether each body goal is a builtin outside a group
-        self.builtin = tuple(g.__class__ is not ParGroup and g.key in BUILTIN_KEYS
-                             for g in self.body)
+        self.body_t = compile_body(number, self.body, slots)
         self.size = len(slots)
         names = list(slots)
         #: the body-only slots in name order, the order a try draws their
@@ -165,9 +168,11 @@ class _ClauseEntry:
         self.fresh = sorted(range(n_head, self.size), key=names.__getitem__)
         #: id of each tuple in the head template -> its slots in name order
         self.slots_in: dict[int, list[int]] = {}
-        for t in self.head_t:
-            if t.__class__ is tuple:
-                _collect_slots(t, names, self.slots_in)
+        todo = [t for t in self.head_t if t.__class__ is tuple]
+        while todo:
+            t = todo.pop()
+            self.slots_in[id(t)] = sorted(_slots_of((t,)), key=names.__getitem__)
+            todo += [a for a in t[1:] if a.__class__ is tuple]
 
 
 def _principal(t: Term) -> Union[tuple[str, int], int, None]:
@@ -197,17 +202,33 @@ def _template(name: str, args: tuple[Term, ...], slots: dict[str, int]) -> tuple
     return tuple(out)
 
 
-def _collect_slots(t: tuple, names: list[str], out: dict[int, list[int]]) -> set[int]:
-    """The slots in template `t`, recording them in name order for `t`
-    and each tuple in it."""
+def compile_body(number: int, body: Sequence[BodyGoal], slots: dict[str, int]) -> tuple:
+    """The goal templates of body `body` of clause `number`, in running
+    order: a `&` group is a `_Fork` followed by its sides' templates.  A
+    new variable gets the next slot."""
+    out: list = []
+    for pos, g in enumerate(body):
+        if g.__class__ is ParGroup:
+            left = tuple([_template(a.pred, a.args, slots) for a in g.left])
+            right = tuple([_template(a.pred, a.args, slots) for a in g.right])
+            out += (_Fork((number, pos), left, right, _slots_of(left), _slots_of(right)),
+                    *left, *right)
+        else:
+            out.append(_template(g.pred, g.args, slots))
+    return tuple(out)
+
+
+def _slots_of(templates: tuple) -> tuple[int, ...]:
+    """The slots in `templates`, each once."""
     found: set[int] = set()
-    for a in t[1:]:
-        if a.__class__ is int:
-            found.add(a)
-        elif a.__class__ is tuple:
-            found |= _collect_slots(a, names, out)
-    out[id(t)] = sorted(found, key=names.__getitem__)
-    return found
+    todo = list(templates)
+    while todo:
+        for a in todo.pop()[1:]:
+            if a.__class__ is int:
+                found.add(a)
+            elif a.__class__ is tuple:
+                todo.append(a)
+    return tuple(sorted(found))
 
 
 def _build(t: tuple, env: list) -> tuple:
@@ -234,9 +255,14 @@ def _operand_term(a: object, env: Sequence[Term]) -> Term:
     return a
 
 
-# the continuation: a linked list of (goal, site, rest) ending in (); a
-# goal is an Atom, a ParGroup, an _Exit or a body builtin's (template,
-# env) pair, and a goal that fails leaves None in its place
+def _atoms(templates: tuple, env: Sequence[Term]) -> tuple[Atom, ...]:
+    """The atoms of goal templates, built from `env`."""
+    return tuple([Atom(t[0], _build(t, env)) for t in templates])
+
+
+# the continuation: a linked list of (goal, env, rest) ending in (); a
+# goal is a template over the slot values `env`, a _Fork over them or an
+# _Exit (with no env), and a goal that fails leaves None in its place
 Goals = Optional[tuple]
 
 
@@ -285,9 +311,14 @@ class Solver:
         self._fresh = fresh_names(set(qvars))
         self._memo = {}
         answers: list[Subst] = []
+        # each query argument is a slot of its own: a query term is not
+        # compiled, so its depth costs no recursion
+        env = [a for atom in query for a in atom.args]
         goals: Goals = ()
+        end = len(env)
         for atom in reversed(query):
-            goals = (atom, None, goals)
+            goals = ((atom.pred, *range(end - len(atom.args), end)), env, goals)
+            end -= len(atom.args)
         while True:
             while goals:
                 goals = self._step(goals)
@@ -370,40 +401,37 @@ class Solver:
 
     def _step(self, goals: tuple) -> Goals:
         """Run the first goal: the continuation after it, or None if it fails."""
-        goal, site, rest = goals
-        if goal.__class__ is tuple:  # a body builtin: (template, env)
-            self._tick()
-            t, env = goal
-            return rest if self._builtin(t[0], t[1], t[2], env) else None
+        goal, env, rest = goals
         if goal.__class__ is _Exit:
             atom = goal.atom
             # a position ground at the call is ground now
             vs = [s and self._vars(a) for s, a in zip(goal.call_vars, atom.args)]
             goal.hook(vs, lambda: resolve(atom, self._binds))
             return rest
-        if goal.__class__ is ParGroup:
+        if goal.__class__ is _Fork:  # its sides' goals follow it
             if self.on_par is not None:
-                left, right = goal.left, goal.right
-                self.on_par(site, _GROUND.union(*[self._vars(a) for g in left for a in g.args]),
-                            _GROUND.union(*[self._vars(a) for g in right for a in g.args]),
-                            lambda: (resolve(left, self._binds), resolve(right, self._binds)))
-            for a in reversed(goal.left + goal.right):
-                rest = (a, site, rest)
+                self.on_par(goal.site,
+                            _GROUND.union(*[self._vars(env[i]) for i in goal.left_slots]),
+                            _GROUND.union(*[self._vars(env[i]) for i in goal.right_slots]),
+                            lambda: resolve((_atoms(goal.left, env), _atoms(goal.right, env)),
+                                            self._binds))
             return rest
-        key = goal.key
+        pred = goal[0]
+        key = (pred, len(goal) - 1)
         if key in BUILTIN_KEYS:
             self._tick()
-            return rest if self._builtin(goal.pred, *goal.args, ()) else None
+            return rest if self._builtin(pred, goal[1], goal[2], env) else None
         alternatives = self._index.get(key)
         if not alternatives:
             return None
+        atom = Atom(pred, _build(goal, env))
         exit_ = None
         if self.on_call is not None:
-            vs = [self._vars(a) for a in goal.args]
-            hook = self.on_call(key, vs, lambda: resolve(goal, self._binds))
+            vs = [self._vars(a) for a in atom.args]
+            hook = self.on_call(key, vs, lambda: resolve(atom, self._binds))
             if hook is not None:
-                exit_ = _Exit(hook, goal, vs)
-        return self._try(_Choice(goal, exit_, alternatives, rest, len(self._trail)))
+                exit_ = _Exit(hook, atom, vs)
+        return self._try(_Choice(atom, exit_, alternatives, rest, len(self._trail)))
 
     def _retry(self) -> Goals:
         """Resume the newest choicepoint at its next clause."""
@@ -418,19 +446,15 @@ class Solver:
         another principal functor than the call's is passed over there
         and then: its match would fail on that argument before binding
         anything or drawing a fresh name.  Any other head is matched
-        against the call without being renamed (`_match`), and only a
-        head that matches has its body built from the templates, its
-        body-only variables under fresh names.  If clauses remain after
-        the one that matched, the choicepoint goes back on the stack.
+        against the call without being renamed (`_match`), and a head
+        that matches gives its body-only slots fresh names and pushes its
+        body's templates with the slots it filled.  If clauses remain
+        after the one that matched, the choicepoint goes back on the
+        stack.
         """
         atom, alternatives = choice.atom, choice.alternatives
         args = atom.args
-        key = None
-        if args:
-            first = args[0]
-            if isinstance(first, Var):
-                first = walk(first, self._binds)
-            key = _principal(first)
+        key = _principal(walk(args[0], self._binds)) if args else None
         n = len(alternatives)
         while choice.next < n:
             entry = alternatives[choice.next]
@@ -449,17 +473,8 @@ class Solver:
             goals = choice.rest
             if choice.exit is not None:
                 goals = (choice.exit, None, goals)
-            ci, body, builtin = entry.number, entry.body_t, entry.builtin
-            for pos in range(len(body) - 1, -1, -1):
-                g = body[pos]
-                if builtin[pos]:
-                    g = (g, env)  # run from the slots by `_step`
-                elif g.__class__ is ParGroup:
-                    g = ParGroup(tuple([Atom(a[0], _build(a, env)) for a in g.left]),
-                                 tuple([Atom(a[0], _build(a, env)) for a in g.right]))
-                else:
-                    g = Atom(g[0], _build(g, env))
-                goals = (g, (ci, pos), goals)
+            for g in reversed(entry.body_t):
+                goals = (g, env, goals)
             return goals
         return None
 
@@ -519,10 +534,8 @@ class Solver:
         """Run the builtin `pred(a, b)`.
 
         An operand is a slot of `env`, a template over those slots, or a
-        term.  A goal of a clause body reads its operands from the try's
-        environment, and only the `is` target and the sides of `=` are
-        built; an atom (a query goal or a goal of a group's side) passes
-        its arguments with an empty `env`.
+        ground term.  Only the `is` target and the sides of `=` are
+        built.
         """
         if pred == "is":
             value = self._eval(b, env)
@@ -750,7 +763,7 @@ class IndependenceReport:
             for line in s.lines("site <%d,%d>" % (ci, gi))
         ]
 
-    def on_par(self, site: Site, left_vars: frozenset[str], right_vars: frozenset[str],
+    def on_par(self, site: tuple[int, int], left_vars: frozenset[str], right_vars: frozenset[str],
                sides: Callable[[], Sides]) -> None:
         """Solver hook: test strict independence at a fork being entered.
 
@@ -759,21 +772,14 @@ class IndependenceReport:
         under the current bindings.  `sides` resolves them for the text
         of an example.
         """
-        stats = self.sites.setdefault(site if site else (-1, -1), CheckStats())
+        stats = self.sites.setdefault(site, CheckStats())
         stats.checked += 1
         shared = left_vars & right_vars
         if shared:
             stats.violations += 1
             if len(stats.examples) < 3:
-                left, right = sides()
-                stats.examples.append(
-                    "%s & %s share %s"
-                    % (
-                        ",".join(map(format_atom, left)),
-                        ",".join(map(format_atom, right)),
-                        sorted(shared)[0],
-                    )
-                )
+                left, right = (",".join(map(format_atom, side)) for side in sides())
+                stats.examples.append("%s & %s share %s" % (left, right, sorted(shared)[0]))
 
 
 # ---------------------------------------------------------------------------

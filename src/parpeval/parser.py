@@ -288,7 +288,12 @@ def parse_query(text: str) -> tuple[Atom, ...]:
 
 
 def parse_query_file(text: str) -> list[tuple[Atom, ...]]:
-    """One query per line that holds a token; `%` comments allowed.
+    """One query per line that holds a token; `%` comments allowed."""
+    return [q for _, q in parse_query_lines(text)]
+
+
+def parse_query_lines(text: str) -> list[tuple[int, tuple[Atom, ...]]]:
+    """Each query of a query file with its line number.
 
     Each line is read on its own, and errors give its line and column
     in the file.
@@ -297,5 +302,5 @@ def parse_query_file(text: str) -> list[tuple[Atom, ...]]:
     for line, raw in enumerate(text.splitlines(), start=1):
         p = _Parser(raw, line)
         if p.cur.kind != "EOF":
-            out.append(_parse(p, _Parser.query, "query"))
+            out.append((line, _parse(p, _Parser.query, "query")))
     return out

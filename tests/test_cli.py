@@ -142,7 +142,8 @@ def test_verify_solves_each_query_once_per_program(tmp_path, capsys, monkeypatch
 
 
 def test_verify_without_matching_queries_fails(tmp_path, capsys):
-    queries = write(tmp_path / "q.pl", "other(1).\n")
+    # a query of another predicate is a usage error: see below
+    queries = write(tmp_path / "q.pl", "% no query for the entry\n")
     assert main(fib_args("--verify", "eq", "--queries", queries)) == 5
     assert "no queries for this entry" in capsys.readouterr().out
 
@@ -226,6 +227,20 @@ def test_multi_atom_query_line_is_a_usage_error(tmp_path, capsys):
     queries = write(tmp_path / "q.pl", "fibonacci(3, N), fibonacci(4, N).\n")
     assert main(fib_args("--verify", "eq", "--queries", queries)) == 2
     assert "one atom per line" in capsys.readouterr().err
+
+
+def test_query_that_matches_no_entry_is_a_usage_error_before_any_output(tmp_path, capsys):
+    # fibonacci/3 and foo/1 are not the entry: no check would run them
+    text = "fibonacci(3, N).\n% a comment\nfoo(1).\nfibonacci(3, N, M).\n"
+    queries = write(tmp_path / "q.pl", text)
+    out = tmp_path / "res.pl"
+    assert main(fib_args("--verify", "eq", "--queries", queries, "--out", str(out))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parpeval: query foo(1) on line 3 matches no entry\n"
+    assert not out.exists()
+    # without --verify the queries are not run, so nothing is wrong
+    assert main(fib_args("--queries", queries)) == 0
 
 
 def test_bad_thread_bound_is_a_usage_error(capsys):

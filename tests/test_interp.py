@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corpus import worst_sharing
-from parpeval import Solver, answer_multiset, parse_program, parse_query, terms
+from parpeval import Solver, answer_multiset, interp, parse_program, parse_query, terms
 from parpeval.interp import (
     DEFAULT_STEP_LIMIT,
     IndependenceReport,
@@ -169,7 +169,7 @@ def test_builtins_count_against_the_step_budget():
 
 
 def test_body_builtins_raise_and_fail_as_query_goals_do():
-    # a clause body's builtins run from its slots, a query's from its atom
+    # a clause body's builtins run from its slots, a query's from its arguments
     with pytest.raises(InstantiationError, match="unbound variable _G1$"):
         answers("p(X) :- X is f(1)+Y.", "p(A)")
     with pytest.raises(InstantiationError, match="unbound variable Y$"):
@@ -425,6 +425,27 @@ def test_retry_passes_over_clauses_whose_first_argument_cannot_match(monkeypatch
         Solver(parse_program(APP), max_steps=6).solve(parse_query(query))
 
 
+def counted_builds(monkeypatch):
+    """Record the name of each template built into terms."""
+    built = []
+    build = interp._build
+
+    def counting(t, env):
+        built.append(t[0])
+        return build(t, env)
+
+    monkeypatch.setattr(interp, "_build", counting)
+    return built
+
+
+def test_call_atom_is_built_only_when_selected(monkeypatch):
+    built = counted_builds(monkeypatch)
+    assert answers("p(X) :- q(X), r(f(X)), s(g(X)). q(1).", "p(2)") == []
+    # q(2) fails, so r and s are never selected: neither is built, nor
+    # are the structures in their arguments
+    assert built == ["p", "q"]
+
+
 class RenamingSolver(Solver):
     """The solver as it was before head matching and the variable-set
     memo: each try renames the whole head and unifies it with the call,
@@ -459,8 +480,13 @@ class RenamingSolver(Solver):
             goals = choice.rest
             if choice.exit is not None:
                 goals = (choice.exit, None, goals)
-            for pos in range(len(entry.body) - 1, -1, -1):
-                goals = (apply_subst(entry.body[pos], mapping), (entry.number, pos), goals)
+            # the renamed body's goals, each slot holding its own variable
+            slots = {}
+            body = [apply_subst(g, mapping) for g in entry.body]
+            body_t = interp.compile_body(entry.number, body, slots)
+            env = [Var(name) for name in slots]
+            for g in reversed(body_t):
+                goals = (g, env, goals)
             return goals
         return None
 
@@ -481,9 +507,10 @@ def numbered(*sets):
 
 
 def run_traced(solver_class, program, query, max_steps):
-    """Answer keys or the error raised, steps taken, and what the hooks
-    receive: the per-position variable sets of each call and exit, and
-    the variables of both sides at each fork, numbered canonically.
+    """For the conjunction `query`: answer keys or the error raised,
+    steps taken, and what the hooks receive: the per-position variable
+    sets of each call and exit, and the variables of both sides at each
+    fork, numbered canonically.
 
     Each event is numbered on its own: a caller variable that a head
     variable takes stays the same variable in the answer, where renaming
@@ -495,15 +522,15 @@ def run_traced(solver_class, program, query, max_steps):
         events.append(("call", key, numbered(*call_vars)))
         return lambda answer_vars, answer: events.append(("exit", numbered(*answer_vars)))
 
-    solver = solver_class(
-        program,
-        max_steps=max_steps,
-        on_call=on_call,
-        on_par=lambda site, left, right, sides: events.append((site, numbered(left, right))),
-    )
+    def on_par(site, left, right, sides):
+        # the sets are those of the sides' atoms, resolved
+        assert (left, right) == tuple(map(term_vars, sides()))
+        events.append((site, numbered(left, right)))
+
+    solver = solver_class(program, max_steps=max_steps, on_call=on_call, on_par=on_par)
     qvars = sorted(term_vars(query))
     try:
-        outcome = [answer_key(qvars, a) for a in solver.solve([query])]
+        outcome = [answer_key(qvars, a) for a in solver.solve(query)]
     except SolverError as exc:
         outcome = type(exc).__name__
     return outcome, solver._steps, events
@@ -531,25 +558,30 @@ def _user_atom(var):
     )
 
 
-# an operand that is not arithmetic makes its goal fail
-_operand = st.one_of(_cvar, st.sampled_from(["0", "1", "2", "a"]), st.builds("f({})".format, _cvar))
-_arith = st.sampled_from(["+", "-", "*", "//"])
-_expr = st.one_of(_operand, st.builds("({} {} {})".format, _operand, _arith, _operand))
-# a nested left side of a comparison, bare or bracketed: `A+B > C` and
-# `(A+B) > C` read alike
-_lhs = st.one_of(
-    _operand,
-    st.builds("{} {} {}".format, _operand, _arith, _operand),
-    st.builds("({} {} {})".format, _operand, _arith, _operand),
-)
-_goal = st.one_of(
-    _user_atom(_cvar),
-    _user_atom(_cvar),
-    st.builds("{} = {}".format, _term(_cvar), _term(_cvar)),
-    st.builds("{} is {} {} {}".format, _cvar, _expr, _arith, _expr),
-    st.builds("{} {} {}".format, _lhs, st.sampled_from([">", "<", ">=", "=<", "=:="]), _expr),
-    st.builds("({} & {})".format, _user_atom(_cvar), _user_atom(_cvar)),
-)
+def _builtin(var):
+    """A builtin goal over the variables `var` draws."""
+    # an operand that is not arithmetic makes its goal fail
+    operand = st.one_of(var, st.sampled_from(["0", "1", "2", "a"]), st.builds("f({})".format, var))
+    arith = st.sampled_from(["+", "-", "*", "//"])
+    expr = st.one_of(operand, st.builds("({} {} {})".format, operand, arith, operand))
+    # a nested left side of a comparison, bare or bracketed: `A+B > C` and
+    # `(A+B) > C` read alike
+    lhs = st.one_of(
+        operand,
+        st.builds("{} {} {}".format, operand, arith, operand),
+        st.builds("({} {} {})".format, operand, arith, operand),
+    )
+    return st.one_of(
+        st.builds("{} = {}".format, _term(var), _term(var)),
+        st.builds("{} is {} {} {}".format, var, expr, arith, expr),
+        st.builds("{} {} {}".format, lhs, st.sampled_from([">", "<", ">=", "=<", "=:="]), expr),
+    )
+
+
+_plain_goal = st.one_of(_user_atom(_cvar), _user_atom(_cvar), _builtin(_cvar))
+# each side of a group is one or two goals, builtins included
+_side = st.lists(_plain_goal, min_size=1, max_size=2).map(", ".join)
+_goal = st.one_of(_plain_goal, st.builds("({} & {})".format, _side, _side))
 _clause = st.builds(
     lambda head, body: head + (" :- " + ", ".join(body) if body else "") + ".",
     _user_atom(_cvar),
@@ -560,7 +592,12 @@ _clause = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(
     clauses=st.lists(_clause, min_size=1, max_size=6),
-    query=_user_atom(st.sampled_from(["A", "B"])),
+    # a user atom, optionally followed by a builtin goal
+    query=st.builds(
+        "{}{}".format,
+        _user_atom(st.sampled_from(["A", "B"])),
+        st.one_of(st.just(""), _builtin(st.sampled_from(["A", "B"])).map(", {}".format)),
+    ),
     max_steps=st.integers(min_value=1, max_value=60),
 )
 # a repeated head variable meets two caller terms
@@ -593,13 +630,21 @@ _clause = st.builds(
 @example(clauses=["p(X) :- X is Y + (1 // 0)."], query="p(A)", max_steps=60)
 # a goal may start with a bracketed left operand
 @example(clauses=["p(X) :- X = 1, (X + X) > X."], query="p(A)", max_steps=60)
+# each side of a fork starts with is/2, and the sides share Z
+@example(
+    clauses=["p(X) :- X = 1, (Y is X+1, q(Y,Z) & Z is X*2).", "q(2,2).", "q(2,3)."],
+    query="p(A)",
+    max_steps=60,
+)
+# a builtin query goal runs after the user goal binds its operand
+@example(clauses=["p(0).", "p(1).", "p(f(0))."], query="p(A), A > 0", max_steps=60)
 def test_prop_head_match_agrees_with_rename_then_unify(clauses, query, max_steps):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonlinearArgumentWarning)
         program = parse_program("\n".join(clauses))
-    atom = parse_query(query)[0]
-    want = run_traced(RenamingSolver, program, atom, max_steps)
-    got = run_traced(Solver, program, atom, max_steps)
+    goals = parse_query(query)
+    want = run_traced(RenamingSolver, program, goals, max_steps)
+    got = run_traced(Solver, program, goals, max_steps)
     assert got == want
 
 
