@@ -2,12 +2,13 @@
 
 Every unfolded extended atom becomes a fresh residual predicate whose
 name encodes the call patterns.  Resultants come from the unfold and
-split transitions of a trace.  The last transition that closed a body
-atom names it: a variant hit or an unfolding after its own extended
-atom, an embedding after the generalization its trace specializes; a
-builtin or a failing atom keeps its name.  An entity's resultants come
-from the first trace that unfolds it.  So a residual calls only
-specialized predicates.
+split transitions of a trace.  A body atom calls the entity the driver
+recorded as its occurrence's `callee`: the last transition that closed
+it names it after its own extended atom (a variant hit or an
+unfolding) or after the generalization its embedding roots; a builtin
+or a failing atom keeps its name.  An entity's resultants come from the
+first trace that unfolds it.  So a residual calls only specialized
+predicates.
 
 There is one residual program, and two ways to print it.
 `format_residual` prints its clauses, `&` groups and all.
@@ -26,7 +27,6 @@ from typing import Callable, Optional, Sequence
 from .engine import ExtendedAtom, Occurrence, Trace
 from .patterns import GroundnessPattern, SharingPattern
 from .terms import (
-    BUILTIN_KEYS,
     Atom,
     BodyGoal,
     Clause,
@@ -56,7 +56,8 @@ class RenamingScheme:
 
     Keys are whole entities (atom shape plus both patterns), so two
     specializations that happen to mangle alike still get distinct
-    names via a numeric suffix.  Builtins keep their names.
+    names via a numeric suffix.  Only unfolded entities are named; a
+    builtin call keeps its name.
     """
 
     def __init__(self, program: Optional[Program] = None) -> None:
@@ -67,21 +68,11 @@ class RenamingScheme:
             self._used |= {pred for pred, _ in program.predicates()}
 
     def name(self, ea: ExtendedAtom) -> str:
-        if ea.key in BUILTIN_KEYS:
-            return ea.atom.pred
         key = ea.memo_key
-        hit = self._names.get(key)
-        if hit is not None:
-            return hit
-        base = _mangle(ea.atom.pred, ea.gr, ea.sh)
-        name = self._claim(base)
-        self._names[key] = name
-        self._originals[name] = ea.key
-        return name
-
-    def named(self, ea: ExtendedAtom) -> Optional[str]:
-        """The name `name` gave `ea`'s entity, without minting one."""
-        return self._names.get(ea.memo_key)
+        if key not in self._names:
+            name = self._names[key] = self._claim(_mangle(ea.atom.pred, ea.gr, ea.sh))
+            self._originals[name] = ea.key
+        return self._names[key]
 
     def _claim(self, base: str) -> str:
         name = base
@@ -116,12 +107,12 @@ class ResidualProgram:
 
     def par_sites(self) -> list[tuple[int, int]]:
         """(clause index, body position) of every parallel group."""
-        sites = []
-        for ci, clause in enumerate(self.residual_clauses):
-            for gi, goal in enumerate(clause.body):
-                if isinstance(goal, ParGroup):
-                    sites.append((ci, gi))
-        return sites
+        return [
+            (ci, gi)
+            for ci, clause in enumerate(self.residual_clauses)
+            for gi, goal in enumerate(clause.body)
+            if isinstance(goal, ParGroup)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -136,58 +127,46 @@ def extract_residual(
     program = traces[0].program
     scheme = scheme or RenamingScheme(program)
 
-    # the entity an occurrence calls, by the last transition to close it
-    callee: dict[Occurrence, Optional[ExtendedAtom]] = {}
     # an entity's resultants come from the first trace that unfolds it
     owner: dict[EntityKey, Trace] = {}
-    failing: set[tuple[str, int]] = set()
+    clauses: list[Clause] = []
+    # the entity each renamed call names, and the clause it is in
+    calls: list[tuple[ExtendedAtom, int]] = []
+
+    def rename(o: Occurrence) -> Atom:
+        if o.callee is None:
+            return o.ea.atom
+        calls.append((o.callee, len(clauses)))
+        return Atom(scheme.name(o.callee), o.ea.atom.args)
 
     for trace in traces:
         if trace.program is not program:
             raise CodegenError("traces come from different programs")
         for t in trace.transitions():
-            ea = t.subject.ea
-            callee[t.subject] = ea if t.label in "vup" else t.general
-            if t.label in "up":
-                owner.setdefault(ea.memo_key, trace)
-            elif t.label == "f":
-                failing.add(ea.key)
-
-    def rename(o: Occurrence) -> Atom:
-        return Atom(scheme.name(callee[o]), o.ea.atom.args) if callee[o] else o.ea.atom
-
-    clauses: list[Clause] = []
-    for trace in traces:
-        for t in trace.transitions():
-            if t.label not in ("u", "p") or owner[t.subject.ea.memo_key] is not trace:
+            if t.label not in "up" or owner.setdefault(t.subject.ea.memo_key, trace) is not trace:
                 continue
             head = Atom(scheme.name(t.subject.ea), t.head_instance.args)
-            prefix, left, right, tail = t.quad
+            prefix, *sides, tail = t.quad
             body: list[BodyGoal] = [rename(o) for o in prefix]
-            if left:
-                body.append(
-                    ParGroup(tuple(rename(o) for o in left), tuple(rename(o) for o in right))
-                )
-            body.extend(rename(o) for o in tail)
+            if sides[0]:
+                body.append(ParGroup(tuple(tuple(map(rename, side)) for side in sides)))
+            body.extend(map(rename, tail))
             clauses.append(Clause(head, tuple(body)))
 
-    # closedness: every call is a builtin, a residual predicate or an
-    # atom that failed during unfolding
-    defined = {c.head.key for c in clauses}
-    for clause in clauses:
-        for atom in clause.body_atoms():
-            key = atom.key
-            if key not in BUILTIN_KEYS and key not in defined and key not in failing:
-                raise CodegenError(
-                    f"dangling call {key[0]}/{key[1]} in residual clause {format_clause(clause)}"
-                )
+    # closedness: every call keeps its name (a builtin or an atom that
+    # failed during unfolding) or names an entity some trace unfolded
+    for ea, ci in calls:
+        if ea.memo_key not in owner:
+            raise CodegenError(
+                f"dangling call {scheme.name(ea)}/{ea.atom.arity} in residual clause "
+                f"{format_clause(clauses[ci])}"
+            )
 
-    entries: dict[tuple[str, int, GroundnessPattern, SharingPattern], str] = {}
-    for trace in traces:
-        init = trace.init
-        name = scheme.named(init)
-        if name is not None:
-            entries[(init.atom.pred, init.atom.arity, init.gr, init.sh)] = name
+    entries = {
+        (t.init.atom.pred, t.init.atom.arity, t.init.gr, t.init.sh): scheme.name(t.init)
+        for t in traces
+        if t.init.memo_key in owner
+    }
 
     return ResidualProgram(
         residual_clauses=tuple(clauses), source=program, scheme=scheme, entries=entries
@@ -233,13 +212,7 @@ def format_guarded(rp: ResidualProgram, max_threads: int) -> str:
     """
     if max_threads < 1:
         raise ValueError("max_threads must be at least 1")
-    callers: dict[tuple[str, int], set[tuple[str, int]]] = {}
-    par_keys = set()
-    for c in rp.residual_clauses:
-        for atom in c.body_atoms():
-            callers.setdefault(atom.key, set()).add(c.head.key)
-        if any(isinstance(g, ParGroup) for g in c.body):
-            par_keys.add(c.head.key)
+    par_keys = {rp.residual_clauses[ci].head.key for ci, _ in rp.par_sites()}
     if not par_keys:
         return format_residual(rp)
     for pred, arity in _GUARD_PREDICATES:
@@ -247,6 +220,10 @@ def format_guarded(rp: ResidualProgram, max_threads: int) -> str:
             raise CodegenError(
                 f"guarded output reserves {pred}/{arity}, which the program defines"
             )
+    callers: dict[tuple[str, int], set[tuple[str, int]]] = {}
+    for c in rp.residual_clauses:
+        for atom in c.body_atoms():
+            callers.setdefault(atom.key, set()).add(c.head.key)
     todo = list(par_keys)
     while todo:
         for caller in callers.get(todo.pop(), ()):
@@ -279,10 +256,11 @@ def format_guarded(rp: ResidualProgram, max_threads: int) -> str:
         body: list[Atom] = []
         for goal in clause.body:
             if isinstance(goal, ParGroup):
-                seq = conjunction(goal.left + goal.right, sequential_atom)
-                left = conjunction(goal.left, parallel_atom)
-                right = conjunction(goal.right, parallel_atom)
-                body.append(Atom("concurrent_k", (seq, left, right)))
+                # a residual group has the two sides the split search
+                # makes, which `_GUARD_TEXT`'s concurrent_k/3 takes
+                seq = conjunction(sum(goal.sides, ()), sequential_atom)
+                sides = [conjunction(side, parallel_atom) for side in goal.sides]
+                body.append(Atom("concurrent_k", (seq, *sides)))
             else:
                 body.append(parallel_atom(goal))
         par_clauses.append(format_clause(Clause(parallel_atom(clause.head), tuple(body))))

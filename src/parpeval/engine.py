@@ -376,12 +376,14 @@ def embeds(big: ExtendedAtom, small: ExtendedAtom) -> bool:
 # the driver
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Occurrence:
     """One queue slot; its identity ties resultant bodies to the
-    transitions that close it."""
+    transitions that close it, the last of which sets `callee`: the
+    entity its residual call names, or None if it keeps its name."""
 
     ea: ExtendedAtom
+    callee: Optional[ExtendedAtom] = None
 
 
 class Memo:
@@ -471,7 +473,9 @@ def partially_evaluate(
     textual clause order.  New body atoms go to the front of the queue,
     so selection is leftmost, mirroring plain resolution.  The memo of
     already-unfolded atoms is global across branches.  A transition is
-    visited when it is made, a branch when its continuation is popped.
+    visited when it is made, a branch when its continuation is popped.  A
+    visit sets the `callee` of the occurrence it closes: the atom itself
+    for `u`, `p` and `v`, the msg for `e`, and None for `n` and `f`.
 
     An atom that embeds a memo entry is closed by the whistle (`e`); the
     msg of the two becomes a new root, skipped if the memo has a variant
@@ -492,6 +496,7 @@ def partially_evaluate(
         queue, last = stack.pop()
         if last is not None:
             visited.append(last)
+            last.subject.callee = last.subject.ea
         elif memo.variant(queue[0].ea) is not None:
             continue  # a generalization whose variant is specialized already
         while queue:
@@ -519,6 +524,7 @@ def partially_evaluate(
             if label == "e":  # the generalization becomes a root, below every branch
                 entry = ExtendedAtom(msg(ea.atom, entry.atom), ea.gr, ea.sh)
                 stack.insert(0, ((Occurrence(entry),), None))
+            subject.callee = entry if label == "e" else ea if label == "v" else None
             last = Transition(label, subject, last, general=entry if label == "e" else None)
             visited.append(last)
             queue = rest

@@ -21,7 +21,7 @@ The verification hooks read the bound term graph in place and are
 given variable sets, not copies of terms.  At each user call the
 `on_call` hook gets the call's per-position variable sets and may ask
 for the call's exits, which then get the answer's sets; at each fork
-the `on_par` hook gets the variables of both sides.  The sets come from
+the `on_par` hook gets the variables of each side.  The sets come from
 one memo per solve, kept until a binding or an undo makes an entry
 stale, so a term that holds one subterm many times costs its number of
 distinct subterms.  Each hook also gets a callable that resolves its
@@ -91,10 +91,10 @@ class StepLimitExceeded(SolverError):
 
 
 VarSets = list[frozenset[str]]  # the free variables of each argument
-Sides = tuple[tuple[Atom, ...], tuple[Atom, ...]]
+Sides = tuple[tuple[Atom, ...], ...]
 OnExit = Callable[[VarSets, Callable[[], Atom]], None]
 OnCall = Callable[[tuple[str, int], VarSets, Callable[[], Atom]], Optional[OnExit]]
-OnPar = Callable[[tuple[int, int], frozenset[str], frozenset[str], Callable[[], Sides]], None]
+OnPar = Callable[[tuple[int, int], VarSets, Callable[[], Sides]], None]
 
 _GROUND: frozenset[str] = frozenset()
 
@@ -126,15 +126,13 @@ class _Exit(NamedTuple):
 
 
 class _Fork(NamedTuple):
-    """A `&` group in a compiled body, where the templates of its left
-    side and then its right side follow it.  It takes no step; it holds
-    what the fork hook needs."""
+    """A `&` group in a compiled body, where the templates of its sides
+    follow it in order.  It takes no step; it holds what the fork hook
+    needs."""
 
     site: tuple[int, int]  # (clause number, body position)
-    left: tuple  # each side's templates, and the slots they hold
-    right: tuple
-    left_slots: tuple[int, ...]
-    right_slots: tuple[int, ...]
+    sides: tuple[tuple, ...]  # each side's templates
+    slots: tuple[tuple[int, ...], ...]  # the slots each side holds
 
 
 class _ClauseEntry:
@@ -209,10 +207,9 @@ def compile_body(number: int, body: Sequence[BodyGoal], slots: dict[str, int]) -
     out: list = []
     for pos, g in enumerate(body):
         if g.__class__ is ParGroup:
-            left = tuple([_template(a.pred, a.args, slots) for a in g.left])
-            right = tuple([_template(a.pred, a.args, slots) for a in g.right])
-            out += (_Fork((number, pos), left, right, _slots_of(left), _slots_of(right)),
-                    *left, *right)
+            sides = tuple([tuple([_template(a.pred, a.args, slots) for a in side])
+                           for side in g.sides])
+            out += (_Fork((number, pos), sides, tuple(map(_slots_of, sides))), *sum(sides, ()))
         else:
             out.append(_template(g.pred, g.args, slots))
     return tuple(out)
@@ -411,9 +408,8 @@ class Solver:
         if goal.__class__ is _Fork:  # its sides' goals follow it
             if self.on_par is not None:
                 self.on_par(goal.site,
-                            _GROUND.union(*[self._vars(env[i]) for i in goal.left_slots]),
-                            _GROUND.union(*[self._vars(env[i]) for i in goal.right_slots]),
-                            lambda: resolve((_atoms(goal.left, env), _atoms(goal.right, env)),
+                            [_GROUND.union(*[self._vars(env[i]) for i in s]) for s in goal.slots],
+                            lambda: resolve(tuple([_atoms(side, env) for side in goal.sides]),
                                             self._binds))
             return rest
         pred = goal[0]
@@ -763,23 +759,24 @@ class IndependenceReport:
             for line in s.lines("site <%d,%d>" % (ci, gi))
         ]
 
-    def on_par(self, site: tuple[int, int], left_vars: frozenset[str], right_vars: frozenset[str],
+    def on_par(self, site: tuple[int, int], side_vars: VarSets,
                sides: Callable[[], Sides]) -> None:
         """Solver hook: test strict independence at a fork being entered.
 
-        The two sides must not share a single free variable: any aliasing
-        or shared unbound position shows up as a variable of both sides
-        under the current bindings.  `sides` resolves them for the text
-        of an example.
+        No two sides may share a single free variable: any aliasing or
+        shared unbound position shows up as a variable of both sides
+        under the current bindings.  A fork is one violation however many
+        pairs share.  `sides` resolves them for the text of an example.
         """
         stats = self.sites.setdefault(site, CheckStats())
         stats.checked += 1
-        shared = left_vars & right_vars
+        shared = next((vi & vj for i, vi in enumerate(side_vars)
+                       for vj in side_vars[i + 1:] if not vi.isdisjoint(vj)), None)
         if shared:
             stats.violations += 1
             if len(stats.examples) < 3:
-                left, right = (",".join(map(format_atom, side)) for side in sides())
-                stats.examples.append("%s & %s share %s" % (left, right, sorted(shared)[0]))
+                text = " & ".join(",".join(map(format_atom, side)) for side in sides())
+                stats.examples.append("%s share %s" % (text, sorted(shared)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +876,7 @@ def verify(
     """Run the requested checks of `CHECKS` in one pass over the queries.
 
     - `eq`: source and residual give the same answer multiset.
-    - `indep`: at every fork entered, the two sides share no variable.
+    - `indep`: at every fork entered, no two sides share a variable.
     - `safe`: every (call, answer) pair of the source honours `table`.
 
     Queries must instantiate the entry patterns; ill-patterned ones are

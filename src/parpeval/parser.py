@@ -3,11 +3,12 @@
 Hand-written lexer and recursive-descent parser.  The accepted language is
 definite clauses over integers, variables and compound terms, with list
 syntax, `%` comments, the infix builtins (is > < >= =< =:= =), the
-arithmetic operators + - * // inside `is/2` right-hand sides, and `&` for a
-parallel group inside a clause body.  Operator terms are read by precedence
-climbing over `terms._OPERATORS`, the table the printer uses, so each
-operator's level and associativity are written once.  Operator-free by
-design: user code cannot declare new operators.
+arithmetic operators + - * // inside `is/2` right-hand sides, and `&`
+between the two or more sides of a parallel group inside a clause body.
+Operator terms are read by precedence climbing over `terms._OPERATORS`,
+the table the printer uses, so each operator's level and associativity
+are written once.  Operator-free by design: user code cannot declare new
+operators.
 """
 
 from __future__ import annotations
@@ -214,14 +215,12 @@ class _Parser:
         # operator follows its matching `)`: `(X + 1) > 0` is one goal
         if self.at("(") and not self._opens_left_operand():
             self.advance()
-            left = self.sequence(self.atom)
-            if self.accept("&"):
-                right = self.sequence(self.atom)
-                self.expect(")")
-                return [ParGroup(tuple(left), tuple(right))]
+            sides = [tuple(self.sequence(self.atom))]
+            while self.accept("&"):
+                sides.append(tuple(self.sequence(self.atom)))
             self.expect(")")
-            # plain parenthesised conjunction: splice
-            return left
+            # one side is a plain parenthesised conjunction: splice it
+            return [ParGroup(tuple(sides))] if len(sides) > 1 else list(sides[0])
         return [self.atom()]
 
     def _opens_left_operand(self) -> bool:

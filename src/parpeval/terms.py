@@ -112,8 +112,9 @@ class Atom:
 
 @dataclass(frozen=True)
 class ParGroup:
-    left: tuple[Atom, ...]
-    right: tuple[Atom, ...]
+    """A `&` group: two or more sides, each a conjunction of atoms."""
+
+    sides: tuple[tuple[Atom, ...], ...]
 
 
 BodyGoal = Union[Atom, ParGroup]
@@ -127,11 +128,7 @@ class Clause:
     def body_atoms(self) -> tuple[Atom, ...]:
         out: list[Atom] = []
         for goal in self.body:
-            if isinstance(goal, Atom):
-                out.append(goal)
-            else:
-                out.extend(goal.left)
-                out.extend(goal.right)
+            out += (goal,) if isinstance(goal, Atom) else sum(goal.sides, ())
         return tuple(out)
 
     def __repr__(self) -> str:
@@ -197,8 +194,7 @@ def _collect_vars(x: object, out: set[str]) -> None:
         elif isinstance(x, Int):
             pass
         elif isinstance(x, ParGroup):
-            todo.extend(x.left)
-            todo.extend(x.right)
+            todo.extend(x.sides)
         elif isinstance(x, Clause):
             todo.append(x.head)
             todo.extend(x.body)
@@ -240,10 +236,7 @@ def apply_subst(x, s: Subst):
     if isinstance(x, Atom):
         return Atom(x.pred, tuple([apply_subst(a, s) for a in x.args]))
     if isinstance(x, ParGroup):
-        return ParGroup(
-            tuple(apply_subst(a, s) for a in x.left),
-            tuple(apply_subst(a, s) for a in x.right),
-        )
+        return ParGroup(apply_subst(x.sides, s))
     if isinstance(x, Clause):
         return Clause(apply_subst(x.head, s), tuple(apply_subst(g, s) for g in x.body))
     if isinstance(x, tuple):
@@ -617,9 +610,7 @@ def format_atom(a: Atom) -> str:
 def format_goal(g: BodyGoal) -> str:
     if isinstance(g, Atom):
         return format_atom(g)
-    left = ", ".join(format_atom(a) for a in g.left)
-    right = ", ".join(format_atom(a) for a in g.right)
-    return f"({left} & {right})"
+    return "(%s)" % " & ".join(", ".join(map(format_atom, side)) for side in g.sides)
 
 
 def format_clause(c: Clause) -> str:

@@ -221,7 +221,7 @@ def test_criterion_06_residual_programs():
         if kinds != ["partition", "&", "append"]:
             problems.append("qsort body is %s" % kinds)
         group = clause.body[sites[0][1]]
-        for side in (group.left, group.right):
+        for side in group.sides:
             if [origin(q_rp.scheme, a) for a in side] != [("quicksort", 2)]:
                 problems.append("qsort fork side is %s" % [a.pred for a in side])
         rec = corpus.guarded_sections(q_rp)[0].clauses[sites[0][0]]
@@ -241,9 +241,10 @@ def test_criterion_06_residual_programs():
     else:
         clause = a_rp.residual_clauses[sites[0][0]]
         group = clause.body[sites[0][1]]
-        if [origin(a_rp.scheme, a) for a in group.left] != [("am1", 3)] or [
-            origin(a_rp.scheme, a) for a in group.right
-        ] != [("amatrix", 3)]:
+        if [[origin(a_rp.scheme, a) for a in side] for side in group.sides] != [
+            [("am1", 3)],
+            [("amatrix", 3)],
+        ]:
             problems.append("amatrix fork is not am1 & amatrix")
         rec = corpus.guarded_sections(a_rp)[0].clauses[sites[0][0]]
         _, left, right = rec.body[0].args

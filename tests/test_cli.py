@@ -395,6 +395,22 @@ def test_a_ground_variable_links_no_positions_so_the_callee_forks(tmp_path, caps
     assert "site <1,0> checked 2 violations 0" in out
 
 
+def test_a_source_group_of_three_sides_verifies(tmp_path, capsys):
+    # the source runs its three-sided group; the residual forks the
+    # specialized body in two
+    prog = write(
+        tmp_path / "p.pl",
+        "p(X,Y,Z) :- (a(X) & b(X,Y) & c(Z)).\na(1). a(2).\nb(1,3). b(2,4).\nc(5).\n",
+    )
+    queries = write(tmp_path / "q.pl", "p(X,Y,Z).\n")
+    args = [prog, "--entry", "p/3 gr {}", "--verify", "eq,indep,safe", "--queries", queries]
+    assert main(args) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "p__1_2_3(X,Y,Z) :- (a__1(X), b_1_1_2(X,Y) & c__1(Z))." in out
+    assert "query p(X,Y,Z) ok (2 answers)" in out
+    assert "site <0,0> checked 1 violations 0" in out
+
+
 def test_a_call_after_a_fork_is_specialized_under_the_join(tmp_path, capsys):
     # a and b ground Y and Z in parallel; c(f(Y),g(Y)) then shares nothing
     prog = write(

@@ -21,7 +21,7 @@ from parpeval.patterns import (
     parse_sharing,
     sharing,
 )
-from parpeval.terms import Atom, Struct, Var, canonical, format_atom, format_clause, format_term
+from parpeval.terms import Atom, Int, Struct, Var, canonical, format_atom, format_clause, format_term
 
 
 def compile_text(text, pred, arity, gr_text, sh_text=None):
@@ -111,6 +111,61 @@ def test_unmatched_atom_is_recorded_not_emitted():
     assert [format_clause(c) for c in rp.residual_clauses] == ["p_1_1(X) :- missing(X)."]
     preds = {c.head.pred for c in rp.program().clauses}
     assert "missing" not in preds
+
+
+# ---------------------------------------------------------------------------
+# extraction errors
+
+
+def test_extracting_no_traces_is_an_error():
+    with pytest.raises(CodegenError, match="nothing to extract"):
+        extract_residual([])
+
+
+def test_traces_of_different_programs_are_an_error():
+    text = "p(X) :- q(X). q(1)."
+    init = ExtendedAtom(Atom("p", (Var("A"),)), groundness(1), independent_sharing(1))
+    traces = []
+    for _ in range(2):
+        prog = parse_program(text)  # equal, but not the same program
+        traces.append(partially_evaluate(prog, init, Analyzer(prog)))
+    with pytest.raises(CodegenError, match="different programs"):
+        extract_residual(traces)
+
+
+def test_a_call_to_an_entity_no_trace_unfolds_is_dangling():
+    prog = parse_program("p(X) :- q(X). q(1).")
+    init = ExtendedAtom(Atom("p", (Var("A"),)), groundness(1), independent_sharing(1))
+    trace = partially_evaluate(prog, init, Analyzer(prog))
+    (unfold_p,) = [t for t in trace.transitions() if t.label == "u" and t.subject.ea.key == ("p", 1)]
+    (call,) = unfold_p.body
+    assert call.callee.memo_key == call.ea.memo_key
+    assert [format_clause(c) for c in extract_residual([trace]).residual_clauses] == [
+        "p__1(X) :- q__1(X).",
+        "q__1(1).",
+    ]
+    # the same call, naming q at patterns nothing unfolded
+    call.callee = ExtendedAtom(call.ea.atom, parse_groundness("{1}", 1), independent_sharing(1))
+    with pytest.raises(CodegenError, match=r"dangling call q_1_1/1 in residual clause p__1\(X\)"):
+        extract_residual([trace])
+
+
+def test_rename_query_needs_an_unfolded_entry_at_its_patterns():
+    rp = compile_text("p(X) :- q(X). q(1).", "p", 1, "{}")
+    assert rp.rename_query(Atom("p", (Var("X"),)), groundness(1), independent_sharing(1)) == Atom(
+        "p__1", (Var("X"),)
+    )
+    with pytest.raises(CodegenError, match="no residual entry for p/1"):
+        rp.rename_query(Atom("p", (Var("X"),)), parse_groundness("{1}", 1), independent_sharing(1))
+    # an entry atom that no clause matches is not unfolded: it has no
+    # residual predicate, so no query reaches it
+    prog = parse_program("p(1).")
+    gr = parse_groundness("{1}", 1)
+    init = ExtendedAtom(Atom("p", (Int(2),)), gr, independent_sharing(1))
+    rp = extract_residual([partially_evaluate(prog, init, Analyzer(prog))])
+    assert rp.residual_clauses == ()
+    with pytest.raises(CodegenError, match="no residual entry for p/1"):
+        rp.rename_query(Atom("p", (Int(2),)), gr, independent_sharing(1))
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ def test_on_par_reports_resolved_sides_and_site():
     forks = []
     solver = Solver(
         parse_program(PAR),
-        on_par=lambda site, lv, rv, sides: forks.append((site, lv, rv, *sides())),
+        on_par=lambda site, side_vars, sides: forks.append((site, *side_vars, *sides())),
     )
     solver.solve(parse_query("p(A, B)"))
     assert len(forks) == 1
@@ -229,7 +229,7 @@ def test_on_par_sees_bindings_made_before_the_fork():
     forks = []
     solver = Solver(
         parse_program("p(X) :- X = 7, (q(X) & r(_)). q(7). r(_)."),
-        on_par=lambda site, lv, rv, sides: forks.append((lv, sides())),
+        on_par=lambda site, side_vars, sides: forks.append((side_vars[0], sides())),
     )
     assert solver.solve(parse_query("p(A)")) == [{"A": Int(7)}]
     left_vars, (left, right) = forks[0]
@@ -244,7 +244,7 @@ def test_on_par_fires_once_per_entry():
     one(1).
     """
     forks = []
-    solver = Solver(parse_program(src), on_par=lambda site, lv, rv, sides: forks.append(sides()))
+    solver = Solver(parse_program(src), on_par=lambda site, side_vars, sides: forks.append(sides()))
     out = solver.solve(parse_query("len([a,b,c], N)"))
     assert out == [{"N": Int(3)}]
     assert len(forks) == 3
@@ -256,9 +256,9 @@ def test_builtin_in_a_group_side_reaches_the_fork_hook():
     report = IndependenceReport()
     forks = []
 
-    def on_par(site, left_vars, right_vars, sides):
-        forks.append((left_vars, right_vars))
-        report.on_par(site, left_vars, right_vars, sides)
+    def on_par(site, side_vars, sides):
+        forks.append(tuple(side_vars))
+        report.on_par(site, side_vars, sides)
 
     src = "p(X, Y) :- (q(X, A), B is A+1 & r(B, Y)). q(1, 2). r(3, 4)."
     solver = Solver(parse_program(src), on_par=on_par)
@@ -269,6 +269,52 @@ def test_builtin_in_a_group_side_reaches_the_fork_hook():
     assert report.lines() == [
         "site <0,0> checked 1 violations 1",
         "  q(1,_G1),_G2 is _G1+1 & r(_G2,Y) share _G2",
+    ]
+
+
+THREE = """
+p(X, Y, Z) :- (a(X) & b(Y), c(Y) & d(Z)).
+flat(X, Y, Z) :- a(X), b(Y), c(Y), d(Z).
+q(X, Y) :- (a(X) & b(Y) & c(X)).
+a(1). a(2).
+b(3). b(4).
+c(4).
+d(5). d(6).
+"""
+
+
+def test_three_sided_group_answers_as_its_flattened_body():
+    solver = Solver(parse_program(THREE))
+    got, want = (
+        [answer_key(["X", "Y", "Z"], a) for a in solver.solve(parse_query(q))]
+        for q in ("p(X, Y, Z)", "flat(X, Y, Z)")
+    )
+    assert got == want == ["1,4,5", "1,4,6", "2,4,5", "2,4,6"]
+
+
+def test_on_par_gets_every_side_of_a_three_sided_group():
+    forks = []
+    solver = Solver(
+        parse_program(THREE),
+        on_par=lambda site, side_vars, sides: forks.append((site, side_vars, sides())),
+    )
+    solver.solve(parse_query("p(1, Y, Z)"))
+    ((site, side_vars, sides),) = forks
+    assert site == (0, 0)
+    assert side_vars == [set(), {"Y"}, {"Z"}]
+    assert [[format_atom(a) for a in side] for side in sides] == [["a(1)"], ["b(Y)", "c(Y)"], ["d(Z)"]]
+
+
+def test_independence_flags_only_the_pair_of_sides_that_shares():
+    report = IndependenceReport()
+    solver = Solver(parse_program(THREE), on_par=report.on_par)
+    solver.solve(parse_query("p(X, Y, Z)"))  # no two sides share
+    solver.solve(parse_query("q(X, Y)"))  # sides 1 and 3 share X
+    solver.solve(parse_query("q(1, Y)"))  # X is bound before the fork
+    assert report.lines() == [
+        "site <0,0> checked 1 violations 0",
+        "site <2,0> checked 2 violations 1",
+        "  a(X) & b(Y) & c(X) share X",
     ]
 
 
@@ -509,7 +555,7 @@ def numbered(*sets):
 def run_traced(solver_class, program, query, max_steps):
     """For the conjunction `query`: answer keys or the error raised,
     steps taken, and what the hooks receive: the per-position variable
-    sets of each call and exit, and the variables of both sides at each
+    sets of each call and exit, and the variables of each side at each
     fork, numbered canonically.
 
     Each event is numbered on its own: a caller variable that a head
@@ -522,10 +568,10 @@ def run_traced(solver_class, program, query, max_steps):
         events.append(("call", key, numbered(*call_vars)))
         return lambda answer_vars, answer: events.append(("exit", numbered(*answer_vars)))
 
-    def on_par(site, left, right, sides):
+    def on_par(site, side_vars, sides):
         # the sets are those of the sides' atoms, resolved
-        assert (left, right) == tuple(map(term_vars, sides()))
-        events.append((site, numbered(left, right)))
+        assert side_vars == list(map(term_vars, sides()))
+        events.append((site, numbered(*side_vars)))
 
     solver = solver_class(program, max_steps=max_steps, on_call=on_call, on_par=on_par)
     qvars = sorted(term_vars(query))

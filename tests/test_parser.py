@@ -63,13 +63,22 @@ def test_par_group_requires_parentheses_and_two_sides():
     (clause,) = prog.clauses
     (group,) = clause.body
     assert isinstance(group, ParGroup)
-    assert [a.pred for a in group.left] == ["a"]
-    assert [a.pred for a in group.right] == ["b"]
+    assert [[a.pred for a in side] for side in group.sides] == [["a"], ["b"]]
 
     prog = parse_program("h(X) :- (a(X), b(X) & c(X), d(X)).")
     (group,) = prog.clauses[0].body
-    assert [a.pred for a in group.left] == ["a", "b"]
-    assert [a.pred for a in group.right] == ["c", "d"]
+    assert [[a.pred for a in side] for side in group.sides] == [["a", "b"], ["c", "d"]]
+
+
+def test_group_of_three_sides_reads_as_one_group_and_round_trips():
+    text = "h(X,Y,Z) :- (a(X) & b(Y), c(Y) & d(Z)), e(X)."
+    prog = parse_program(text)
+    group, last = prog.clauses[0].body
+    assert isinstance(group, ParGroup)
+    assert [[a.pred for a in side] for side in group.sides] == [["a"], ["b", "c"], ["d"]]
+    assert last == Atom("e", (Var("X"),))
+    assert format_program(prog) == text + "\n"
+    assert parse_program(format_program(prog)) == prog
 
 
 def test_bracketed_left_operand_starts_a_goal_not_a_group():

@@ -14,6 +14,7 @@ from parpeval.terms import (
     canonical,
     format_atom,
     format_clause,
+    format_goal,
     format_term,
     make_list,
     mgu,
@@ -73,6 +74,23 @@ def test_clause_body_atoms_flattens_par_groups():
     (clause,) = prog.clauses
     assert [a.pred for a in clause.body_atoms()] == ["a", "b", "c", "d"]
     assert isinstance(clause.body[1], ParGroup)
+
+
+def test_three_sided_group_keeps_every_side():
+    (clause,) = parse_program("h(X,Y,Z) :- (a(X) & b(Y), c(Y) & d(Z)).").clauses
+    (group,) = clause.body
+    assert term_vars(group) == {"X", "Y", "Z"}
+    assert format_goal(group) == "(a(X) & b(Y), c(Y) & d(Z))"
+    moved = apply_subst(group, {"X": Int(1), "Z": V("W")})
+    assert moved == ParGroup(
+        (
+            (Atom("a", (Int(1),)),),
+            (Atom("b", (V("Y"),)), Atom("c", (V("Y"),))),
+            (Atom("d", (V("W"),)),),
+        )
+    )
+    assert format_goal(moved) == "(a(1) & b(Y), c(Y) & d(W))"
+    assert term_vars(apply_subst(clause, {"Y": Int(2)})) == {"X", "Z"}
 
 
 # ---------------------------------------------------------------------------

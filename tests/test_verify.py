@@ -346,19 +346,20 @@ def test_corrupted_corpus_residual_is_caught(name):
     }
     assert missed == UNREACHED.get(name, set())
 
-    # each fork: the right side's last atom takes the left side's last
+    # each fork: the second side's last atom takes the first side's last
     # output variable as its last argument
     sites = residual.par_sites()
     assert len(sites) == bench.par_sites
     for ci, pos in sites:
         clause = clauses[ci]
         group = clause.body[pos]
-        out = group.left[-1].args[-1]
-        last = group.right[-1]
+        first, second = group.sides
+        out = first[-1].args[-1]
+        last = second[-1]
         assert isinstance(out, Var) and isinstance(last.args[-1], Var)
         shared = Atom(last.pred, last.args[:-1] + (out,))
         body = list(clause.body)
-        body[pos] = ParGroup(group.left, group.right[:-1] + (shared,))
+        body[pos] = ParGroup((first, second[:-1] + (shared,)))
         bad = corrupted(ci, dataclasses.replace(clause, body=tuple(body)))
         report = IndependenceReport({site: CheckStats() for site in sites})
         solver = Solver(bad.program(), on_par=report.on_par)
