@@ -162,6 +162,10 @@ def extract_residual(
                 f"{format_clause(clauses[ci])}"
             )
 
+    # each predicate's clauses together, in the order of its first clause
+    rank = {pred: i for i, pred in enumerate(dict.fromkeys(c.head.pred for c in clauses))}
+    clauses.sort(key=lambda c: rank[c.head.pred])
+
     entries = {
         (t.init.atom.pred, t.init.atom.arity, t.init.gr, t.init.sh): scheme.name(t.init)
         for t in traces

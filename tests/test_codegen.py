@@ -113,6 +113,14 @@ def test_unmatched_atom_is_recorded_not_emitted():
     assert "missing" not in preds
 
 
+@pytest.mark.parametrize("name", sorted(corpus.BENCHES))
+def test_each_residual_predicate_has_its_clauses_together(name):
+    _, _, _, rp = corpus.compiled(name)
+    heads = [c.head.pred for c in rp.residual_clauses]
+    runs = [p for i, p in enumerate(heads) if i == 0 or heads[i - 1] != p]
+    assert len(runs) == len(set(runs)), heads
+
+
 # ---------------------------------------------------------------------------
 # extraction errors
 
