@@ -21,7 +21,16 @@ from parpeval.patterns import (
     parse_sharing,
     sharing,
 )
-from parpeval.terms import Atom, Int, Struct, Var, canonical, format_atom, format_clause, format_term
+from parpeval.terms import (
+    Atom,
+    Int,
+    Struct,
+    Var,
+    canonical,
+    format_atom,
+    format_clause,
+    format_term,
+)
 
 
 def compile_text(text, pred, arity, gr_text, sh_text=None):
@@ -145,7 +154,7 @@ def test_a_call_to_an_entity_no_trace_unfolds_is_dangling():
     prog = parse_program("p(X) :- q(X). q(1).")
     init = ExtendedAtom(Atom("p", (Var("A"),)), groundness(1), independent_sharing(1))
     trace = partially_evaluate(prog, init, Analyzer(prog))
-    (unfold_p,) = [t for t in trace.transitions() if t.label == "u" and t.subject.ea.key == ("p", 1)]
+    (unfold_p,) = [t for t in trace.transitions() if t.subject.ea.key == ("p", 1)]
     (call,) = unfold_p.body
     assert call.callee.memo_key == call.ea.memo_key
     assert [format_clause(c) for c in extract_residual([trace]).residual_clauses] == [

@@ -244,7 +244,7 @@ def test_on_par_fires_once_per_entry():
     one(1).
     """
     forks = []
-    solver = Solver(parse_program(src), on_par=lambda site, side_vars, sides: forks.append(sides()))
+    solver = Solver(parse_program(src), on_par=lambda site, vs, sides: forks.append(sides()))
     out = solver.solve(parse_query("len([a,b,c], N)"))
     assert out == [{"N": Int(3)}]
     assert len(forks) == 3
@@ -302,7 +302,8 @@ def test_on_par_gets_every_side_of_a_three_sided_group():
     ((site, side_vars, sides),) = forks
     assert site == (0, 0)
     assert side_vars == [set(), {"Y"}, {"Z"}]
-    assert [[format_atom(a) for a in side] for side in sides] == [["a(1)"], ["b(Y)", "c(Y)"], ["d(Z)"]]
+    texts = [[format_atom(a) for a in side] for side in sides]
+    assert texts == [["a(1)"], ["b(Y)", "c(Y)"], ["d(Z)"]]
 
 
 def test_independence_flags_only_the_pair_of_sides_that_shares():
@@ -625,9 +626,10 @@ def _builtin(var):
 
 
 _plain_goal = st.one_of(_user_atom(_cvar), _user_atom(_cvar), _builtin(_cvar))
-# each side of a group is one or two goals, builtins included
+# a group has two or three sides, each one or two goals, builtins included
 _side = st.lists(_plain_goal, min_size=1, max_size=2).map(", ".join)
-_goal = st.one_of(_plain_goal, st.builds("({} & {})".format, _side, _side))
+_group = st.lists(_side, min_size=2, max_size=3).map(" & ".join).map("({})".format)
+_goal = st.one_of(_plain_goal, _group)
 _clause = st.builds(
     lambda head, body: head + (" :- " + ", ".join(body) if body else "") + ".",
     _user_atom(_cvar),
@@ -679,6 +681,12 @@ _clause = st.builds(
 # each side of a fork starts with is/2, and the sides share Z
 @example(
     clauses=["p(X) :- X = 1, (Y is X+1, q(Y,Z) & Z is X*2).", "q(2,2).", "q(2,3)."],
+    query="p(A)",
+    max_steps=60,
+)
+# a group of three sides, the first and the last sharing Y
+@example(
+    clauses=["p(X) :- (q(X,Y) & r(X,Z) & Y is X+1).", "q(1,2).", "r(1,3)."],
     query="p(A)",
     max_steps=60,
 )
