@@ -2,15 +2,17 @@
 
 For every (predicate, call groundness, call sharing) reached from the
 entry points, the analyzer computes which argument positions are ground
-on success and which may share.  All rows live in one success table,
-`Analyzer.rows`: the rows of a pattern file come first and are never
-recomputed, and the fixpoint adds the rest.  Builtins answer from one
-module table of success models.  Computed rows start from the most
-optimistic assumption (everything ground, nothing shared) and iterate
-downward, each new row joined with the one before, until stable; the
-result is a fixpoint of the joined transfer, which is sound because
-every actual answer is reached by a finite derivation whose sub-answers
-the previous iterate already bounds.
+on success and which may share.  `Analyzer.success` is the one lookup:
+the specializer asks it for each body atom, and so does the fixpoint
+for each atom of the clause bodies it walks.  All rows live in one
+success table, `Analyzer.rows`: the rows of a pattern file come first
+and are never recomputed, and the fixpoint adds the rest.  Builtins
+answer from one module table of success models.  Computed rows start
+from the most optimistic assumption (everything ground, nothing shared)
+and iterate downward, each new row joined with the one before, until
+stable; the result is a fixpoint of the joined transfer, which is sound
+because every actual answer is reached by a finite derivation whose
+sub-answers the previous iterate already bounds.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ def _is_success(gr: GroundnessPattern, sh: SharingPattern) -> SuccessPattern:
     )
 
 
-def _comparison_success(gr: GroundnessPattern, sh: SharingPattern) -> SuccessPattern:
-    return SuccessPattern(gr, sh)
-
-
 def _unify_success(gr: GroundnessPattern, sh: SharingPattern) -> SuccessPattern:
     if 1 in gr or 2 in gr:
         return SuccessPattern(
@@ -67,7 +65,8 @@ def _unify_success(gr: GroundnessPattern, sh: SharingPattern) -> SuccessPattern:
 _BUILTINS: dict[
     tuple[str, int], Callable[[GroundnessPattern, SharingPattern], SuccessPattern]
 ] = {("is", 2): _is_success, ("=", 2): _unify_success}
-_BUILTINS.update(((pred, 2), _comparison_success) for pred in COMPARISON_PREDS)
+# a comparison succeeds at its call pattern: it binds nothing
+_BUILTINS.update(((pred, 2), SuccessPattern) for pred in COMPARISON_PREDS)
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +92,17 @@ class EntryPoint:
 class Analyzer:
     """Success-pattern oracle backed by a demand-driven fixpoint.
 
-    `rows` is the one success table.  It starts as the override rows,
-    so they win over the builtin model and are never recomputed: a
-    fixpoint run only adds rows for keys that no lookup answers.  A
-    lookup reads `rows`, then the builtin model, and then runs a
-    fixpoint seeded at the requested key.  Predicates without clauses get the
-    identity success pattern: they can only fail, and a pattern must
-    cover every answer, of which there are none.
+    `success` is the one lookup, for the specializer and for the
+    fixpoint's own clause walks alike.  It reads `rows`, the one success
+    table, then the builtin model, then gives a predicate without
+    clauses the identity row: it can only fail, and a pattern must
+    cover every answer, of which there are none.  `rows` starts as the
+    override rows, so they win over the builtin model and are never
+    recomputed.  A defined key that no row answers seeds a fixpoint run
+    when none is active; inside a run it is a callee of the key being
+    walked, which waits on it and gets its current assumption.  The run
+    stores its rows at the end, and only a lookup from outside a run
+    stores an undefined predicate's identity row.
     """
 
     def __init__(
@@ -111,37 +114,33 @@ class Analyzer:
         self.rows = PatternTable()
         for key, row in overrides:
             self.rows.put(key, row)
+        # the state of the fixpoint run in progress; `_walking` is None
+        # between runs
+        self._assumed: dict[PatternKey, SuccessPattern] = {}
+        self._waiters: dict[PatternKey, set[PatternKey]] = {}
+        self._work: list[PatternKey] = []
+        self._walking: Optional[PatternKey] = None
 
     def success(
         self, pred: str, arity: int, gr: GroundnessPattern, sh: SharingPattern
     ) -> SuccessPattern:
         key: PatternKey = (pred, arity, gr, sh)
-        row = self._known(key, keep_undefined=True)
-        if row is None:
-            self._solve(key)
-            row = self.rows.get(key)
-        return row
-
-    def _known(self, key: PatternKey, keep_undefined: bool) -> Optional[SuccessPattern]:
-        """The lookup chain short of a fixpoint run; None when one is needed.
-
-        `keep_undefined` stores an undefined predicate's identity row in
-        `rows`, as a top-level request does and a callee lookup inside a
-        fixpoint does not.
-        """
         row = self.rows.get(key)
         if row is not None:
             return row
-        pred, arity, gr, sh = key
         model = _BUILTINS.get((pred, arity))
         if model is not None:
             return model(gr, sh)
         if not self.program.defines(pred, arity):
             row = SuccessPattern(gr, sh)
-            if keep_undefined:
+            if self._walking is None:
                 self.rows.put(key, row)
             return row
-        return None
+        if self._walking is None:
+            self._solve(key)
+            return self.rows.get(key)
+        self._waiters.setdefault(key, set()).add(self._walking)
+        return self._assumption(key)
 
     def table(self) -> PatternTable:
         """A copy of `rows`, which later lookups leave as it is."""
@@ -151,91 +150,58 @@ class Analyzer:
 
     # -- fixpoint machinery
 
+    def _assumption(self, key: PatternKey) -> SuccessPattern:
+        """The run's current row for `key`, first the most optimistic one."""
+        row = self._assumed.get(key)
+        if row is None:
+            _, arity, _, _ = key
+            row = self._assumed[key] = SuccessPattern(
+                GroundnessPattern(arity, frozenset(range(1, arity + 1))),
+                independent_sharing(arity),
+            )
+            self._work.append(key)
+        return row
+
     def _solve(self, seed: PatternKey) -> None:
-        assume: dict[PatternKey, SuccessPattern] = {}
-        deps: dict[PatternKey, set[PatternKey]] = {}
-        work: list[PatternKey] = []
+        try:
+            self._assumption(seed)
+            guard = 0
+            while self._work:
+                guard += 1
+                if guard > 100_000:
+                    raise AnalysisError("success-pattern fixpoint failed to converge")
+                self._walking = key = self._work.pop()
+                new = self._transfer(key)
+                if new != self._assumed[key]:
+                    self._assumed[key] = new
+                    for waiter in self._waiters.get(key, ()):
+                        if waiter not in self._work:
+                            self._work.append(waiter)
+            for key, row in self._assumed.items():
+                self.rows.put(key, row)
+        finally:
+            self._assumed, self._waiters, self._work = {}, {}, []
+            self._walking = None
 
-        def ensure(key: PatternKey) -> SuccessPattern:
-            if key not in assume:
-                _, arity, _, _ = key
-                assume[key] = SuccessPattern(
-                    GroundnessPattern(arity, frozenset(range(1, arity + 1))),
-                    independent_sharing(arity),
-                )
-                work.append(key)
-            return assume[key]
-
-        ensure(seed)
-        guard = 0
-        while work:
-            guard += 1
-            if guard > 100_000:
-                raise AnalysisError("success-pattern fixpoint failed to converge")
-            key = work.pop()
-            new = self._transfer(key, assume, deps, ensure)
-            if new != assume[key]:
-                assume[key] = new
-                for waiter in deps.get(key, ()):
-                    if waiter not in work:
-                        work.append(waiter)
-        for key, row in assume.items():
-            self.rows.put(key, row)
-
-    def _transfer(
-        self,
-        key: PatternKey,
-        assume: dict[PatternKey, SuccessPattern],
-        deps: dict[PatternKey, set[PatternKey]],
-        ensure: Callable[[PatternKey], SuccessPattern],
-    ) -> SuccessPattern:
+    def _transfer(self, key: PatternKey) -> SuccessPattern:
         pred, arity, gr, sh = key
-        oracle = _FixpointOracle(self, key, deps, ensure)
         # met over the clauses; `_solve` runs only on defined keys, so there is one
         exit_ground = frozenset(range(1, arity + 1))
         exit_pairs: set[tuple[int, int]] = set()
         for clause in self.program.clauses_for(pred, arity):
             state = head_state(ExtendedAtom(clause.head, gr, sh))
-            _, end = propagate_success(clause.body_atoms(), oracle, state)
+            _, end = propagate_success(clause.body_atoms(), self, state)
             exit = _refresh(clause.head, end)
             exit_ground &= exit.gr.ground
             exit_pairs |= exit.sh.pairs
         # joined with the current assumption, so that it only ever weakens
         # and the iteration ends: the transfer is not monotone, since a
         # less instantiated call may succeed more ground
-        old = assume[key]
+        old = self._assumed[key]
         return SuccessPattern(
             GroundnessPattern(arity, (gr.ground | exit_ground) & old.ground.ground),
             sharing_from_pairs(arity, exit_pairs | old.share.pairs),
         )
-
-
-class _FixpointOracle:
-    """Success lookups for the clause bodies of `key` inside a fixpoint
-    run: a callee without a final row gets its current assumption, and
-    `key` is recorded as waiting on it."""
-
-    def __init__(
-        self,
-        analyzer: Analyzer,
-        key: PatternKey,
-        deps: dict[PatternKey, set[PatternKey]],
-        ensure: Callable[[PatternKey], SuccessPattern],
-    ) -> None:
-        self.analyzer = analyzer
-        self.key = key
-        self.deps = deps
-        self.ensure = ensure
-
-    def success(
-        self, pred: str, arity: int, gr: GroundnessPattern, sh: SharingPattern
-    ) -> SuccessPattern:
-        inner: PatternKey = (pred, arity, gr, sh)
-        row = self.analyzer._known(inner, keep_undefined=False)
-        if row is not None:
-            return row
-        self.deps.setdefault(inner, set()).add(self.key)
-        return self.ensure(inner)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,42 @@ def test_undefined_predicate_gets_identity_success():
     assert s.share == independent_sharing(1)
 
 
+def test_only_a_lookup_from_outside_a_fixpoint_run_stores_an_undefined_row():
+    an = Analyzer(parse_program("p(X) :- mystery(X)."))
+    an.success("p", 1, groundness(1), independent_sharing(1))
+    # the run asked for mystery/1 while walking p's clause
+    assert [key[:2] for key in an.table().rows] == [("p", 1)]
+    key = ("mystery", 1, groundness(1), independent_sharing(1))
+    row = an.success(*key)
+    assert an.table().get(key) == row == SuccessPattern(groundness(1), independent_sharing(1))
+
+
+def test_a_fixpoint_run_that_raises_leaves_no_run_behind(monkeypatch):
+    prog = parse_program(APPEND)
+    transfer = Analyzer._transfer
+    raised = []
+
+    def raise_once(self, key):
+        if not raised:
+            raised.append(key)
+            raise AnalysisError("transfer failed")
+        return transfer(self, key)
+
+    monkeypatch.setattr(Analyzer, "_transfer", raise_once)
+    an = Analyzer(prog)
+    with pytest.raises(AnalysisError, match="transfer failed"):
+        an.success("append", 3, gr("{1}", 3), independent_sharing(3))
+    assert len(an.table()) == 0
+    # another key runs its own fixpoint, not read as a callee of the
+    # failed run, which would give the optimistic all-ground row
+    key = ("append", 3, gr("{}", 3), independent_sharing(3))
+    row = an.success(*key)
+    assert row == SuccessPattern(gr("{}", 3), sh("<{1,3},{2,3},{1,2,3}>", 3))
+    assert an.table().get(key) == row
+    monkeypatch.undo()
+    assert Analyzer(prog).success(*key) == row
+
+
 def test_fixpoint_ends_when_a_row_would_flip():
     # p at gr {2} calls p at {2} first; the row assumed for that call
     # puts the second call at {1} or at {}, and the optimistic row for {}

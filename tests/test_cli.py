@@ -429,6 +429,92 @@ def test_a_call_after_a_fork_is_specialized_under_the_join(tmp_path, capsys):
     ]
 
 
+ALIAS = "p(X,Y) :- q(X,Y), r(X), s(Y).\nq(A,B).\nr(1).\ns(2).\n"
+
+
+# small programs run end to end: the exit code, the lines that show what
+# each case is about, and how many lines of output fork
+@pytest.mark.parametrize(
+    "source, entry, patterns, checks, queries, cap, code, lines, forks",
+    [
+        pytest.param(
+            # a call term that grows by a cell per step reaches its budget
+            "p(1, X) :- p(Y, f(X)).\n", "p/2 gr {}", None, "eq,indep,safe",
+            "p(A1, f(B1)).\n", "3000", 5,
+            ["verify p/2: exceeded 3000 resolution steps"], 0,
+            id="growing_call_reaches_the_step_cap",
+        ),
+        pytest.param(
+            # arithmetic over a variable the clause never binds
+            "p(X,Y) :- Y is X+Z.\n", "p/2 gr {1}", None, "eq", "p(1,Y).\n", None, 5,
+            ["verify p/2: arithmetic over unbound variable _G1"], 0,
+            id="arithmetic_over_an_unbound_variable",
+        ),
+        pytest.param(
+            "p(X) :- (X + 1) > 0.\n", "p/1 gr {1}", None, "eq", "p(3).\n", None, 0,
+            ["p_1_1(X) :- X+1 > 0.", "query p(3) ok (1 answers)"], 0,
+            id="goal_with_a_bracketed_left_operand",
+        ),
+        pytest.param(
+            # the split search walks the prefix and forks one chain
+            # against the other
+            "q(X,Y) :- Y is X+1.\n"
+            "r(X0,Y0,X3,Y3) :- q(X0,X1), q(X1,X2), q(X2,X3), q(Y0,Y1), q(Y1,Y2), q(Y2,Y3).\n",
+            "r/4 gr {1,2}", None, "eq,indep,safe", "r(1,5,A,B).\n", None, 0,
+            [
+                "r_1_2_1_2_3_4(X0,Y0,X3,Y3) :- (q_1_1_2(X0,X1), q_1_1_2(X1,X2), q_1_1_2(X2,X3)"
+                " & q_1_1_2(Y0,Y1), q_1_1_2(Y1,Y2), q_1_1_2(Y2,Y3)).",
+                "site <0,0> checked 1 violations 0",
+            ],
+            1,
+            id="long_body_of_two_chains_forks",
+        ),
+        pytest.param(
+            # a row saying q links its arguments keeps r and s apart
+            ALIAS, "p/2 gr {}", "q/2 : gr {} -> {} ; sh <{1},{2}> -> <{1,2},{1,2}>\n",
+            "eq,indep,safe", "p(X,Y).\n", None, 0,
+            ["p__1_2(X,Y) :- q__1_2(X,Y), r__1(X), s__1(Y)."], 0,
+            id="linking_row_keeps_the_calls_apart",
+        ),
+        pytest.param(
+            # without that row, r(X) and s(Y) fork
+            ALIAS, "p/2 gr {}", None, None, None, None, 0,
+            ["p__1_2(X,Y) :- q__1_2(X,Y), (r__1(X) & s__1(Y))."], 1,
+            id="without_a_linking_row_the_calls_fork",
+        ),
+        pytest.param(
+            # each side of the fork starts with is/2, which binds the
+            # call after it
+            "p(X,Y,Z) :- A is X+1, q(A,Y), B is X*2, r(B,Z).\n"
+            "q(A,Y) :- Y is A+10.\nr(B,Z) :- Z is B-1.\n",
+            "p/3 gr {1}", None, "eq,indep,safe", "p(1,Y,Z).\np(5,Y,Z).\n", None, 0,
+            [
+                "p_1_1_2_3(X,Y,Z) :- (_G1 is X+1, q_1_1_2(_G1,Y) & _G2 is X*2, r_1_1_2(_G2,Z)).",
+                "site <0,0> checked 2 violations 0",
+            ],
+            1,
+            id="sides_that_start_with_is_fork",
+        ),
+    ],
+)
+def test_small_programs_end_to_end(
+    tmp_path, capsys, monkeypatch, source, entry, patterns, checks, queries, cap, code, lines, forks
+):
+    argv = [write(tmp_path / "p.pl", source), "--entry", entry]
+    if patterns is not None:
+        argv += ["--patterns", write(tmp_path / "pat", patterns)]
+    if checks is not None:
+        argv += ["--verify", checks, "--queries", write(tmp_path / "q.pl", queries)]
+    if cap is None:
+        monkeypatch.delenv("PARPEVAL_DEPTH_CAP", raising=False)
+    else:
+        monkeypatch.setenv("PARPEVAL_DEPTH_CAP", cap)
+    assert main(argv) == code
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line not in out] == []
+    assert sum("&" in line for line in out) == forks
+
+
 def test_verification_failure_exit_code(tmp_path, capsys):
     # claim p/1 grounds its argument; it provably does not
     prog = write(tmp_path / "p.pl", "p(X) :- r(X, _).\nr(f(Z), Z).\n")
