@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from .analysis import AnalysisError, Analyzer, parse_entry_spec, parse_pattern_file
@@ -16,7 +17,7 @@ from .engine import ExtendedAtom, PELimitExceeded, format_trace, partially_evalu
 from .interp import CHECKS, SolverError, parse_step_limit_env, verify
 from .parser import ParseError, parse_program, parse_query_lines
 from .patterns import PatternTable
-from .terms import Atom, Var, format_atom
+from .terms import Atom, NonlinearArgumentWarning, Var, format_atom
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -86,20 +87,25 @@ def _usage_error(message: str) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    try:
-        return _run(args)
-    except ParseError as exc:
-        print(f"parpeval: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (AnalysisError, PELimitExceeded, CodegenError) as exc:
-        print(f"parpeval: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
-    except OSError as exc:
-        print(f"parpeval: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - last resort
-        print(f"parpeval: internal error: {exc!r}", file=sys.stderr)
-        return EXIT_INTERNAL
+    # a run reports its own warnings, each once and without the location
+    # that raised it, whatever ran before it in the process
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NonlinearArgumentWarning)
+        try:
+            return _run(args)
+        except ParseError as exc:
+            code, error = EXIT_PARSE, f"parse error: {exc}"
+        except (AnalysisError, PELimitExceeded, CodegenError) as exc:
+            code, error = EXIT_ANALYSIS, str(exc)
+        except OSError as exc:
+            code, error = EXIT_USAGE, str(exc)
+        except Exception as exc:  # pragma: no cover - last resort
+            code, error = EXIT_INTERNAL, f"internal error: {exc!r}"
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"parpeval: warning: {message}", file=sys.stderr)
+    print(f"parpeval: {error}", file=sys.stderr)
+    return code
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -6,12 +6,13 @@ call time.  Queries are sequences of such extended atoms.  The driver
 builds a tree of derivations: each step either closes the selected atom
 (variant of a memoised atom, embedding whistle, builtin, no matching
 clause) or resolves it against every unifying clause, producing one
-branch per clause.  A resolution step gives the instantiated body its
-call patterns by propagation alone, from the head's patterns left to
-right, and then attempts to split the body into two independent
-segments that a residual clause may run in parallel.  Body atoms enter
-propagation as plain atoms: an atom's call patterns are a function of
-the atom and the state reached at it, nothing else.
+branch per clause.  A resolution step walks the instantiated body once,
+left to right from the head's patterns: the walk gives each atom its
+call patterns by propagation alone, and at each prefix it reaches it
+looks for two independent segments that a residual clause may run in
+parallel; a body with no split is finished by the same walk.  Body
+atoms enter the walk as plain atoms: an atom's call patterns are a
+function of the atom and the state reached at it, nothing else.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def unfold_step(
     """Resolve `ea` against `clause`: (mgu, renamed clause, body).
 
     The body is the renamed body under the mgu, as plain atoms;
-    `propagate_success` from the head state gives them their patterns.
+    a walk from the head state gives them their patterns.
     """
     rclause = rename_apart(clause, term_vars(ea.atom))
     sigma = mgu(ea.atom, rclause.head)
@@ -235,22 +236,22 @@ def propagate_success(
 Quad = tuple[ExtendedQuery, ExtendedQuery, ExtendedQuery, ExtendedQuery]
 
 
-def _parallel_role(ea: ExtendedAtom) -> int:
+def _parallel_role(atom: Atom, ground: set[str]) -> int:
     """1 for a user-defined atom, 0 for a builtin a parallel segment may
-    carry, -1 for one it may not."""
+    carry, -1 for one it may not, with the variables in `ground` ground."""
     # A parallel segment must do real work: at least one user-defined
     # atom.  Comparisons never go inside (they are cheap guards and
     # their failure must be observed before forking); is/2 only rides
     # along once its expression side is known ground; =/2 is free.
-    key = ea.key
+    key = atom.key
     if key not in BUILTIN_KEYS:
         return 1
-    if key[0] in COMPARISON_PREDS or (key[0] == "is" and 2 not in ea.gr):
+    if key[0] in COMPARISON_PREDS or (key[0] == "is" and not term_vars(atom.args[1]) <= ground):
         return -1
     return 0
 
 
-def _first_cut(rest: ExtendedQuery, fork: PropState) -> Optional[tuple[int, int]]:
+def _first_cut(rest: Sequence[Atom], fork: PropState) -> Optional[tuple[int, int]]:
     """Bounds (n2, mid) of the first pair of segments rest[:n2] and
     rest[n2:mid] that may run in parallel from `fork`: shortest tail
     first, then leftmost boundary.
@@ -263,15 +264,15 @@ def _first_cut(rest: ExtendedQuery, fork: PropState) -> Optional[tuple[int, int]
     tests unions of them.
     """
     bad, user = [0], [0]  # prefix counts of role -1 and role 1 atoms
-    for ea in rest:
-        role = _parallel_role(ea)
+    for atom in rest:
+        role = _parallel_role(atom, fork.ground)
         bad.append(bad[-1] + (role < 0))
         user.append(user[-1] + (role > 0))
 
     def admissible(a: int, b: int) -> bool:
         return bad[a] == bad[b] and user[a] < user[b]
 
-    avars = [term_vars(ea.atom) - fork.ground for ea in rest]
+    avars = [term_vars(atom) - fork.ground for atom in rest]
     lvars: list[set[str]] = [set()]
     for v in avars:
         lvars.append(lvars[-1] | v)
@@ -291,51 +292,52 @@ def _first_cut(rest: ExtendedQuery, fork: PropState) -> Optional[tuple[int, int]
     return None
 
 
-def split_independent(
-    head: ExtendedAtom, atoms: Sequence[Atom], oracle: SuccessOracle
-) -> Optional[Quad]:
-    """Split the body `atoms` into prefix, two independent segments, and
-    a tail, or None when there is no split.
+def _walk_body(head: ExtendedAtom, atoms: Sequence[Atom], oracle: SuccessOracle) -> Quad:
+    """One walk of the body `atoms` from the head state: prefix, two
+    independent segments and a tail, or ((), (), (), body) when there
+    is no split.
 
     Candidates are tried with the shortest prefix first, then the
     shortest tail (widening the parallel window), then the leftmost
     boundary between the segments; the first admissible split wins.
-    The segments are chosen by the rest of the body refreshed against
-    the fork state.  Returned segments carry their propagated patterns:
-    the prefix as run before the fork, each parallel segment propagated
+    The segments are chosen by the rest of the body read against the
+    fork state.  Returned segments carry their propagated patterns: the
+    prefix as run before the fork, each parallel segment propagated
     from the fork state alone, and the tail from the join of both
     segment states.
 
-    The prefix is propagated once: before each prefix is tried, one
-    walk from the head state is extended by the atoms it does not cover
-    yet, so a prefix atom is looked up once however many prefixes are
-    tried.  A prefix that cannot lead to a split is passed over without
-    extending the walk; its atoms are looked up when the next prefix is
-    tried, or by the propagation of the whole body that
-    `partially_evaluate` runs when no split is found, so the oracle
-    receives each new request in the same order.
+    Before each prefix is tried, the walk is extended by the atoms it
+    does not cover yet; a prefix that cannot lead to a split is passed
+    over, and a body without one is finished by the same walk.  So each
+    atom the walk covers is looked up once, in body order.
     """
-    n = len(atoms)
-    if sum(a.key not in BUILTIN_KEYS for a in atoms) < 2:
-        return None  # each parallel segment needs a user-defined atom
     fork = head_state(head)
-    prefix: list[ExtendedAtom] = []
-    for n1 in range(0, n - 1):
-        key = atoms[n1].key
-        if key[0] in COMPARISON_PREDS and key in BUILTIN_KEYS:
-            continue  # the first segment would start with a comparison
-        prefix.extend(_advance(a, fork, oracle) for a in atoms[len(prefix) : n1])
-        # segments and tail together are atoms[n1:], each refreshed
-        # against the fork state alone: the prefix decides them
-        cut = _first_cut(tuple(_refresh(a, fork) for a in atoms[n1:]), fork)
-        if cut is None:
-            continue
-        n2, mid = n1 + cut[0], n1 + cut[1]
-        f2, s2 = propagate_success(atoms[n1:n2], oracle, fork)
-        f3, s3 = propagate_success(atoms[n2:mid], oracle, fork)
-        f4, _ = propagate_success(atoms[mid:], oracle, PropState.join(s2, s3))
-        return tuple(prefix), f2, f3, f4
-    return None
+    walk: list[ExtendedAtom] = []
+    # each parallel segment needs a user-defined atom
+    if sum(a.key not in BUILTIN_KEYS for a in atoms) >= 2:
+        for n1 in range(len(atoms) - 1):
+            key = atoms[n1].key
+            if key[0] in COMPARISON_PREDS and key in BUILTIN_KEYS:
+                continue  # the first segment would start with a comparison
+            walk.extend(_advance(a, fork, oracle) for a in atoms[len(walk) : n1])
+            cut = _first_cut(atoms[n1:], fork)  # the prefix decides the rest
+            if cut is None:
+                continue
+            n2, mid = n1 + cut[0], n1 + cut[1]
+            f2, s2 = propagate_success(atoms[n1:n2], oracle, fork)
+            f3, s3 = propagate_success(atoms[n2:mid], oracle, fork)
+            f4, _ = propagate_success(atoms[mid:], oracle, PropState.join(s2, s3))
+            return tuple(walk), f2, f3, f4
+    walk.extend(_advance(a, fork, oracle) for a in atoms[len(walk) :])
+    return (), (), (), tuple(walk)
+
+
+def split_independent(
+    head: ExtendedAtom, atoms: Sequence[Atom], oracle: SuccessOracle
+) -> Optional[Quad]:
+    """The split of the body `atoms` that `_walk_body` finds, or None."""
+    quad = _walk_body(head, atoms, oracle)
+    return quad if quad[1] else None
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +551,9 @@ def _unfold(
         sigma, _, body = res
         head_inst = apply_subst(ea.atom, sigma)
         head_ea = ExtendedAtom(head_inst, ea.gr, ea.sh)
-        label, quad = "p", split_independent(head_ea, body, oracle)
-        if quad is None:
-            propped, _ = propagate_success(body, oracle, head_state(head_ea))
-            label, quad = "u", ((), (), (), propped)
+        quad = _walk_body(head_ea, body, oracle)
         yield Transition(
-            label,
+            "p" if quad[1] else "u",
             subject,
             parent,
             sigma=sigma,

@@ -640,6 +640,24 @@ def test_solver_error_names_the_same_variable_on_every_run(tmp_path, capsys):
         assert "verify p/1: arithmetic over unbound variable _G1" in capsys.readouterr().out
 
 
+def test_each_run_reports_its_own_warnings_once(tmp_path, capsys):
+    # both heads raise one message and the selected p(f(Y,Y)) another;
+    # the warnings module alone would print each on the first run only,
+    # with the location of the code that raised it
+    program = write(tmp_path / "nl.pl", "p(f(X,X)). p(g(X,X)). q(Y) :- p(f(Y,Y)).")
+    want = "".join(
+        f"parpeval: warning: repeated variable inside argument(s) [1] of p/1 ({where});"
+        " sharing analysis treats arguments as linear\n"
+        for where in ("clause head", "selected atom")
+    )
+    for _ in (1, 2):
+        assert main([program, "--entry", "q/1 gr {}"]) == 0
+        assert capsys.readouterr().err == want
+    proc = run_cli([program, "--entry", "q/1 gr {}"], cwd=tmp_path)
+    assert proc.stderr == want
+    assert ".py:" not in proc.stderr
+
+
 def test_output_is_deterministic_across_processes(tmp_path):
     texts = []
     for i in (1, 2):

@@ -445,19 +445,22 @@ class FirstRequests:
 @example(goals=["q(A,D)", "q(D,E)", "t(E,B)", "t(E,C)"], ground={1})
 def test_prop_split_asks_the_oracle_as_the_full_search_does(goals, ground):
     # a skipped prefix leaves the analyzer's rows, and so the table, as
-    # they are; `partially_evaluate` propagates the whole body when no split
-    # is found
+    # they are: the one walk `_unfold` runs asks what the per-candidate
+    # search asks, followed, when it finds no split, by a walk of the
+    # whole body
     prog = parse_program(SPLIT_HELPERS + "p(A, B, C) :- " + ", ".join(goals) + ".")
     clause = prog.clauses[-1]
     head = ExtendedAtom(clause.head, groundness(3, ground), independent_sharing(3))
     query = clause.body_atoms()
-    orders = []
-    for split in (reference_split, split_independent):
-        oracle = FirstRequests(Analyzer(prog))
-        if split(head, query, oracle) is None:
-            propagate_success(query, oracle, head_state(head))
-        orders.append(oracle.order)
-    assert orders[0] == orders[1]
+    reference = FirstRequests(Analyzer(prog))
+    if reference_split(head, query, reference) is None:
+        propagate_success(query, reference, head_state(head))
+    oracle = FirstRequests(Analyzer(prog))
+    quad = engine._walk_body(head, query, oracle)
+    assert oracle.order == reference.order
+    if not quad[1]:
+        walked, _ = propagate_success(query, Analyzer(prog), head_state(head))
+        assert quad == ((), (), (), walked)
 
 
 class CountingOracle:
@@ -474,14 +477,22 @@ class CountingOracle:
 def test_split_looks_up_each_prefix_atom_once():
     # a dependent chain: every boundary shares a variable, no split
     # exists, and prefixes of 0..22 goals are tried: one lookup per atom
-    # of the longest, where a walk per prefix makes 0 + 1 + ... + 22 = 253
+    # of the body, as the walk that found no split is finished, where a
+    # walk per prefix makes 0 + 1 + ... + 22 = 253 before the body's own
     goals = ", ".join(f"q(X{i},X{i + 1})" for i in range(24))
     prog = parse_program(f"q(X, Y) :- Y is X + 1.\nr(X0, X24) :- {goals}.")
     clause = prog.clauses[-1]
     head = ExtendedAtom(clause.head, groundness(2, (1,)), independent_sharing(2))
     oracle = CountingOracle(Analyzer(prog))
     assert split_independent(head, clause.body_atoms(), oracle) is None
-    assert oracle.calls == 22
+    assert oracle.calls == 24
+    # specializing the chain walks r's body once, 24 lookups, and q's
+    # body once, one lookup; q's other calls are variants
+    oracle = CountingOracle(Analyzer(prog))
+    trace = partially_evaluate(prog, ea(Atom("r", (Var("A"), Var("B"))), "{1}"), oracle)
+    labels = [t.label for t in trace.transitions()]
+    assert labels.count("u") == 2 and "p" not in labels
+    assert oracle.calls == 25
 
 
 # ---------------------------------------------------------------------------
