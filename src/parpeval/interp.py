@@ -2,20 +2,24 @@
 
 Goals are solved depth-first, left to right, trying clauses in textual
 order with the occurs check on.  Each solver compiles every clause once
-into head and body templates over numbered variable slots.  A clause
-head is matched against the call rather than renamed: a head variable's
-first occurrence takes the caller's term, so it is never bound or
-occurs checked.  A clause whose first head argument has another
-principal functor than the call's is passed over without a match, still
-at the cost of its step.  Every goal waits as a template over slot
-values: a body goal's are its try's, a query goal's are its arguments.
-A user call's atom is built only when the call is selected and some
-clause defines it.  A builtin runs from its slots, so arithmetic builds
-no term, and only the target of `is/2` and the sides of `=/2` are built.
+into head and body templates over numbered variable slots, and every
+predicate once into a record, which a goal template names by number:
+whether it is a builtin, its clauses, and a switch table giving, for
+each principal functor of a first argument, the clauses that can match
+and how many are passed over before and after each.  A clause passed
+over still costs its step, when it would have been tried, so step counts
+are those of trying every clause.  A clause head is matched against the
+call rather than renamed: a head variable's first occurrence takes the
+caller's term, so it is never bound or occurs checked.  Every goal waits
+as a template over slot values: a body goal's are its try's, a query
+goal's are its arguments.  A user call's arguments are built only when
+the call is selected and some clause defines it, its atom only for the
+`on_call` hook.  A builtin runs from its slots, so arithmetic builds no
+term, and only the target of `is/2` and the sides of `=/2` are built.
 Arithmetic keeps its own stack, so a deep term bound to a slot at run
 time needs no recursion.  A parallel group is a fork marker followed by
-its sides' goals: it runs as a plain conjunction — the annotations
-claim independence, they do not change sequential meaning.
+its sides' goals: it runs as a plain conjunction — the annotations claim
+independence, they do not change sequential meaning.
 
 The verification hooks read the bound term graph in place and are
 given variable sets, not copies of terms.  At each user call the
@@ -102,21 +106,6 @@ _COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge, "=<": operato
             "=:=": operator.eq}
 
 
-class _Choice:
-    """Clauses still to try for one call, and what to restore first."""
-
-    __slots__ = ("atom", "exit", "alternatives", "next", "rest", "mark")
-
-    def __init__(self, atom: Atom, exit_: Optional["_Exit"],
-                 alternatives: list["_ClauseEntry"], rest: "Goals", mark: int) -> None:
-        self.atom = atom
-        self.exit = exit_
-        self.alternatives = alternatives
-        self.next = 0
-        self.rest = rest
-        self.mark = mark
-
-
 class _Exit(NamedTuple):
     """Ends each body of a call whose exits a hook asked for."""
 
@@ -141,14 +130,15 @@ class _ClauseEntry:
     The clause's variables are numbered in order of first occurrence,
     head first.  In a template a variable is its slot `int`, a non-ground
     Struct is a `(functor, *args)` tuple and a ground subterm is itself;
-    a body goal is a `(pred, *args)` tuple.  `head` and `body` keep the
+    a body goal is a `(predicate number, *args)` tuple, the number
+    indexing the solver's `_Pred` records.  `head` and `body` keep the
     clause as written.
     """
 
     __slots__ = ("number", "head", "body", "key", "size", "fresh",
                  "head_t", "body_t", "slots_in")
 
-    def __init__(self, number: int, clause: Clause) -> None:
+    def __init__(self, number: int, clause: Clause, pred: Callable[[str, int], int]) -> None:
         self.number = number
         self.head = clause.head.args
         self.body = clause.body
@@ -158,7 +148,7 @@ class _ClauseEntry:
         slots: dict[str, int] = {}
         self.head_t = _template(clause.head.pred, self.head, slots)[1:]
         n_head = len(slots)
-        self.body_t = compile_body(number, self.body, slots)
+        self.body_t = compile_body(number, self.body, slots, pred)
         self.size = len(slots)
         names = list(slots)
         #: the body-only slots in name order, the order a try draws their
@@ -173,6 +163,51 @@ class _ClauseEntry:
             todo += [a for a in t[1:] if a.__class__ is tuple]
 
 
+# the candidate clauses for one first argument, the number of clauses
+# passed over before each, and the number passed over after the last
+_Plan = tuple[tuple[_ClauseEntry, ...], tuple[int, ...], int]
+
+
+def _plan(entries: Sequence[_ClauseEntry], key: Union[tuple[str, int], int, None]) -> _Plan:
+    """The plan for a first argument of principal functor `key`, None
+    standing for a functor that no first head argument has."""
+    candidates, skips, passed = [], [], 0
+    for entry in entries:
+        if entry.key is None or entry.key == key:
+            candidates.append(entry)
+            skips.append(passed)
+            passed = 0
+        else:
+            passed += 1
+    return tuple(candidates), tuple(skips), passed
+
+
+class _Pred:
+    """A predicate as one solver calls it.  `switch` maps each principal
+    functor of a first head argument to its plan; `other` serves any
+    other functor and `every` an unbound first argument (or none)."""
+
+    __slots__ = ("name", "key", "builtin", "entries", "switch", "other", "every")
+
+    def __init__(self, name: str, arity: int) -> None:
+        self.name = name
+        self.key = (name, arity)
+        self.builtin = self.key in BUILTIN_KEYS
+        self.entries: list[_ClauseEntry] = []
+        self.switch: dict[Union[tuple[str, int], int], _Plan] = {}
+        self.other: _Plan = ((), (), 0)
+        self.every: _Plan = ((), (), 0)
+
+    def index(self) -> None:
+        """Build the plans, once every clause is in `entries`."""
+        entries = self.entries
+        self.every = (tuple(entries), (0,) * len(entries), 0)
+        self.other = _plan(entries, None)
+        for entry in entries:
+            if entry.key is not None and entry.key not in self.switch:
+                self.switch[entry.key] = _plan(entries, entry.key)
+
+
 def _principal(t: Term) -> Union[tuple[str, int], int, None]:
     """What a first argument is indexed by: `(functor, arity)`, an
     integer's value, or None for a variable."""
@@ -183,7 +218,7 @@ def _principal(t: Term) -> Union[tuple[str, int], int, None]:
     return None
 
 
-def _template(name: str, args: tuple[Term, ...], slots: dict[str, int]) -> tuple:
+def _template(name: object, args: tuple[Term, ...], slots: dict[str, int]) -> tuple:
     """`(name, *args)`, each variable replaced by its slot and each
     non-ground Struct by its own template; a new variable gets the next
     slot."""
@@ -200,18 +235,20 @@ def _template(name: str, args: tuple[Term, ...], slots: dict[str, int]) -> tuple
     return tuple(out)
 
 
-def compile_body(number: int, body: Sequence[BodyGoal], slots: dict[str, int]) -> tuple:
+def compile_body(number: int, body: Sequence[BodyGoal], slots: dict[str, int],
+                 pred: Callable[[str, int], int]) -> tuple:
     """The goal templates of body `body` of clause `number`, in running
     order: a `&` group is a `_Fork` followed by its sides' templates.  A
+    goal template starts with the number `pred` gives its predicate.  A
     new variable gets the next slot."""
     out: list = []
     for pos, g in enumerate(body):
         if g.__class__ is ParGroup:
-            sides = tuple([tuple([_template(a.pred, a.args, slots) for a in side])
-                           for side in g.sides])
+            sides = tuple([tuple([_template(pred(a.pred, len(a.args)), a.args, slots)
+                                  for a in side]) for side in g.sides])
             out += (_Fork((number, pos), sides, tuple(map(_slots_of, sides))), *sum(sides, ()))
         else:
-            out.append(_template(g.pred, g.args, slots))
+            out.append(_template(pred(g.pred, len(g.args)), g.args, slots))
     return tuple(out)
 
 
@@ -252,9 +289,9 @@ def _operand_term(a: object, env: Sequence[Term]) -> Term:
     return a
 
 
-def _atoms(templates: tuple, env: Sequence[Term]) -> tuple[Atom, ...]:
+def _atoms(templates: tuple, env: Sequence[Term], preds: Sequence["_Pred"]) -> tuple[Atom, ...]:
     """The atoms of goal templates, built from `env`."""
-    return tuple([Atom(t[0], _build(t, env)) for t in templates])
+    return tuple([Atom(preds[t[0]].name, _build(t, env)) for t in templates])
 
 
 # the continuation: a linked list of (goal, env, rest) ending in (); a
@@ -285,13 +322,20 @@ class Solver:
         self.max_steps = max_steps
         self.on_call = on_call
         self.on_par = on_par
-        self._index: dict[tuple[str, int], list[_ClauseEntry]] = {}
+        # templates hold record numbers, not records: no reference cycles
+        self._preds: list[_Pred] = []
+        self._numbers: dict[tuple[str, int], int] = {}
         for ci, clause in enumerate(program.clauses):
-            self._index.setdefault(clause.head.key, []).append(_ClauseEntry(ci, clause))
+            pred = self._preds[self._number(*clause.head.key)]
+            pred.entries.append(_ClauseEntry(ci, clause, self._number))
+        for pred in self._preds:
+            pred.index()
         self._steps = 0
         self._binds: Subst = {}
         self._trail: list[str] = []
-        self._choices: list[_Choice] = []
+        # a choicepoint: `_try`'s arguments at a call's next candidate, or
+        # the count of clauses after its last candidate
+        self._choices: list[Union[tuple, int]] = []
         self._fresh: Iterator[str] = fresh_names(())
         # id of a non-ground Struct -> (it, its free variables, the trail
         # length they were collected at), in insertion order; holding the
@@ -314,7 +358,8 @@ class Solver:
         goals: Goals = ()
         end = len(env)
         for atom in reversed(query):
-            goals = ((atom.pred, *range(end - len(atom.args), end)), env, goals)
+            goals = ((self._number(atom.pred, len(atom.args)), *range(end - len(atom.args), end)),
+                     env, goals)
             end -= len(atom.args)
         while True:
             while goals:
@@ -327,9 +372,19 @@ class Solver:
 
     # -- resolution
 
-    def _tick(self) -> None:
-        self._steps += 1
+    def _number(self, name: str, arity: int) -> int:
+        """The number of predicate `name/arity`'s record, made on first use."""
+        number = self._numbers.get((name, arity))
+        if number is None:
+            number = self._numbers[(name, arity)] = len(self._preds)
+            self._preds.append(_Pred(name, arity))
+        return number
+
+    def _charge(self, steps: int) -> None:
+        """Take `steps` steps, one at a time as far as the budget goes."""
+        self._steps += steps
         if self._steps > self.max_steps:
+            self._steps = self.max_steps + 1
             raise StepLimitExceeded(f"exceeded {self.max_steps} resolution steps")
 
     def _undo(self, mark: int) -> None:
@@ -409,69 +464,76 @@ class Solver:
             if self.on_par is not None:
                 self.on_par(goal.site,
                             [_GROUND.union(*[self._vars(env[i]) for i in s]) for s in goal.slots],
-                            lambda: resolve(tuple([_atoms(side, env) for side in goal.sides]),
-                                            self._binds))
+                            lambda: resolve(tuple([_atoms(side, env, self._preds)
+                                                   for side in goal.sides]), self._binds))
             return rest
-        pred = goal[0]
-        key = (pred, len(goal) - 1)
-        if key in BUILTIN_KEYS:
-            self._tick()
-            return rest if self._builtin(pred, goal[1], goal[2], env) else None
-        alternatives = self._index.get(key)
-        if not alternatives:
+        pred = self._preds[goal[0]]
+        if pred.builtin:
+            self._charge(1)
+            return rest if self._builtin(pred.name, goal[1], goal[2], env) else None
+        if not pred.entries:
             return None
-        atom = Atom(pred, _build(goal, env))
+        args = _build(goal, env)
         exit_ = None
         if self.on_call is not None:
-            vs = [self._vars(a) for a in atom.args]
-            hook = self.on_call(key, vs, lambda: resolve(atom, self._binds))
+            atom = Atom(pred.name, args)
+            vs = [self._vars(a) for a in args]
+            hook = self.on_call(pred.key, vs, lambda: resolve(atom, self._binds))
             if hook is not None:
                 exit_ = _Exit(hook, atom, vs)
-        return self._try(_Choice(atom, exit_, alternatives, rest, len(self._trail)))
+        return self._try(args, exit_, self._switch(pred, args), rest, len(self._trail), 0)
+
+    def _switch(self, pred: _Pred, args: tuple[Term, ...]) -> _Plan:
+        """The plan of `pred` for a call with `args`, by the principal
+        functor of the first argument as it is bound now."""
+        key = _principal(walk(args[0], self._binds)) if args else None
+        return pred.every if key is None else pred.switch.get(key, pred.other)
 
     def _retry(self) -> Goals:
-        """Resume the newest choicepoint at its next clause."""
+        """Resume the newest choicepoint at its next candidate."""
         choice = self._choices.pop()
-        self._undo(choice.mark)
-        return self._try(choice)
+        if choice.__class__ is int:  # only passed-over clauses were left
+            self._charge(choice)
+            return None
+        self._undo(choice[4])
+        return self._try(*choice)
 
-    def _try(self, choice: _Choice) -> Goals:
-        """Try the choice's clauses in order from `choice.next`.
+    def _try(self, args: tuple[Term, ...], exit_: Optional[_Exit], plan: _Plan, rest: Goals,
+             mark: int, i: int) -> Goals:
+        """Try the plan's candidate clauses for a call from the `i`th on.
 
-        Each try is one step.  A clause whose first head argument has
-        another principal functor than the call's is passed over there
-        and then: its match would fail on that argument before binding
-        anything or drawing a fresh name.  Any other head is matched
-        against the call without being renamed (`_match`), and a head
-        that matches gives its body-only slots fresh names and pushes its
-        body's templates with the slots it filled.  If clauses remain
-        after the one that matched, the choicepoint goes back on the
-        stack.
+        Each clause is one step: those passed over before a candidate are
+        charged with it, and those after the last when it fails, or when
+        its choicepoint is resumed, which then only charges them.  A
+        candidate's head is matched against the call without being
+        renamed (`_match`), and a head that matches gives its body-only
+        slots fresh names and pushes its body's templates with the slots
+        it filled.
         """
-        atom, alternatives = choice.atom, choice.alternatives
-        args = atom.args
-        key = _principal(walk(args[0], self._binds)) if args else None
-        n = len(alternatives)
-        while choice.next < n:
-            entry = alternatives[choice.next]
-            choice.next += 1
-            self._tick()
-            if key is not None and entry.key is not None and entry.key != key:
-                continue  # the first argument cannot match: nothing to undo
+        candidates, skips, passed = plan
+        n = len(candidates)
+        while i < n:
+            self._charge(skips[i] + 1)
+            entry = candidates[i]
+            i += 1
             env: list = [None] * entry.size
             if not self._match(entry, args, env):
-                self._undo(choice.mark)
+                self._undo(mark)
                 continue
-            if choice.next < n:
-                self._choices.append(choice)
-            for i in entry.fresh:
-                env[i] = Var(next(self._fresh))
-            goals = choice.rest
-            if choice.exit is not None:
-                goals = (choice.exit, None, goals)
+            if i < n:
+                self._choices.append((args, exit_, plan, rest, mark, i))
+            elif passed:
+                self._choices.append(passed)
+            for j in entry.fresh:
+                env[j] = Var(next(self._fresh))
+            goals = rest
+            if exit_ is not None:
+                goals = (exit_, None, goals)
             for g in reversed(entry.body_t):
                 goals = (g, env, goals)
             return goals
+        if passed:
+            self._charge(passed)
         return None
 
     def _match(self, entry: _ClauseEntry, args: tuple[Term, ...], env: list) -> bool:
@@ -484,7 +546,9 @@ class Solver:
         non-ground head subterm against an unbound variable is built
         from `env`, its unseen variables under fresh names, and bound;
         the occurs check is skipped only when every variable in it is
-        unseen.
+        unseen.  An unbound variable is bound to a ground head subterm
+        with no occurs check.  Pairs are taken left to right, depth first,
+        as in `unify_in_place`.
         """
         binds, trail = self._binds, self._trail
         todo = list(zip(reversed(entry.head_t), reversed(args)))
@@ -493,6 +557,7 @@ class Solver:
             if c.__class__ is Var:
                 c = walk(c, binds)
             cls = h.__class__
+            ccls = c.__class__
             if cls is int:
                 value = env[h]
                 if value is None:
@@ -500,7 +565,6 @@ class Solver:
                 elif not unify_in_place(value, c, binds, trail):
                     return False
             elif cls is tuple:
-                ccls = c.__class__
                 if ccls is Struct:
                     if c.functor != h[0] or len(c.args) != len(h) - 1:
                         return False
@@ -520,8 +584,18 @@ class Solver:
                         return False
                 else:
                     return False
-            elif not unify_in_place(h, c, binds, trail):
+            elif ccls is Var:  # a ground head term from here on
+                binds[c.name] = h
+                trail.append(c.name)
+            elif ccls is not cls:
                 return False
+            elif cls is Int:
+                if c.value != h.value:
+                    return False
+            elif c.functor != h.functor or len(c.args) != len(h.args):
+                return False
+            else:
+                todo.extend(zip(reversed(h.args), reversed(c.args)))
         return True
 
     # -- builtins

@@ -1,4 +1,6 @@
 """Residual extraction: renaming, generalization, and guarded output."""
+import dataclasses
+
 import pytest
 
 import corpus
@@ -128,6 +130,24 @@ def test_each_residual_predicate_has_its_clauses_together(name):
     heads = [c.head.pred for c in rp.residual_clauses]
     runs = [p for i, p in enumerate(heads) if i == 0 or heads[i - 1] != p]
     assert len(runs) == len(set(runs)), heads
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BENCHES))
+def test_a_residual_specialized_again_at_its_entry_keeps_its_forks_and_clauses(name):
+    _, _, _, rp = corpus.compiled(name)
+    entry = corpus.BENCHES[name].entry
+    name = rp.entries[(entry.pred, entry.arity, entry.gr, entry.sh)]
+    renamed = dataclasses.replace(entry, pred=name)
+    program = rp.program()
+    again = extract_residual(
+        [partially_evaluate(program, corpus.entry_atom(renamed), Analyzer(program))]
+    )
+
+    def ands(r):
+        return sum(format_clause(c).count("&") for c in r.residual_clauses)
+
+    assert ands(again) == ands(rp)
+    assert len(again.residual_clauses) == len(rp.residual_clauses)
 
 
 # ---------------------------------------------------------------------------

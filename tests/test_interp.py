@@ -472,32 +472,55 @@ def test_retry_passes_over_clauses_whose_first_argument_cannot_match(monkeypatch
         Solver(parse_program(APP), max_steps=6).solve(parse_query(query))
 
 
-def counted_builds(monkeypatch):
-    """Record the name of each template built into terms."""
+def test_app_charges_each_passed_over_clause_and_undoes_nothing(monkeypatch):
+    undos = []
+    undo = Solver._undo
+    monkeypatch.setattr(Solver, "_undo", lambda self, mark: undos.append(mark) or undo(self, mark))
+    solver = Solver(parse_program(APP))
+    out = solver.solve(parse_query("app([1,2,3], [4], X)"))
+    assert out == [{"X": make_list([Int(1), Int(2), Int(3), Int(4)])}]
+    # each cons call passes over the [] clause and matches the cons one
+    # (2 steps, 3 times); app([],...) matches the [] clause (1 step) and
+    # leaves the cons clause only as the step charged when it is resumed
+    assert solver._steps == 8
+    assert undos == []
+
+
+def test_a_goal_after_a_failing_goal_builds_nothing(monkeypatch):
     built = []
     build = interp._build
 
     def counting(t, env):
-        built.append(t[0])
-        return build(t, env)
+        out = build(t, env)
+        built.append(tuple(map(format_term, out)))
+        return out
 
     monkeypatch.setattr(interp, "_build", counting)
-    return built
-
-
-def test_call_atom_is_built_only_when_selected(monkeypatch):
-    built = counted_builds(monkeypatch)
     assert answers("p(X) :- q(X), r(f(X)), s(g(X)). q(1).", "p(2)") == []
-    # q(2) fails, so r and s are never selected: neither is built, nor
-    # are the structures in their arguments
-    assert built == ["p", "q"]
+    # the arguments of p(2) and of q(2), which fails: r(f(2)) and s(g(2))
+    # are never selected, so neither they nor the structures in them are
+    # built
+    assert built == [("2",), ("2",)]
+
+
+def test_a_call_atom_is_built_only_for_the_call_hook(monkeypatch):
+    made = []
+    monkeypatch.setattr(interp, "Atom", lambda pred, args: made.append(pred) or Atom(pred, args))
+    program = parse_program(APP)
+    assert len(Solver(program).solve(parse_query("app([1,2], [3], X)"))) == 1
+    assert made == []
+    solver = Solver(program, on_call=lambda key, call_vars, call: None)
+    assert len(solver.solve(parse_query("app([1,2], [3], X)"))) == 1
+    assert made == ["app"] * 3
 
 
 class RenamingSolver(Solver):
-    """The solver as it was before head matching and the variable-set
-    memo: each try renames the whole head and unifies it with the call,
-    and hooks get variable sets from a plain walk of the bindings.  The
-    reference for the property below."""
+    """The solver as it was before head matching, the first-argument
+    switch and the variable-set memo: a call tries every clause of its
+    predicate and is charged one step for each; each try renames the
+    whole head and unifies it with the call; hooks get variable sets
+    from a plain walk of the bindings.  The reference for the property
+    below."""
 
     def _vars(self, t):
         out, seen, todo = set(), set(), [t]
@@ -510,27 +533,33 @@ class RenamingSolver(Solver):
                 todo.extend(t.args)
         return frozenset(out)
 
-    def _try(self, choice):
-        atom, alternatives = choice.atom, choice.alternatives
-        while choice.next < len(alternatives):
-            entry = alternatives[choice.next]
-            choice.next += 1
-            self._tick()
+    def _switch(self, pred, args):
+        return pred  # the plan `_try` gets is the predicate: it reads every clause
+
+    def _try(self, args, exit_, pred, rest, mark, i):
+        atom = Atom(pred.name, args)
+        alternatives = pred.entries
+        while i < len(alternatives):
+            entry = alternatives[i]
+            i += 1
+            self._steps += 1
+            if self._steps > self.max_steps:
+                raise StepLimitExceeded(f"exceeded {self.max_steps} resolution steps")
             clause_vars = sorted(term_vars((entry.head, entry.body)))
             mapping = {v: Var(next(self._fresh)) for v in clause_vars}
             head = apply_subst(Atom(atom.pred, entry.head), mapping)
             if not unify_in_place(atom, head, self._binds, self._trail):
-                self._undo(choice.mark)
+                self._undo(mark)
                 continue
-            if choice.next < len(alternatives):
-                self._choices.append(choice)
-            goals = choice.rest
-            if choice.exit is not None:
-                goals = (choice.exit, None, goals)
+            if i < len(alternatives):
+                self._choices.append((args, exit_, pred, rest, mark, i))
+            goals = rest
+            if exit_ is not None:
+                goals = (exit_, None, goals)
             # the renamed body's goals, each slot holding its own variable
             slots = {}
             body = [apply_subst(g, mapping) for g in entry.body]
-            body_t = interp.compile_body(entry.number, body, slots)
+            body_t = interp.compile_body(entry.number, body, slots, self._number)
             env = [Var(name) for name in slots]
             for g in reversed(body_t):
                 goals = (g, env, goals)
@@ -637,6 +666,11 @@ _clause = st.builds(
 )
 
 
+#: a clause for each kind of first head argument: [], a cons cell, an
+#: integer and a variable
+FIRST_ARGUMENTS = ["q([],a).", "q([X|T],T).", "q(0,b).", "q(Y,c)."]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     clauses=st.lists(_clause, min_size=1, max_size=6),
@@ -692,6 +726,18 @@ _clause = st.builds(
 )
 # a builtin query goal runs after the user goal binds its operand
 @example(clauses=["p(0).", "p(1).", "p(f(0))."], query="p(A), A > 0", max_steps=60)
+# each kind of first argument against each kind of first head argument
+@example(clauses=FIRST_ARGUMENTS, query="q([],B)", max_steps=60)
+@example(clauses=FIRST_ARGUMENTS, query="q([B],B)", max_steps=60)
+@example(clauses=FIRST_ARGUMENTS, query="q(0,B)", max_steps=60)
+@example(clauses=FIRST_ARGUMENTS, query="q(A,B)", max_steps=60)
+@example(clauses=FIRST_ARGUMENTS, query="q(f(A),B)", max_steps=60)
+# the budget runs out in the charge for the clauses after the last
+# candidate, and in the charge for those before the first
+@example(clauses=["q(a).", "q(b).", "q(c)."], query="q(a)", max_steps=2)
+@example(clauses=["q(a).", "q(b).", "q(c)."], query="q(c)", max_steps=1)
+# the last candidate fails to match, and the clause after it is charged
+@example(clauses=["q(f(a)).", "q(b)."], query="q(f(c))", max_steps=60)
 def test_prop_head_match_agrees_with_rename_then_unify(clauses, query, max_steps):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonlinearArgumentWarning)

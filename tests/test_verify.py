@@ -314,6 +314,35 @@ def test_corpus_verifies(name):
     assert safe.ok, "\n".join(safe.lines())
 
 
+#: the steps of the source and of the residual solve of each of a
+#: corpus program's first five queries
+CORPUS_STEPS = {
+    "amatrix": ([28, 54, 30, 41, 2], [28, 54, 30, 41, 2]),
+    "fib": ([4, 972, 598, 81, 1577], [4, 972, 598, 81, 1577]),
+    "flatten": ([158, 26, 166, 28, 170], [158, 26, 166, 28, 170]),
+    "hanoi": ([3, 12, 32, 76, 172], [3, 12, 32, 76, 172]),
+    "mmatrix": ([62, 110, 86, 110, 14], [62, 110, 86, 110, 14]),
+    "msort": ([3, 3, 25, 55, 85], [3, 3, 23, 51, 79]),
+    "palin": ([57, 77, 13, 11, 31], [57, 77, 13, 11, 31]),
+    "qsort": ([2, 11, 27, 44, 71], [2, 11, 27, 44, 71]),
+    "tak": ([4, 118, 4, 4, 4], [4, 118, 4, 4, 4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(corpus.BENCHES))
+def test_corpus_solves_take_their_pinned_steps(name):
+    program, _, _, residual = corpus.compiled(name)
+    entry = corpus.BENCHES[name].entry
+    source, renamed = Solver(program), Solver(residual.program())
+    steps = ([], [])
+    for query in corpus.bench_queries(name)[:5]:
+        source.solve([query])
+        steps[0].append(source._steps)
+        renamed.solve([residual.rename_query(query, entry.gr, entry.sh)])
+        steps[1].append(renamed._steps)
+    assert steps == CORPUS_STEPS[name]
+
+
 # -- the checks catch corrupted corpus residuals
 
 #: residual clauses that the first five queries of a program never reach,
