@@ -46,7 +46,7 @@ EntityKey = tuple  # ExtendedAtom.memo_key: (canonical atom, groundness, sharing
 
 
 def _mangle(pred: str, gr: GroundnessPattern, sh: SharingPattern) -> str:
-    gr_part = "_".join(str(i) for i in gr)
+    gr_part = "_".join(map(str, gr.positions))
     sh_part = "_".join("".join(str(j) for j in sorted(g)) for g in sh.groups)
     return f"{pred}_{gr_part}_{sh_part}"
 

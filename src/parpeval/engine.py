@@ -18,7 +18,7 @@ function of the atom and the state reached at it, nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterator, Optional, Protocol, Sequence
 
 from .patterns import (
@@ -27,7 +27,6 @@ from .patterns import (
     SuccessPattern,
     format_groundness,
     format_sharing,
-    sharing_from_pairs,
 )
 from .terms import (
     BUILTIN_KEYS,
@@ -146,11 +145,6 @@ def _may_share(v1: set[str], v2: set[str], partners: dict[str, set[str]]) -> boo
 # resolution
 
 
-@cache
-def _empty_patterns(arity: int) -> tuple[GroundnessPattern, SharingPattern]:
-    return GroundnessPattern(arity, frozenset()), SharingPattern(arity, frozenset())
-
-
 def unfold_step(
     ea: ExtendedAtom, clause: Clause
 ) -> Optional[tuple[Subst, Clause, tuple[Atom, ...]]]:
@@ -178,15 +172,13 @@ def _refresh(atom: Atom, state: PropState) -> ExtendedAtom:
     free = [term_vars(t) - state.ground for t in atom.args]
     positions = frozenset(j for j in range(1, n + 1) if not free[j - 1])
     live = [(i, v) for i, v in enumerate(free, start=1) if v]
-    pairs = [
+    pairs = frozenset(
         (i, j)
         for k, (i, vi) in enumerate(live)
         for j, vj in live[k + 1 :]
         if _may_share(vi, vj, state.partners)
-    ]
-    if not positions and not pairs:
-        return ExtendedAtom(atom, *_empty_patterns(n))
-    return ExtendedAtom(atom, GroundnessPattern(n, positions), sharing_from_pairs(n, pairs))
+    )
+    return ExtendedAtom(atom, GroundnessPattern(n, positions), SharingPattern(n, pairs))
 
 
 def _absorb(atom: Atom, success: SuccessPattern, state: PropState) -> None:
@@ -257,11 +249,13 @@ def _first_cut(rest: Sequence[Atom], fork: PropState) -> Optional[tuple[int, int
     first, then leftmost boundary.
 
     Each segment needs a user-defined atom and no atom of role -1.  The
-    segments are independent when their free variables at the fork may
-    not share (`_may_share` over the fork's partners); the head's own
-    sharing is among those partners, as every state grows from
-    `head_state`.  Free variables are taken once per atom; a candidate
-    tests unions of them.
+    segments are independent when no atom of the first may share with
+    an atom of the second at the fork (`_may_share` over the fork's
+    partners); the head's own sharing is among those partners, as every
+    state grows from `head_state`.  So one number per atom decides every
+    candidate: `first[b]`, the leftmost atom before `b` that may share
+    with it, or `b` itself.  rest[:n2] and rest[n2:mid] are independent
+    exactly when `min(first[n2:mid]) >= n2`.
     """
     bad, user = [0], [0]  # prefix counts of role -1 and role 1 atoms
     for atom in rest:
@@ -273,22 +267,18 @@ def _first_cut(rest: Sequence[Atom], fork: PropState) -> Optional[tuple[int, int
         return bad[a] == bad[b] and user[a] < user[b]
 
     avars = [term_vars(atom) - fork.ground for atom in rest]
-    lvars: list[set[str]] = [set()]
-    for v in avars:
-        lvars.append(lvars[-1] | v)
-    empty: set[str] = set()
+    first = [
+        next((a for a in range(b) if _may_share(avars[a], vb, fork.partners)), b)
+        for b, vb in enumerate(avars)
+    ]
     for mid in range(len(rest), 1, -1):
-        rvars: list[set[str]] = [empty] * mid
-        v = empty
-        for j in range(mid - 1, 0, -1):
-            v = v | avars[j]
-            rvars[j] = v
-        for n2 in range(1, mid):
-            if not (admissible(0, n2) and admissible(n2, mid)):
-                continue
-            if _may_share(lvars[n2], rvars[n2], fork.partners):
-                continue
-            return n2, mid
+        low, cut = mid, None  # low is min(first[n2:mid]) as n2 goes down
+        for n2 in range(mid - 1, 0, -1):
+            low = min(low, first[n2])
+            if low >= n2 and admissible(0, n2) and admissible(n2, mid):
+                cut = n2
+        if cut is not None:
+            return cut, mid
     return None
 
 
@@ -378,7 +368,7 @@ def embeds(big: ExtendedAtom, small: ExtendedAtom) -> bool:
 # the driver
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Occurrence:
     """One queue slot; its identity ties resultant bodies to the
     transitions that close it, the last of which sets `callee`: the
@@ -419,7 +409,7 @@ class Memo:
         return ea
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Transition:
     label: str  # u unfold | p parallel split | v variant | e embedding | n builtin | f no clause
     subject: Occurrence

@@ -920,7 +920,7 @@ def _pattern_violation(
     Extra instantiation is fine: a pattern over-approximates, so a table
     row applies to every call that honours its claims.
     """
-    for i in gr:
+    for i in gr.positions:
         if vs[i - 1]:
             return f"position {i} not ground"
     shared = _unlicensed_sharing(vs, sh)

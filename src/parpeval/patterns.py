@@ -4,36 +4,61 @@ A groundness pattern is the set of argument positions (1-based) known to be
 bound to ground terms.  A sharing pattern is the set of position pairs that
 may share a variable; it is deliberately not transitive, since "1 shares
 with 2" and "2 shares with 3" do not imply a variable common to 1 and 3.
+
+Patterns are interned: building one returns the one instance for its
+value, so the memo, the success tables and the residual names, all keyed
+by patterns, compare them by identity first.  A pattern is validated
+before it is interned, so an invalid one raises every time it is built.
+The intern tables start empty and hold every distinct pattern the
+process builds, for the life of the process; a program has few of them
+(a pattern of arity n is one of at most 2^n groundness values and
+2^(n(n-1)/2) sharing values).  Equality and hashing are by value, so
+sets and dicts of patterns behave as if they were not interned.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
+_GROUNDNESS: dict[tuple[int, frozenset[int]], GroundnessPattern] = {}
+_SHARING: dict[tuple[int, frozenset[tuple[int, int]]], SharingPattern] = {}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class GroundnessPattern:
     arity: int
     ground: frozenset[int]
+    #: the ground positions in increasing order
+    positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        bad = [i for i in self.ground if not 1 <= i <= self.arity]
-        if bad:
-            raise ValueError(f"positions {bad} out of range for arity {self.arity}")
-        # patterns key the memo and the success tables: hash them once
-        self.__dict__["_hash"] = hash((self.arity, self.ground))
+    def __new__(cls, arity: int, ground: frozenset[int]) -> GroundnessPattern:
+        key = (arity, ground)
+        self = _GROUNDNESS.get(key)
+        if self is None:
+            bad = [i for i in ground if not 1 <= i <= arity]
+            if bad:
+                raise ValueError(f"positions {bad} out of range for arity {arity}")
+            self = object.__new__(cls)
+            self.__dict__.update(
+                arity=arity, ground=ground, positions=tuple(sorted(ground)), _hash=hash(key)
+            )
+            _GROUNDNESS[key] = self
+        return self
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return GroundnessPattern, (self.arity, self.ground)
 
     def __contains__(self, i: int) -> bool:
         return i in self.ground
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.ground))
+        return iter(self.positions)
 
     def __repr__(self) -> str:
         return format_groundness(self)
@@ -43,11 +68,29 @@ def groundness(arity: int, positions: Iterable[int] = ()) -> GroundnessPattern:
     return GroundnessPattern(arity, frozenset(positions))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SharingPattern:
     arity: int
     #: the unordered position pairs (i<j) the pattern allows to share
     pairs: frozenset[tuple[int, int]]
+
+    def __new__(cls, arity: int, pairs: frozenset[tuple[int, int]]) -> SharingPattern:
+        key = (arity, pairs)
+        self = _SHARING.get(key)
+        if self is None:
+            bad = [p for p in pairs if not 1 <= p[0] < p[1] <= arity]
+            if bad:
+                raise ValueError(f"pairs {bad} are not (i, j) with 1 <= i < j <= {arity}")
+            self = object.__new__(cls)
+            self.__dict__.update(arity=arity, pairs=pairs, _hash=hash(key))
+            _SHARING[key] = self
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return SharingPattern, (self.arity, self.pairs)
 
     @cached_property
     def groups(self) -> tuple[frozenset[int], ...]:
@@ -101,7 +144,7 @@ _SHARING_RE = re.compile(rf"<\s*(?:{_SET}\s*(?:,\s*{_SET}\s*)*)?>")
 
 
 def format_groundness(p: GroundnessPattern) -> str:
-    return "{" + ",".join(str(i) for i in sorted(p.ground)) + "}"
+    return "{" + ",".join(map(str, p.positions)) + "}"
 
 
 def format_sharing(s: SharingPattern) -> str:
@@ -186,7 +229,7 @@ class PatternTable:
 
 def _row_sort_key(key: PatternKey):
     pred, arity, gr, sh = key
-    return (pred, arity, sorted(gr.ground), sorted(sorted(g) for g in sh.groups))
+    return (pred, arity, gr.positions, sorted(sorted(g) for g in sh.groups))
 
 
 _ROW_RE = re.compile(

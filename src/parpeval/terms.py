@@ -40,6 +40,13 @@ class Int:
 
 @dataclass(frozen=True, init=False)
 class Struct:
+    """A compound term, or a constant when `args` is empty.
+
+    `ground` is worked out when the term is built; the hash, the value
+    the dataclass would give, on first use.  Both are kept on the
+    instance, so a term that keys many lookups is hashed once.
+    """
+
     functor: str
     args: tuple[Term, ...] = ()
     #: no variable occurs in the term; lets the traversals below skip it
@@ -55,6 +62,13 @@ class Struct:
             if isinstance(a, Var) or (isinstance(a, Struct) and not a.ground):
                 d["ground"] = False
                 break
+
+    def __hash__(self) -> int:
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = hash((self.functor, self.args))
+        return h
 
     def __repr__(self) -> str:
         return format_term(self)
@@ -92,6 +106,9 @@ def make_conjunction(items: Sequence[Term]) -> Term:
 
 @dataclass(frozen=True)
 class Atom:
+    """A predicate applied to argument terms; its hash is kept on first
+    use, as a `Struct`'s is."""
+
     pred: str
     args: tuple[Term, ...] = ()
 
@@ -105,6 +122,13 @@ class Atom:
 
     def to_term(self) -> "Struct":
         return Struct(self.pred, self.args)
+
+    def __hash__(self) -> int:
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = hash((self.pred, self.args))
+        return h
 
     def __repr__(self) -> str:
         return format_atom(self)

@@ -415,6 +415,8 @@ _goal = st.one_of(
 @example(goals=["q(A,D)", "q(D,E)", "t(E,B)", "t(E,C)"], ground={1}, pairs=set())
 # the segments ground D, which the tail repeats
 @example(goals=["q(A,D)", "q(A,E)", "t(D,D)"], ground={1}, pairs=set())
+# the whole body admits a cut after s(A) and one after s(B); the leftmost wins
+@example(goals=["s(A)", "s(B)", "t(C,D)", "t(D,E)"], ground=set(), pairs=set())
 def test_prop_split_matches_per_candidate_search(goals, ground, pairs):
     prog = parse_program(SPLIT_HELPERS + "p(A, B, C) :- " + ", ".join(goals) + ".")
     clause = prog.clauses[-1]
@@ -771,3 +773,19 @@ def test_analysis_and_specialization_leave_the_program_clauses_as_they_are():
     an.success("p0", 3, groundness(3, (1,)), independent_sharing(3))
     partially_evaluate(prog, ea(Atom("p0", (Var("A"), Var("B"), Var("C"))), "{1}"), an)
     assert [c.__dict__ for c in prog.clauses] == before
+
+
+def test_every_pattern_the_specializer_holds_is_the_one_object_for_its_value():
+    # patterns are interned, so the keys of the table rows, the memo and
+    # the transitions compare by identity first
+    prog = parse_program((corpus.Path(__file__).parent / "golden" / "preds12.pl").read_text())
+    an = Analyzer(prog)
+    trace = partially_evaluate(prog, ea(Atom("p0", (Var("A"), Var("B"), Var("C"))), "{1}"), an)
+    held = [p for (_, _, gr, sh), row in an.rows.rows.items() for p in (gr, sh, row.ground, row.share)]
+    atoms = [*trace.memo]
+    for t in trace.transitions():
+        atoms += [t.subject.ea, *(o.ea for o in t.body)]
+        atoms += [t.general] if t.general is not None else []
+    held += [p for x in atoms for p in (x.gr, x.sh)]
+    assert len(set(held)) < len(held) / 10  # many holders per value
+    assert len({id(p) for p in held}) == len(set(held))

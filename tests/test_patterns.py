@@ -1,4 +1,7 @@
 """Groundness and sharing patterns: lattice operations and text forms."""
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -36,6 +39,48 @@ def test_groundness_validates_positions():
         groundness(2, (3,))
     with pytest.raises(ValueError):
         groundness(2, (0,))
+
+
+def test_equal_patterns_are_one_object_however_built():
+    g = GroundnessPattern(3, frozenset({1, 3}))
+    assert groundness(3, (3, 1)) is g
+    assert parse_groundness("{3,1}", 3) is g
+    s = SharingPattern(3, frozenset({(1, 2)}))
+    assert sharing_from_pairs(3, [(2, 1), (3, 3)]) is s
+    assert parse_sharing("<{1,2},{1,2},{3}>", 3) is s
+    assert sharing(3, [{2, 1}]) is s
+    assert copy.deepcopy(g) is g and pickle.loads(pickle.dumps(s)) is s
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GroundnessPattern(2, frozenset({3})),
+        lambda: groundness(2, (0,)),
+        lambda: parse_groundness("{1,3}", 2),
+        lambda: SharingPattern(2, frozenset({(1, 3)})),
+        lambda: SharingPattern(2, frozenset({(2, 1)})),
+        lambda: SharingPattern(2, frozenset({(1, 1)})),
+        lambda: sharing_from_pairs(2, [(3, 3)]),
+    ],
+    ids=["gr", "groundness", "parse_groundness", "sh", "sh-unordered", "sh-diagonal",
+         "sharing_from_pairs"],
+)
+def test_an_invalid_pattern_raises_every_time_it_is_built(build):
+    # a pattern is checked before it is interned, so none is kept
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            build()
+
+
+@pytest.mark.parametrize("arity, ground", [(0, ()), (2, (2,)), (3, (1, 3)), (4, (1, 2, 3, 4))])
+def test_a_groundness_pattern_hashes_as_its_value(arity, ground):
+    assert hash(groundness(arity, ground)) == hash((arity, frozenset(ground)))
+
+
+@pytest.mark.parametrize("arity, pairs", [(0, ()), (2, ((1, 2),)), (3, ((1, 2), (2, 3)))])
+def test_a_sharing_pattern_hashes_as_its_value(arity, pairs):
+    assert hash(sharing_from_pairs(arity, pairs)) == hash((arity, frozenset(pairs)))
 
 
 def test_sharing_normalizes_but_is_not_transitive():

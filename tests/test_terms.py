@@ -357,6 +357,35 @@ def test_prop_ground_flag_is_not_part_of_equality(t):
     assert twin == t and hash(twin) == hash(t)
 
 
+def _hash_model(t):
+    """`t` with each compound term as a plain (functor, args) tuple: what
+    the dataclass would hash, built without any hash a term keeps."""
+    if isinstance(t, Struct):
+        return t.functor, tuple(map(_hash_model, t.args))
+    return t
+
+
+def _rebuilt(t):
+    """An equal copy of `t` that shares no compound term with it."""
+    if isinstance(t, Struct):
+        return Struct(t.functor, tuple(map(_rebuilt, t.args)))
+    return t
+
+
+@given(terms, terms)
+def test_prop_a_term_hashes_as_its_value_once_and_for_all(a, b):
+    atom = Atom("p", (a, b))
+    keyed = [x for x in (a, b) if isinstance(x, Struct)] + [atom]
+    hashes = [hash(x) for x in keyed]
+    assert hashes[:-1] == [hash(_hash_model(x)) for x in keyed[:-1]]
+    assert hashes[-1] == hash(("p", (_hash_model(a), _hash_model(b))))
+    # equal terms built apart hash alike, and keying a dict moves no hash
+    twins = [_rebuilt(x) for x in keyed[:-1]] + [Atom("p", (_rebuilt(a), _rebuilt(b)))]
+    table = dict.fromkeys(keyed)
+    assert all(x in table for x in twins)
+    assert [hash(x) for x in twins] == [hash(x) for x in keyed] == hashes
+
+
 def _glued(left, op, right):
     """A symbolic operator between its operands, with a space before a
     right operand that starts with a minus sign: `Z--1` would read as
