@@ -7,8 +7,10 @@ recorded as its occurrence's `callee`: the last transition that closed
 it names it after its own extended atom (a variant hit or an
 unfolding) or after the generalization its embedding roots; a builtin
 or a failing atom keeps its name.  An entity's resultants come from the
-first trace that unfolds it.  So a residual calls only specialized
-predicates.
+first trace that unfolds it.  So a residual calls specialized
+predicates, builtins and, by its source name, each atom closed by
+failure (`p(X,f(X))` in `p__1_2(X,0) :- p__12_12(X,X), p(X,f(X)).`),
+for which it defines no clause.
 
 There is one residual program, and two ways to print it.
 `format_residual` prints its clauses, `&` groups and all.
@@ -146,11 +148,11 @@ def extract_residual(
             if t.label not in "up" or owner.setdefault(t.subject.ea.memo_key, trace) is not trace:
                 continue
             head = Atom(scheme.name(t.subject.ea), t.head_instance.args)
-            prefix, *sides, tail = t.quad
-            body: list[BodyGoal] = [rename(o) for o in prefix]
-            if sides[0]:
-                body.append(ParGroup(tuple(tuple(map(rename, side)) for side in sides)))
-            body.extend(map(rename, tail))
+            body: list[BodyGoal] = [rename(o) for o in t.body]
+            cuts = t.cuts
+            if cuts:  # one group, a side between each two consecutive cuts
+                sides = tuple(tuple(body[a:b]) for a, b in zip(cuts, cuts[1:]))
+                body[cuts[0] : cuts[-1]] = [ParGroup(sides)]
             clauses.append(Clause(head, tuple(body)))
 
     # closedness: every call keeps its name (a builtin or an atom that

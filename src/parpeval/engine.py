@@ -8,11 +8,10 @@ builds a tree of derivations: each step either closes the selected atom
 clause) or resolves it against every unifying clause, producing one
 branch per clause.  A resolution step walks the instantiated body once,
 left to right from the head's patterns: the walk gives each atom its
-call patterns by propagation alone, and at each prefix it reaches it
-looks for two independent segments that a residual clause may run in
-parallel; a body with no split is finished by the same walk.  Body
-atoms enter the walk as plain atoms: an atom's call patterns are a
-function of the atom and the state reached at it, nothing else.
+call patterns by propagation alone, and a split into two independent
+segments, which a residual clause may run in parallel, is cut positions
+in it.  Body atoms enter the walk as plain atoms: an atom's call
+patterns are a function of the atom and the state reached at it.
 """
 
 from __future__ import annotations
@@ -101,23 +100,9 @@ class PropState:
 
     __slots__ = ("ground", "partners")
 
-    def __init__(
-        self, ground: set[str] | None = None, partners: dict[str, set[str]] | None = None
-    ):
-        self.ground: set[str] = set() if ground is None else set(ground)
-        self.partners: dict[str, set[str]] = (
-            {} if partners is None else {x: set(ys) for x, ys in partners.items()}
-        )
-
-    def copy(self) -> "PropState":
-        return PropState(self.ground, self.partners)
-
-    @staticmethod
-    def join(a: "PropState", b: "PropState") -> "PropState":
-        out = PropState(a.ground | b.ground, a.partners)
-        for x, ys in b.partners.items():
-            out.partners.setdefault(x, set()).update(ys)
-        return out
+    def __init__(self) -> None:
+        self.ground: set[str] = set()
+        self.partners: dict[str, set[str]] = {}
 
 
 def head_state(head: ExtendedAtom) -> PropState:
@@ -212,13 +197,11 @@ def _advance(atom: Atom, state: PropState, oracle: SuccessOracle) -> ExtendedAto
 def propagate_success(
     atoms: Sequence[Atom], oracle: SuccessOracle, state: PropState
 ) -> tuple[ExtendedQuery, PropState]:
-    """Walk `atoms` left to right from `state`: each is refreshed against
-    the accumulated state, its success pattern is looked up under the
-    refreshed call pattern, and the answer is absorbed before moving
-    right.  The refreshed atoms and the final state; `state` is left as
-    it was."""
-    st = state.copy()
-    return tuple(_advance(a, st, oracle) for a in atoms), st
+    """Walk `atoms` left to right from `state`, in place: each is
+    refreshed against the accumulated state, its success pattern is
+    looked up under the refreshed call pattern, and the answer is
+    absorbed before moving right.  The refreshed atoms and `state`."""
+    return tuple(_advance(a, state, oracle) for a in atoms), state
 
 
 # ---------------------------------------------------------------------------
@@ -282,52 +265,54 @@ def _first_cut(rest: Sequence[Atom], fork: PropState) -> Optional[tuple[int, int
     return None
 
 
-def _walk_body(head: ExtendedAtom, atoms: Sequence[Atom], oracle: SuccessOracle) -> Quad:
-    """One walk of the body `atoms` from the head state: prefix, two
-    independent segments and a tail, or ((), (), (), body) when there
-    is no split.
+def _walk_body(
+    head: ExtendedAtom, atoms: Sequence[Atom], oracle: SuccessOracle
+) -> tuple[ExtendedQuery, tuple[int, ...]]:
+    """One walk of the body `atoms` from the head state, and the cuts
+    (n1, n2, mid) when atoms[n1:n2] and atoms[n2:mid] may run in
+    parallel, or () when there is no split.
 
     Candidates are tried with the shortest prefix first, then the
     shortest tail (widening the parallel window), then the leftmost
     boundary between the segments; the first admissible split wins.
     The segments are chosen by the rest of the body read against the
-    fork state.  Returned segments carry their propagated patterns: the
-    prefix as run before the fork, each parallel segment propagated
-    from the fork state alone, and the tail from the join of both
-    segment states.
+    fork state.  The walk is extended up to each prefix tried, and goes
+    on to the end of the body once a cut is found or none is; so each
+    atom is refreshed, looked up and absorbed once, in body order.
 
-    Before each prefix is tried, the walk is extended by the atoms it
-    does not cover yet; a prefix that cannot lead to a split is passed
-    over, and a body without one is finished by the same walk.  So each
-    atom the walk covers is looked up once, in body order.
+    No state is copied or joined, and none need be.  At the fork no free
+    variable occurs in both segments and no partner link joins them;
+    `_absorb` grounds only an atom's own variables and links them only
+    to each other, and `_refresh` reads only an atom's own variables and
+    their partners.  So the left segment changes nothing the right one
+    reads: each right atom gets the patterns a walk from the fork alone
+    gives it, and the state after both is the join of the two.
     """
-    fork = head_state(head)
+    state = head_state(head)
     walk: list[ExtendedAtom] = []
+    cuts: tuple[int, ...] = ()
     # each parallel segment needs a user-defined atom
     if sum(a.key not in BUILTIN_KEYS for a in atoms) >= 2:
         for n1 in range(len(atoms) - 1):
             key = atoms[n1].key
             if key[0] in COMPARISON_PREDS and key in BUILTIN_KEYS:
                 continue  # the first segment would start with a comparison
-            walk.extend(_advance(a, fork, oracle) for a in atoms[len(walk) : n1])
-            cut = _first_cut(atoms[n1:], fork)  # the prefix decides the rest
-            if cut is None:
-                continue
-            n2, mid = n1 + cut[0], n1 + cut[1]
-            f2, s2 = propagate_success(atoms[n1:n2], oracle, fork)
-            f3, s3 = propagate_success(atoms[n2:mid], oracle, fork)
-            f4, _ = propagate_success(atoms[mid:], oracle, PropState.join(s2, s3))
-            return tuple(walk), f2, f3, f4
-    walk.extend(_advance(a, fork, oracle) for a in atoms[len(walk) :])
-    return (), (), (), tuple(walk)
+            walk.extend(_advance(a, state, oracle) for a in atoms[len(walk) : n1])
+            cut = _first_cut(atoms[n1:], state)  # the prefix decides the rest
+            if cut is not None:
+                cuts = (n1, n1 + cut[0], n1 + cut[1])
+                break
+    walk.extend(_advance(a, state, oracle) for a in atoms[len(walk) :])
+    return tuple(walk), cuts
 
 
 def split_independent(
     head: ExtendedAtom, atoms: Sequence[Atom], oracle: SuccessOracle
 ) -> Optional[Quad]:
-    """The split of the body `atoms` that `_walk_body` finds, or None."""
-    quad = _walk_body(head, atoms, oracle)
-    return quad if quad[1] else None
+    """The split `_walk_body` finds, as (prefix, left, right, tail), or None."""
+    walk, cuts = _walk_body(head, atoms, oracle)
+    bounds = (0, *cuts, len(walk))
+    return tuple(walk[a:b] for a, b in zip(bounds, bounds[1:])) if cuts else None
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +403,10 @@ class Transition:
     sigma: Optional[Subst] = None
     clause_index: Optional[int] = None
     head_instance: Optional[Atom] = None
-    # u and p: (prefix, left, right, tail); an unfolding is ((), (), (), body)
-    quad: Optional[tuple[tuple[Occurrence, ...], ...]] = None
+    body: tuple[Occurrence, ...] = ()  # u and p: the resolvent's body, in order
+    # p: the cuts of the walk, (n1, n2, mid); body[n1:n2] & body[n2:mid]
+    cuts: tuple[int, ...] = ()
     general: Optional[ExtendedAtom] = None  # e: msg of the subject and its memo entry
-
-    @property
-    def body(self) -> tuple[Occurrence, ...]:
-        return () if self.quad is None else tuple(o for seg in self.quad for o in seg)
 
 
 @dataclass
@@ -541,15 +523,16 @@ def _unfold(
         sigma, _, body = res
         head_inst = apply_subst(ea.atom, sigma)
         head_ea = ExtendedAtom(head_inst, ea.gr, ea.sh)
-        quad = _walk_body(head_ea, body, oracle)
+        walk, cuts = _walk_body(head_ea, body, oracle)
         yield Transition(
-            "p" if quad[1] else "u",
+            "p" if cuts else "u",
             subject,
             parent,
             sigma=sigma,
             clause_index=idx,
             head_instance=head_inst,
-            quad=tuple(tuple(Occurrence(x) for x in seg) for seg in quad),
+            body=tuple(map(Occurrence, walk)),
+            cuts=cuts,
         )
 
 

@@ -1,4 +1,6 @@
 """Pattern-extended unfolding: entry, propagation, splitting, driving."""
+import copy
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -16,7 +18,6 @@ from parpeval import (
 from parpeval.engine import (
     ExtendedAtom,
     Memo,
-    PropState,
     Transition,
     embeds,
     format_subst,
@@ -319,7 +320,8 @@ def test_split_none_for_vmul_and_merge():
 def reference_split(head, query, oracle):
     """The search as first written: every candidate (prefix, tail,
     boundary) propagated afresh from the head state, each segment from
-    the fork and the tail from the join of the segment states."""
+    its own copy of the fork and the tail from the join of the segment
+    states, the paper's fork/join reading of a parallel conjunction."""
 
     def admissible(segment):
         has_user = False
@@ -369,9 +371,14 @@ def reference_split(head, query, oracle):
                     continue
                 if not independent(p2, p3, fork, head_pairs):
                     continue
+                right = copy.deepcopy(fork)
                 f2, s2 = propagate_success(query[n1 : n1 + n2], oracle, fork)
-                f3, s3 = propagate_success(query[n1 + n2 : n1 + mid], oracle, fork)
-                f4, _ = propagate_success(query[n1 + mid :], oracle, PropState.join(s2, s3))
+                f3, s3 = propagate_success(query[n1 + n2 : n1 + mid], oracle, right)
+                join = s2  # the union of the two segment states
+                join.ground |= s3.ground
+                for x, ys in s3.partners.items():
+                    join.partners.setdefault(x, set()).update(ys)
+                f4, _ = propagate_success(query[n1 + mid :], oracle, join)
                 return p1, f2, f3, f4
     return None
 
@@ -417,6 +424,9 @@ _goal = st.one_of(
 @example(goals=["q(A,D)", "q(A,E)", "t(D,D)"], ground={1}, pairs=set())
 # the whole body admits a cut after s(A) and one after s(B); the leftmost wins
 @example(goals=["s(A)", "s(B)", "t(C,D)", "t(D,E)"], ground=set(), pairs=set())
+# the fork holds the head's B-C link; the tail reads C ground from the
+# left segment and the D-E link from the right one
+@example(goals=["q(A,C)", "r(D,E)", "t(C,E)", "t(D,E)"], ground={1}, pairs={(2, 3)})
 def test_prop_split_matches_per_candidate_search(goals, ground, pairs):
     prog = parse_program(SPLIT_HELPERS + "p(A, B, C) :- " + ", ".join(goals) + ".")
     clause = prog.clauses[-1]
@@ -449,7 +459,7 @@ def test_prop_split_asks_the_oracle_as_the_full_search_does(goals, ground):
     # a skipped prefix leaves the analyzer's rows, and so the table, as
     # they are: the one walk `_unfold` runs asks what the per-candidate
     # search asks, followed, when it finds no split, by a walk of the
-    # whole body
+    # whole body; split or not, the walk is the body's propagation
     prog = parse_program(SPLIT_HELPERS + "p(A, B, C) :- " + ", ".join(goals) + ".")
     clause = prog.clauses[-1]
     head = ExtendedAtom(clause.head, groundness(3, ground), independent_sharing(3))
@@ -458,11 +468,9 @@ def test_prop_split_asks_the_oracle_as_the_full_search_does(goals, ground):
     if reference_split(head, query, reference) is None:
         propagate_success(query, reference, head_state(head))
     oracle = FirstRequests(Analyzer(prog))
-    quad = engine._walk_body(head, query, oracle)
+    walk, _ = engine._walk_body(head, query, oracle)
     assert oracle.order == reference.order
-    if not quad[1]:
-        walked, _ = propagate_success(query, Analyzer(prog), head_state(head))
-        assert quad == ((), (), (), walked)
+    assert walk == propagate_success(query, Analyzer(prog), head_state(head))[0]
 
 
 class CountingOracle:
@@ -582,6 +590,10 @@ def test_fibonacci_label_sequences():
         ["u"],
         ["p", "n", "n", "v", "n", "v", "n"],
     ]
+    # the split is cut positions in the walk of the whole body:
+    # M > 1 | M1 is M-1, fibonacci(M1,N1) & M2 is M-2, fibonacci(M2,N2) | N is N1+N2
+    (split,) = [t for t in trace.transitions() if t.label == "p"]
+    assert len(split.body) == 6 and split.cuts == (1, 3, 5)
 
 
 def test_selection_is_leftmost():
@@ -681,10 +693,6 @@ def replay(program, transition: Transition) -> None:
     assert apply_subst(rclause.head, sigma) == transition.head_instance
     body = tuple(apply_subst(b, sigma) for b in rclause.body_atoms())
     recorded = tuple(occ.ea.atom for occ in transition.body)
-    if transition.quad is not None:
-        recorded = tuple(
-            occ.ea.atom for seg in transition.quad for occ in seg
-        )
     assert canonical(recorded) == canonical(body)
 
 
