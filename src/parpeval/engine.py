@@ -319,13 +319,14 @@ def split_independent(
 # variant and embedding checks
 
 
-def _term_embeds(big, small) -> bool:
-    if isinstance(small, Var):
-        if isinstance(big, Var):
-            return True
+def _term_embeds(big, small, sub) -> bool:
+    """Whether `small` embeds homeomorphically in `big`; `sub` decides a
+    pair of their subterms."""
+    if isinstance(small, Var) and isinstance(big, Var):
+        return True
     if isinstance(big, Struct):
         # diving: the small term hides inside an argument
-        if any(_term_embeds(arg, small) for arg in big.args):
+        if any(map(sub, big.args, [small] * len(big.args))):
             return True
     if isinstance(small, Int) and isinstance(big, Int):
         # integers act as one mutually embeddable constant family
@@ -336,17 +337,24 @@ def _term_embeds(big, small) -> bool:
         and small.functor == big.functor
         and len(small.args) == len(big.args)
     ):
-        return all(_term_embeds(x, y) for x, y in zip(big.args, small.args))
+        return all(map(sub, big.args, small.args))
     return False
 
 
 def embeds(big: ExtendedAtom, small: ExtendedAtom) -> bool:
-    return (
-        big.gr == small.gr
-        and big.sh == small.sh
-        and big.key == small.key
-        and all(_term_embeds(x, y) for x, y in zip(big.atom.args, small.atom.args))
-    )
+    if big.gr != small.gr or big.sh != small.sh or big.key != small.key:
+        return False
+    # diving and coupling reach one pair of subterms along many paths, so
+    # each pair is decided once, keyed by the ids of its two terms
+    seen: dict[tuple[int, int], bool] = {}
+
+    def sub(b, s) -> bool:
+        out = seen.get((id(b), id(s)))
+        if out is None:
+            out = seen[id(b), id(s)] = _term_embeds(b, s, sub)
+        return out
+
+    return all(map(sub, big.atom.args, small.atom.args))
 
 
 # ---------------------------------------------------------------------------

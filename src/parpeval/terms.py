@@ -2,7 +2,8 @@
 
 Terms are variables, integers and compound terms; lists are sugar for the
 '.'/2 constructor and the '[]' constant.  Substitutions are plain dicts from
-variable names to terms; the exported `mgu` returns an idempotent one.
+variable names to terms; `apply_subst` takes idempotent ones only, such
+as `mgu` returns and `rename_apart` builds.
 """
 
 from __future__ import annotations
@@ -241,31 +242,61 @@ def fresh_names(avoid: Collection[str]) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
-# substitution application
+# term maps: substitution, dereference and canonical renaming
+
+
+def _map(x, leaf: Callable[[Var], Term]):
+    """`x`, a term, atom, `ParGroup`, clause or tuple of those, with each
+    variable `v` in it replaced by `leaf(v)`.  Only the shape of `x` is
+    walked here; `_rebuild` walks each atom's and `Struct`'s arguments."""
+    if isinstance(x, Var):
+        x = leaf(x)
+    if isinstance(x, Struct):
+        return x if x.ground else Struct(x.functor, _rebuild(x.args, leaf))
+    if isinstance(x, (Var, Int)):
+        return x
+    if isinstance(x, Atom):
+        return Atom(x.pred, _rebuild(x.args, leaf))
+    if isinstance(x, ParGroup):
+        return ParGroup(_map(x.sides, leaf))
+    if isinstance(x, Clause):
+        return Clause(_map(x.head, leaf), _map(x.body, leaf))
+    if isinstance(x, tuple):
+        return tuple([_map(item, leaf) for item in x])
+    raise TypeError(f"cannot map over {type(x).__name__}")
+
+
+def _rebuild(args: tuple[Term, ...], leaf: Callable[[Var], Term]) -> tuple[Term, ...]:
+    """`args` with each variable `v` in them replaced by `leaf(v)`, and each
+    non-ground Struct among them or the images rebuilt in turn.  Terms are
+    visited left to right, depth first, on a stack of its own, so term
+    depth is not bounded by Python's recursion limit."""
+    # the enclosing Structs: functor, iterator over args, images so far
+    stack: list[tuple[str, Iterator[Term], list[Term]]] = []
+    functor, todo, done = "", iter(args), []
+    while True:
+        for a in todo:
+            if isinstance(a, Var):
+                a = leaf(a)
+            if isinstance(a, Struct) and not a.ground:
+                stack.append((functor, todo, done))
+                functor, todo, done = a.functor, iter(a.args), []
+                break
+            done.append(a)
+        else:
+            if not stack:
+                return tuple(done)
+            out = Struct(functor, tuple(done))
+            functor, todo, done = stack.pop()
+            done.append(out)
 
 
 def apply_subst(x, s: Subst):
-    """Apply a substitution simultaneously; idempotent input gives the usual
-    instance, arbitrary input is replaced one level only."""
-    if not s:
-        return x
-    if isinstance(x, Var):
-        return s.get(x.name, x)
-    if isinstance(x, Struct):
-        if x.ground:
-            return x
-        return Struct(x.functor, tuple([apply_subst(a, s) for a in x.args]))
-    if isinstance(x, Int):
-        return x
-    if isinstance(x, Atom):
-        return Atom(x.pred, tuple([apply_subst(a, s) for a in x.args]))
-    if isinstance(x, ParGroup):
-        return ParGroup(apply_subst(x.sides, s))
-    if isinstance(x, Clause):
-        return Clause(apply_subst(x.head, s), tuple(apply_subst(g, s) for g in x.body))
-    if isinstance(x, tuple):
-        return tuple(apply_subst(item, s) for item in x)
-    raise TypeError(f"cannot substitute into {type(x).__name__}")
+    """Apply an idempotent substitution to a term, atom, group, clause or
+    tuple: no variable `s` binds may occur in a compound image, since
+    `_rebuild` maps inside it as for `resolve`.  A variable image is not
+    mapped again, so a renaming may also swap names."""
+    return _map(x, lambda v: s.get(v.name, v)) if s else x
 
 
 # ---------------------------------------------------------------------------
@@ -285,47 +316,9 @@ def walk(t: Term, binds: Subst) -> Term:
     return t
 
 
-def _rebuild(t: Struct, leaf: Callable[[Var], Term]) -> Struct:
-    """A non-ground `t` with every variable `v` in it replaced by `leaf(v)`.
-
-    A non-ground Struct among the replacements is rebuilt in turn, so
-    `leaf` may be a dereference; a ground one is kept as it is.  Arguments
-    are visited left to right, depth first.  The descent keeps its own
-    stack, so term depth is not bounded by Python's recursion limit.
-    """
-    # each frame is a Struct being rebuilt and the images of its leading args
-    frames: list[tuple[Struct, list[Term]]] = [(t, [])]
-    while True:
-        s, done = frames[-1]
-        if len(done) < len(s.args):
-            a = s.args[len(done)]
-            if isinstance(a, Var):
-                a = leaf(a)
-            if isinstance(a, Struct) and not a.ground:
-                frames.append((a, []))
-            else:
-                done.append(a)
-            continue
-        frames.pop()
-        out = Struct(s.functor, tuple(done))
-        if not frames:
-            return out
-        frames[-1][1].append(out)
-
-
 def resolve(x, binds: Subst):
-    """Fully dereference a term/atom under triangular bindings."""
-    if isinstance(x, Var):
-        x = walk(x, binds)
-    if isinstance(x, Struct):
-        return x if x.ground else _rebuild(x, lambda t: walk(t, binds))
-    if isinstance(x, (Var, Int)):
-        return x
-    if isinstance(x, Atom):
-        return Atom(x.pred, tuple(resolve(a, binds) for a in x.args))
-    if isinstance(x, (list, tuple)):
-        return type(x)(resolve(item, binds) for item in x)
-    raise TypeError(f"cannot resolve {type(x).__name__}")
+    """Fully dereference `x`, any shape `_map` takes, under triangular bindings."""
+    return _map(x, lambda t: walk(t, binds))
 
 
 def _occurs(name: str, t: Term, binds: Subst) -> bool:
@@ -423,7 +416,8 @@ def rename_apart(clause: Clause, avoid: Iterable[str]) -> Clause:
 
     Variables that do not collide are kept, which keeps output readable;
     colliding ones, in name order, get the first `fresh_names` that are
-    in neither the clause nor `avoid`.
+    in neither the clause nor `avoid`, so the renaming is idempotent, as
+    `apply_subst` needs.
     """
     avoid = set(avoid)
     own = term_vars(clause)
@@ -465,23 +459,14 @@ def canonical(x):
     """
     mapping: dict[str, Var] = {}
 
-    def go(x):
-        if isinstance(x, Var):
-            if x.name not in mapping:
-                k = len(mapping)
-                mapping[x.name] = _CANONICAL_VARS[k] if k < len(_CANONICAL_VARS) else Var(f"v{k}")
-            return mapping[x.name]
-        if isinstance(x, Struct):
-            return x if x.ground else _rebuild(x, go)
-        if isinstance(x, Int):
-            return x
-        if isinstance(x, Atom):
-            return Atom(x.pred, tuple(map(go, x.args)))
-        if isinstance(x, tuple):
-            return tuple(map(go, x))
-        raise TypeError(f"cannot canonicalise {type(x).__name__}")
+    def number(v: Var) -> Var:
+        out = mapping.get(v.name)
+        if out is None:
+            k = len(mapping)
+            out = mapping[v.name] = _CANONICAL_VARS[k] if k < len(_CANONICAL_VARS) else Var(f"v{k}")
+        return out
 
-    return go(x)
+    return _map(x, number)
 
 
 def repeated_variables(atom: Atom) -> dict[int, str]:

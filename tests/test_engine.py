@@ -638,6 +638,36 @@ def test_adversarial_embedding_whistle():
     assert e_steps and any(embeds(e_steps[0].subject.ea, m) for m in trace.memo)
 
 
+def test_embedding_decides_each_pair_of_subterms_once(monkeypatch):
+    # p(f^16(a)) is checked against the memo entry p(f^8(b)): diving and
+    # coupling reach one pair of subterms along many paths (89,845
+    # decisions when each path decided its pairs again), but there are
+    # only 17 * 9 pairs
+    def nested(n, inner):
+        return "f(" * n + inner + ")" * n
+
+    prog = parse_program(
+        f"main :- q, r. q :- p({nested(8, 'b')}). r :- p({nested(16, 'a')}). p(X)."
+    )
+    calls = []
+    real = engine._term_embeds
+
+    def counting(big, small, sub):
+        calls.append((big, small))
+        return real(big, small, sub)
+
+    monkeypatch.setattr(engine, "_term_embeds", counting)
+    trace = partially_evaluate(prog, ea(Atom("main", ()), "{}"), Analyzer(prog))
+    assert 0 < len(calls) <= 17 * 9
+    assert format_residual(extract_residual([trace])) == (
+        "main__ :- (q__ & r__).\n"
+        f"q__ :- p_1_1({nested(8, 'b')}).\n"
+        f"p_1_1({nested(8, 'b')}).\n"
+        f"r__ :- p_1_1_2({nested(16, 'a')}).\n"
+        f"p_1_1_2({nested(16, 'a')}).\n"
+    )
+
+
 def test_embedding_records_its_msg_and_a_root_with_a_variant_is_skipped():
     prog = parse_program("p(X) :- p(f(X)).")
     init = ea(Atom("p", (Var("A"),)), "{}")

@@ -194,6 +194,65 @@ def test_warn_if_nonlinear_fires_on_repeat_within_argument():
 
 
 # ---------------------------------------------------------------------------
+# the three term maps against recursive references
+
+
+def reference_apply_subst(x, s):
+    """The recursive `apply_subst` the shared map replaced; with an
+    idempotent `s` its output is the spec."""
+    if not s:
+        return x
+    if isinstance(x, Var):
+        return s.get(x.name, x)
+    if isinstance(x, Struct):
+        if x.ground:
+            return x
+        return Struct(x.functor, tuple([reference_apply_subst(a, s) for a in x.args]))
+    if isinstance(x, Int):
+        return x
+    if isinstance(x, Atom):
+        return Atom(x.pred, tuple([reference_apply_subst(a, s) for a in x.args]))
+    if isinstance(x, ParGroup):
+        return ParGroup(reference_apply_subst(x.sides, s))
+    if isinstance(x, Clause):
+        return Clause(
+            reference_apply_subst(x.head, s), tuple(reference_apply_subst(g, s) for g in x.body)
+        )
+    return tuple(reference_apply_subst(item, s) for item in x)
+
+
+def reference_canonical(x, names=None):
+    """Variables renamed v0, v1, ... in first-occurrence order, recursively."""
+    names = {} if names is None else names
+    if isinstance(x, Var):
+        if x.name not in names:
+            names[x.name] = Var(f"v{len(names)}")
+        return names[x.name]
+    if isinstance(x, Struct):
+        return Struct(x.functor, tuple([reference_canonical(a, names) for a in x.args]))
+    if isinstance(x, Atom):
+        return Atom(x.pred, tuple([reference_canonical(a, names) for a in x.args]))
+    if isinstance(x, ParGroup):
+        return ParGroup(reference_canonical(x.sides, names))
+    if isinstance(x, Clause):
+        return Clause(reference_canonical(x.head, names), reference_canonical(x.body, names))
+    if isinstance(x, tuple):
+        return tuple([reference_canonical(item, names) for item in x])
+    return x
+
+
+def test_the_three_maps_take_a_term_deeper_than_the_recursion_limit():
+    # compared as text: equality and hashing of such a term still recurse
+    t = V("X")
+    for _ in range(5000):
+        t = S("f", t)
+    assert format_term(apply_subst(t, {"X": S("g", V("Y"))})) == "f(" * 5000 + "g(Y)" + ")" * 5000
+    assert format_term(resolve(t, {"X": V("Y"), "Y": Int(1)})) == "f(" * 5000 + "1" + ")" * 5000
+    atom = canonical(Atom("p", (t, V("X"), V("Z"))))
+    assert format_atom(atom) == "p(" + "f(" * 5000 + "v0" + ")" * 5000 + ",v0,v1)"
+
+
+# ---------------------------------------------------------------------------
 # formatting
 
 
@@ -314,6 +373,57 @@ def test_prop_unify_var_binds_or_occurs(t, name):
 _binds = st.dictionaries(_varnames, terms, max_size=3)
 
 
+atoms = st.tuples(st.sampled_from("pq"), st.lists(terms, max_size=3)).map(
+    lambda pa: Atom(pa[0], tuple(pa[1]))
+)
+groups = st.lists(st.lists(atoms, min_size=1, max_size=2).map(tuple), min_size=2, max_size=3).map(
+    lambda sides: ParGroup(tuple(sides))
+)
+clauses = st.tuples(atoms, st.lists(st.one_of(atoms, groups), max_size=3)).map(
+    lambda hb: Clause(hb[0], tuple(hb[1]))
+)
+#: what the maps take: terms, atoms, groups, clauses and tuples of those
+mappable = st.one_of(terms, atoms, groups, clauses, st.lists(atoms, max_size=3).map(tuple))
+
+
+@st.composite
+def idempotent_substs(draw):
+    """The mgu of two drawn terms, or a renaming (swaps included)."""
+    if draw(st.booleans()):
+        s = mgu(draw(terms), draw(terms))
+        return {} if s is None else s
+    return draw(st.dictionaries(_varnames, _varnames.map(Var), max_size=4))
+
+
+@given(mappable, idempotent_substs())
+# an image that is a non-ground Struct, which `_rebuild` maps in turn
+@example(S("g", V("X"), V("X")), {"X": S("f", V("Y"))})
+@example(Atom("p", (V("X"), V("Y"))), {"X": V("Y"), "Y": V("X")})
+def test_prop_the_maps_match_their_recursive_references(x, s):
+    assert apply_subst(x, s) == reference_apply_subst(x, s)
+    assert canonical(x) == reference_canonical(x)
+
+
+def _flattened(binds):
+    """Triangular bindings as one idempotent substitution: the bindings
+    applied to their own images until nothing changes."""
+    flat = dict(binds)
+    while True:
+        images = {v: reference_apply_subst(t, flat) for v, t in flat.items()}
+        if images == flat:
+            return flat
+        flat = images
+
+
+@given(st.lists(st.tuples(_varnames, terms), max_size=4), mappable)
+def test_prop_resolve_is_apply_subst_of_the_flattened_bindings(pairs, x):
+    binds = {}
+    for name, t in pairs:
+        out = unify(Var(name), t, binds)
+        binds = binds if out is None else out
+    assert resolve(x, binds) == reference_apply_subst(x, _flattened(binds))
+
+
 @given(terms)
 def test_prop_ground_flag_means_no_variables(t):
     todo = [t]
@@ -347,6 +457,7 @@ ground_structs = st.one_of(
 def test_prop_ground_terms_come_back_unchanged(t, binds):
     assert resolve(t, binds) is t
     assert apply_subst(t, binds) is t
+    assert canonical(t) is t
 
 
 @given(terms)
