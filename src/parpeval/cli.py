@@ -161,7 +161,8 @@ def _run(args: argparse.Namespace) -> int:
             traces.append(partially_evaluate(program, init, analyzer))
         residual = extract_residual(traces)
     except RecursionError:
-        # terms grow with each unfolding; the parser reports a source term alike
+        # hashing, comparing and embedding terms recurse: a term grown over the
+        # unfoldings, or a deep source term in a clause body, ends it here
         raise PELimitExceeded("specialization gave up: a term is nested too deeply") from None
     if args.emit == "guarded":
         text = format_guarded(residual, args.max_threads)

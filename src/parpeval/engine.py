@@ -169,17 +169,25 @@ def _refresh(atom: Atom, state: PropState) -> ExtendedAtom:
 def _absorb(atom: Atom, success: SuccessPattern, state: PropState) -> None:
     """Fold an answer of `atom` matching `success` into the state, in
     place: the variables of its ground positions become ground, and each
-    free variable of a position links every free variable of each
-    position it may share with."""
+    sharer of a position links every sharer of each position it may
+    share with.  A position's sharers are its free variables and their
+    partners, as binding makes sharing transitive; every pair's sharers
+    are collected before any link is added."""
     ground, partners = state.ground, state.partners
     for i in success.ground.ground:
         ground |= term_vars(atom.args[i - 1])
-    for i, j in success.share.pairs:
-        vj = term_vars(atom.args[j - 1]) - ground
-        if not vj:
-            continue
-        for x in term_vars(atom.args[i - 1]) - ground:
-            for y in vj:
+    pairs = success.share.pairs
+    if not pairs:
+        return
+    sharers: dict[int, set[str]] = {}
+    for i in {i for pair in pairs for i in pair}:
+        free = term_vars(atom.args[i - 1]) - ground
+        for x in tuple(free):
+            free.update(partners.get(x, ()))
+        sharers[i] = free - ground
+    for i, j in pairs:
+        for x in sharers[i]:
+            for y in sharers[j]:
                 if x != y:
                     partners.setdefault(x, set()).add(y)
                     partners.setdefault(y, set()).add(x)
@@ -281,12 +289,16 @@ def _walk_body(
     atom is refreshed, looked up and absorbed once, in body order.
 
     No state is copied or joined, and none need be.  At the fork no free
-    variable occurs in both segments and no partner link joins them;
-    `_absorb` grounds only an atom's own variables and links them only
-    to each other, and `_refresh` reads only an atom's own variables and
-    their partners.  So the left segment changes nothing the right one
-    reads: each right atom gets the patterns a walk from the fork alone
-    gives it, and the state after both is the join of the two.
+    variable occurs in both segments and no partner link joins them.
+    `_absorb` grounds only an atom's own variables, and links only the
+    sharers of its positions: its own free variables and their partners.
+    So no left atom's sharers hold a right-segment variable, by
+    induction along the left segment: it links none to anything, and
+    grounds none.  `_refresh` and `_absorb` read only an atom's own
+    variables and their partners, so the left segment changes nothing
+    the right one reads: each right atom gets the patterns, and links
+    the sharers, that a walk from the fork alone gives it, and the state
+    after both is the join of the two.
     """
     state = head_state(head)
     walk: list[ExtendedAtom] = []
@@ -345,13 +357,19 @@ def embeds(big: ExtendedAtom, small: ExtendedAtom) -> bool:
     if big.gr != small.gr or big.sh != small.sh or big.key != small.key:
         return False
     # diving and coupling reach one pair of subterms along many paths, so
-    # each pair is decided once, keyed by the ids of its two terms
+    # each pair is decided once, keyed by the ids of its two terms; a term
+    # embeds only in one at least its size, which settles most pairs of a
+    # long list and its tails at once
     seen: dict[tuple[int, int], bool] = {}
 
     def sub(b, s) -> bool:
         out = seen.get((id(b), id(s)))
         if out is None:
-            out = seen[id(b), id(s)] = _term_embeds(b, s, sub)
+            if isinstance(s, Struct) and s.size > (b.size if isinstance(b, Struct) else 1):
+                out = False
+            else:
+                out = _term_embeds(b, s, sub)
+            seen[id(b), id(s)] = out
         return out
 
     return all(map(sub, big.atom.args, small.atom.args))

@@ -44,8 +44,8 @@ class Struct:
     """A compound term, or a constant when `args` is empty.
 
     `ground` is worked out when the term is built; the hash, the value
-    the dataclass would give, on first use.  Both are kept on the
-    instance, so a term that keys many lookups is hashed once.
+    the dataclass would give, and `size` on first use.  All are kept on
+    the instance, so a term that keys many lookups is hashed once.
     """
 
     functor: str
@@ -70,6 +70,24 @@ class Struct:
         if h is None:
             h = d["_hash"] = hash((self.functor, self.args))
         return h
+
+    @property
+    def size(self) -> int:
+        """1 plus the sizes of the arguments, where a variable or an
+        integer counts 1; worked out bottom-up on a stack of its own."""
+        size = self.__dict__.get("_size")
+        if size is not None:
+            return size
+        todo = [self]
+        while todo:
+            t = todo[-1]
+            pending = [a for a in t.args if isinstance(a, Struct) and "_size" not in a.__dict__]
+            if pending:
+                todo += pending
+                continue
+            todo.pop()
+            t.__dict__["_size"] = 1 + sum(a.__dict__["_size"] if isinstance(a, Struct) else 1 for a in t.args)
+        return self.__dict__["_size"]
 
     def __repr__(self) -> str:
         return format_term(self)

@@ -10,6 +10,7 @@ import pytest
 import corpus
 import parpeval
 from parpeval import interp
+from parpeval import parse_program, parse_query
 from parpeval.cli import main
 from parpeval.patterns import format_groundness
 
@@ -320,12 +321,33 @@ def test_residual_spaces_a_negative_right_operand_from_its_operator(tmp_path, ca
     assert "B is A// -2." in out
 
 
-def test_deeply_nested_term_is_a_parse_error(tmp_path, capsys):
-    depth = 600
-    deep = write(tmp_path / "deep.pl", "p(" + "f(" * depth + "a" + ")" * depth + ").\n")
-    assert main([deep, "--entry", "p/1 gr {}"]) == 3
+def nested(depth):
+    return "f(" * depth + "a" + ")" * depth
+
+
+def nesting_depth(t):
+    depth = 0
+    while t.args:
+        (t,) = t.args
+        depth += 1
+    return depth
+
+
+def test_deeply_nested_term_is_read_and_a_deep_head_specializes(tmp_path, capsys):
+    # the reader keeps its own stack, so depth is not bounded by recursion
+    (clause,) = parse_program(f"p({nested(5000)}).").clauses
+    assert nesting_depth(clause.head.args[0]) == 5000
+    (atom,) = parse_query(f"p({nested(5000)})")
+    assert nesting_depth(atom.args[0]) == 5000
+
+    head = write(tmp_path / "head.pl", f"p({nested(600)}).\n")
+    assert main([head, "--entry", "p/1 gr {}"]) == 0
+    assert "internal error" not in capsys.readouterr().err
+    # the specializer still recurses over the terms an unfolding builds
+    body = write(tmp_path / "body.pl", f"p(X) :- q({nested(600)}).\nq(_).\n")
+    assert main([body, "--entry", "p/1 gr {}"]) == 4
     err = capsys.readouterr().err
-    assert "parse error: term nested too deeply" in err
+    assert "a term is nested too deeply" in err
     assert "internal error" not in err
 
 
@@ -338,6 +360,29 @@ def test_specialization_that_builds_a_too_deep_term_is_an_analysis_error(tmp_pat
     err = capsys.readouterr().err
     assert "a term is nested too deeply" in err
     assert "internal error" not in err
+
+
+# mm/4 links X to P and Z to Q; v/2 then binds P to Q, so X and Z may
+# share from there on: binding makes sharing transitive
+ALIASED_THROUGH_A_BINDING = "q(X,Z) :- mm(X,Z,P,Q), v(P,Q){}.\nmm(A,B,f(A),f(B)).\nv(P,P).\n{}"
+
+
+@pytest.mark.parametrize(
+    "goals, facts, expected",
+    [
+        # a(X) and b(Z) may not run in parallel
+        (", a(X), b(Z)", "a(1).\nb(1).\n", "q__1_2(X,Z) :- mm__1_2_3_4(X,Z,P,Q), v__1_2(P,Q), a__1(X), b__1(Z)."),
+        # the answer's positions may share
+        ("", "", "q/2 : gr {} -> {} ; sh <{1},{2}> -> <{1,2},{1,2}>"),
+    ],
+    ids=["no_fork", "answer_shares"],
+)
+def test_sharing_made_transitive_by_a_binding_passes_every_check(tmp_path, capsys, goals, facts, expected):
+    program = write(tmp_path / "p.pl", ALIASED_THROUGH_A_BINDING.format(goals, facts))
+    queries = write(tmp_path / "q.pl", "q(X,Z).\n")
+    args = [program, "--entry", "q/2 gr {}", "--verify", "eq,indep,safe", "--queries", queries]
+    assert main(args) == 0
+    assert expected in capsys.readouterr().out.splitlines()
 
 
 def test_undefined_entry_is_an_analysis_error(capsys):

@@ -1,5 +1,6 @@
 """Pattern-extended unfolding: entry, propagation, splitting, driving."""
 import copy
+import hashlib
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +16,7 @@ from parpeval import (
     parse_program,
     partially_evaluate,
 )
+from parpeval.cli import main
 from parpeval.engine import (
     ExtendedAtom,
     Memo,
@@ -666,6 +668,32 @@ def test_embedding_decides_each_pair_of_subterms_once(monkeypatch):
         f"r__ :- p_1_1_2({nested(16, 'a')}).\n"
         f"p_1_1_2({nested(16, 'a')}).\n"
     )
+
+
+def test_whistle_skips_entries_larger_than_the_new_atom(tmp_path, monkeypatch, capsys):
+    # len/2 over a static 60-item list meets each tail of the list in
+    # turn, and a term embeds only in one at least its size: no pair of
+    # subterms where the small side is the larger is decided (1,711,355
+    # decisions when every such pair was)
+    items = ",".join(["1"] * 60)
+    program = tmp_path / "len.pl"
+    program.write_text(
+        f"len([],0).\nlen([_|T],N) :- len(T,M), N is M+1.\nt(N) :- len([{items}],N).\n"
+    )
+    calls = 0
+    real = engine._term_embeds
+
+    def counting(big, small, sub):
+        nonlocal calls
+        calls += 1
+        return real(big, small, sub)
+
+    monkeypatch.setattr(engine, "_term_embeds", counting)
+    assert main([str(program), "--entry", "t/1 gr {}"]) == 0
+    assert calls < 100_000
+    # the output the whistle gave when it decided every pair
+    out = capsys.readouterr().out
+    assert hashlib.sha1(out.encode()).hexdigest().startswith("63996281468c")
 
 
 def test_embedding_records_its_msg_and_a_root_with_a_variant_is_skipped():

@@ -1,12 +1,16 @@
 """Concrete syntax: programs, queries, and parse errors."""
+import warnings
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from parpeval import (
     Atom,
+    Clause,
     Int,
     ParGroup,
     ParseError,
+    Program,
     Solver,
     Struct,
     Var,
@@ -15,8 +19,17 @@ from parpeval import (
     parse_query,
     parse_query_file,
 )
-from parpeval.parser import _lex
-from parpeval.terms import format_atom, format_program, format_term, make_list
+from parpeval import parser
+from parpeval.terms import (
+    _OPERATORS,
+    BUILTIN_KEYS,
+    NIL,
+    NonlinearArgumentWarning,
+    format_atom,
+    format_program,
+    format_term,
+    make_list,
+)
 
 
 def read_term(text):
@@ -236,6 +249,18 @@ def reference_lex(text):
     return toks
 
 
+_KIND_NAMES = {
+    parser._EOF: "EOF", parser._INT: "INT", parser._PUNCT: "PUNCT", parser._VAR: "VAR", parser._NAME: "NAME"
+}
+
+
+def lex_tokens(text):
+    """(kind, text, line, col) per token of `_lex`, each token placed by
+    the offset-to-position function that error messages use."""
+    kinds, texts, offsets = parser._lex(text)
+    return [(_KIND_NAMES[k], t, *parser._position(text, o)) for k, t, o in zip(kinds, texts, offsets)]
+
+
 def lex_outcome(lex, text):
     try:
         return [tuple(t) for t in lex(text)]
@@ -257,4 +282,58 @@ _FRAGMENTS = list(".,()[]|&><=+-*/:%_ \t\n\r$\v") + list("aXz09") + [
 @example("p(X) :- q(X) % trailing")
 @example("x²y 12中 ǅa")
 def test_prop_lexer_matches_per_character_reference(text):
-    assert lex_outcome(_lex, text) == lex_outcome(reference_lex, text)
+    assert lex_outcome(lex_tokens, text) == lex_outcome(reference_lex, text)
+
+
+# ---------------------------------------------------------------------------
+# programs read back what the printer writes
+
+# nested compound terms, lists with and without a tail, negative
+# integers, ','/2, and every operator of the table, nested at mixed levels
+_terms = st.recursive(
+    st.one_of(
+        st.sampled_from(["X", "Y", "Z"]).map(Var),
+        st.integers(min_value=-9, max_value=9).map(Int),
+        st.sampled_from([NIL, Struct("a")]),
+    ),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["f", "g"]), st.lists(sub, min_size=1, max_size=3)).map(
+            lambda fa: Struct(fa[0], tuple(fa[1]))
+        ),
+        st.tuples(st.lists(sub, min_size=1, max_size=3), st.one_of(st.just(NIL), sub)).map(
+            lambda it: make_list(*it)
+        ),
+        st.tuples(st.sampled_from([",", *sorted(_OPERATORS)]), sub, sub).map(
+            lambda o: Struct(o[0], o[1:])
+        ),
+    ),
+    max_leaves=8,
+)
+_user_atoms = st.tuples(st.sampled_from(["p", "q"]), st.lists(_terms, max_size=3)).map(
+    lambda pa: Atom(pa[0], tuple(pa[1]))
+)
+# a builtin goal prints its operands at level 500: one of a higher level,
+# such as `(X = Y) > 0`, is a bracketed left operand that starts the goal
+_builtin_atoms = st.tuples(st.sampled_from(sorted(p for p, _ in BUILTIN_KEYS)), _terms, _terms).map(
+    lambda o: Atom(o[0], o[1:])
+)
+_goals = st.one_of(_user_atoms, _builtin_atoms)
+_groups = st.lists(st.lists(_goals, min_size=1, max_size=2).map(tuple), min_size=2, max_size=3).map(
+    lambda sides: ParGroup(tuple(sides))
+)
+_programs = st.lists(
+    st.tuples(_user_atoms, st.lists(st.one_of(_goals, _groups), max_size=4)).map(
+        lambda hb: Clause(hb[0], tuple(hb[1]))
+    ),
+    max_size=4,
+).map(lambda clauses: Program(tuple(clauses)))
+
+
+@given(_programs)
+@example(parse_program("p(X) :- (X = Y) > 0, ((a, b) = Z & p), (X+1)*2 =:= -3, q([1, -2|T])."))
+@example(parse_program("p(X) :- (p & q, r & X is 1-(2-3)//4), p(f(g([a|f(X)]))), p((a, (b, c)))."))
+def test_prop_program_reads_back_what_the_printer_writes(program):
+    text = format_program(program)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonlinearArgumentWarning)
+        assert parse_program(text) == program

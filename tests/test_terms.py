@@ -241,6 +241,15 @@ def reference_canonical(x, names=None):
     return x
 
 
+def test_size_counts_every_subterm_occurrence_at_any_depth():
+    t = V("X")
+    for _ in range(5000):
+        t = S("f", t)
+    assert t.size == 5001
+    # a shared subterm counts once per occurrence
+    assert S("g", t, Int(1), S("h", V("Y"), t)).size == 1 + 5001 + 1 + (1 + 1 + 5001)
+
+
 def test_the_three_maps_take_a_term_deeper_than_the_recursion_limit():
     # compared as text: equality and hashing of such a term still recurse
     t = V("X")
