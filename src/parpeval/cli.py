@@ -161,8 +161,8 @@ def _run(args: argparse.Namespace) -> int:
             traces.append(partially_evaluate(program, init, analyzer))
         residual = extract_residual(traces)
     except RecursionError:
-        # hashing, comparing and embedding terms recurse: a term grown over the
-        # unfoldings, or a deep source term in a clause body, ends it here
+        # msg and the embedding check recurse: a term too deep for them, grown
+        # over the unfoldings or written in the source, ends it here
         raise PELimitExceeded("specialization gave up: a term is nested too deeply") from None
     if args.emit == "guarded":
         text = format_guarded(residual, args.max_threads)

@@ -44,7 +44,7 @@ class CodegenError(Exception):
     pass
 
 
-EntityKey = tuple  # ExtendedAtom.memo_key: (canonical atom, groundness, sharing)
+EntityKey = tuple  # ExtendedAtom.memo_key: (printed canonical atom, groundness, sharing)
 
 
 def _mangle(pred: str, gr: GroundnessPattern, sh: SharingPattern) -> str:

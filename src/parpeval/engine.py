@@ -39,6 +39,7 @@ from .terms import (
     Var,
     apply_subst,
     canonical,
+    format_atom,
     format_term,
     mgu,
     msg,
@@ -69,10 +70,9 @@ class ExtendedAtom:
 
     @cached_property
     def memo_key(self) -> tuple:
-        """Equal exactly for variants under equal patterns; computed once
-        per object, since `partially_evaluate` selects one object many
-        times."""
-        return canonical(self.atom), self.gr, self.sh
+        """The printed canonical atom and both patterns, equal exactly for
+        variants under equal patterns; kept, as one object is selected often."""
+        return format_atom(canonical(self.atom)), self.gr, self.sh
 
 
 ExtendedQuery = tuple[ExtendedAtom, ...]

@@ -16,8 +16,9 @@ goal's are its arguments.  A user call's arguments are built only when
 the call is selected and some clause defines it, its atom only for the
 `on_call` hook.  A builtin runs from its slots, so arithmetic builds no
 term, and only the target of `is/2` and the sides of `=/2` are built.
-Arithmetic keeps its own stack, so a deep term bound to a slot at run
-time needs no recursion.  A parallel group is a fork marker followed by
+Clause compilation, building and arithmetic keep their own stacks, so
+neither a deep clause term nor a deep term bound to a slot at run time
+needs recursion.  A parallel group is a fork marker followed by
 its sides' goals: it runs as a plain conjunction — the annotations claim
 independence, they do not change sequential meaning.
 
@@ -154,13 +155,16 @@ class _ClauseEntry:
         #: the body-only slots in name order, the order a try draws their
         #: fresh names in
         self.fresh = sorted(range(n_head, self.size), key=names.__getitem__)
-        #: id of each tuple in the head template -> its slots in name order
-        self.slots_in: dict[int, list[int]] = {}
-        todo = [t for t in self.head_t if t.__class__ is tuple]
-        while todo:
-            t = todo.pop()
-            self.slots_in[id(t)] = sorted(_slots_of((t,)), key=names.__getitem__)
-            todo += [a for a in t[1:] if a.__class__ is tuple]
+        #: id of each tuple in the head template -> its slots in name order;
+        #: worked out bottom-up, each tuple's from its arguments'
+        found: dict[int, set[int]] = {}
+        order = [t for t in self.head_t if t.__class__ is tuple]
+        for t in order:  # grows as it goes: every tuple after its parent
+            order += [a for a in t[1:] if a.__class__ is tuple]
+        for t in reversed(order):
+            found[id(t)] = {a for a in t[1:] if a.__class__ is int}.union(
+                *[found[id(a)] for a in t[1:] if a.__class__ is tuple])
+        self.slots_in = {k: sorted(v, key=names.__getitem__) for k, v in found.items()}
 
 
 # the candidate clauses for one first argument, the number of clauses
@@ -221,18 +225,29 @@ def _principal(t: Term) -> Union[tuple[str, int], int, None]:
 def _template(name: object, args: tuple[Term, ...], slots: dict[str, int]) -> tuple:
     """`(name, *args)`, each variable replaced by its slot and each
     non-ground Struct by its own template; a new variable gets the next
-    slot."""
-    out: list = [name]
-    for a in args:
-        if a.__class__ is Var:
-            slot = slots.get(a.name)
-            if slot is None:
-                slot = slots[a.name] = len(slots)
-            a = slot
-        elif a.__class__ is Struct and not a.ground:
-            a = _template(a.functor, a.args, slots)
-        out.append(a)
-    return tuple(out)
+    slot.  Arguments are visited left to right, depth first, on a stack
+    of its own, so term depth is not bounded by Python's recursion limit."""
+    # the enclosing templates: iterator over their args, template so far
+    stack: list[tuple[Iterator[Term], list]] = []
+    todo, out = iter(args), [name]
+    while True:
+        for a in todo:
+            if a.__class__ is Var:
+                slot = slots.get(a.name)
+                if slot is None:
+                    slot = slots[a.name] = len(slots)
+                a = slot
+            elif a.__class__ is Struct and not a.ground:
+                stack.append((todo, out))
+                todo, out = iter(a.args), [a.functor]
+                break
+            out.append(a)
+        else:
+            if not stack:
+                return tuple(out)
+            a = tuple(out)
+            todo, out = stack.pop()
+            out.append(a)
 
 
 def compile_body(number: int, body: Sequence[BodyGoal], slots: dict[str, int],
@@ -266,16 +281,29 @@ def _slots_of(templates: tuple) -> tuple[int, ...]:
 
 
 def _build(t: tuple, env: list) -> tuple:
-    """The arguments of template `t`, each slot's value taken from `env`."""
-    out = []
-    for a in t[1:]:
-        cls = a.__class__
-        if cls is int:
-            a = env[a]
-        elif cls is tuple:
-            a = Struct(a[0], _build(a, env))
-        out.append(a)
-    return tuple(out)
+    """The arguments of template `t`, each slot's value taken from `env`;
+    nested templates are built on a stack of its own, as in `_template`."""
+    # the enclosing templates: functor, iterator over args, args so far
+    stack: list[tuple[object, Iterator, list]] = []
+    functor, todo, out = None, iter(t), []
+    next(todo)  # past t's own functor
+    while True:
+        for a in todo:
+            cls = a.__class__
+            if cls is int:
+                a = env[a]
+            elif cls is tuple:
+                stack.append((functor, todo, out))
+                functor, todo, out = a[0], iter(a), []
+                next(todo)
+                break
+            out.append(a)
+        else:
+            if not stack:
+                return tuple(out)
+            a = Struct(functor, tuple(out))
+            functor, todo, out = stack.pop()
+            out.append(a)
 
 
 def _operand_term(a: object, env: Sequence[Term]) -> Term:

@@ -43,9 +43,8 @@ class Int:
 class Struct:
     """A compound term, or a constant when `args` is empty.
 
-    `ground` is worked out when the term is built; the hash, the value
-    the dataclass would give, and `size` on first use.  All are kept on
-    the instance, so a term that keys many lookups is hashed once.
+    `ground` is worked out when the term is built, `size` on first use
+    and kept on the instance.
     """
 
     functor: str
@@ -63,13 +62,6 @@ class Struct:
             if isinstance(a, Var) or (isinstance(a, Struct) and not a.ground):
                 d["ground"] = False
                 break
-
-    def __hash__(self) -> int:
-        d = self.__dict__
-        h = d.get("_hash")
-        if h is None:
-            h = d["_hash"] = hash((self.functor, self.args))
-        return h
 
     @property
     def size(self) -> int:
@@ -125,8 +117,7 @@ def make_conjunction(items: Sequence[Term]) -> Term:
 
 @dataclass(frozen=True)
 class Atom:
-    """A predicate applied to argument terms; its hash is kept on first
-    use, as a `Struct`'s is."""
+    """A predicate applied to argument terms."""
 
     pred: str
     args: tuple[Term, ...] = ()
@@ -141,13 +132,6 @@ class Atom:
 
     def to_term(self) -> "Struct":
         return Struct(self.pred, self.args)
-
-    def __hash__(self) -> int:
-        d = self.__dict__
-        h = d.get("_hash")
-        if h is None:
-            h = d["_hash"] = hash((self.pred, self.args))
-        return h
 
     def __repr__(self) -> str:
         return format_atom(self)
@@ -465,23 +449,18 @@ def msg(a: Atom, b: Atom) -> Atom:
 # canonical forms (variants, memo keys, answer comparison)
 
 
-#: the first canonical variables, shared by every canonical form: they
-#: make canonical forms smaller and their comparison an identity test
-_CANONICAL_VARS = tuple(Var(f"v{i}") for i in range(16))
-
-
 def canonical(x):
-    """Rename variables to v0,v1,... in first-occurrence order.
+    """Rename variables to V0,V1,... in first-occurrence order.
 
-    Two atoms are variants exactly when their canonical forms are equal.
+    Two atoms are variants exactly when their canonical forms are equal,
+    and so when those print alike: no constant is spelled `V0`.
     """
     mapping: dict[str, Var] = {}
 
     def number(v: Var) -> Var:
         out = mapping.get(v.name)
         if out is None:
-            k = len(mapping)
-            out = mapping[v.name] = _CANONICAL_VARS[k] if k < len(_CANONICAL_VARS) else Var(f"v{k}")
+            out = mapping[v.name] = Var(f"V{len(mapping)}")
         return out
 
     return _map(x, number)

@@ -333,6 +333,16 @@ def nesting_depth(t):
     return depth
 
 
+def specialize_and_verify(tmp_path, capsys, program, entry, query):
+    """Exit code, stdout lines and stderr of specializing `program` at
+    `entry` and running every check on the one query `query`."""
+    args = [write(tmp_path / "p.pl", program), "--entry", entry,
+            "--verify", "eq,indep,safe", "--queries", write(tmp_path / "q.pl", query + ".\n")]
+    rc = main(args)
+    out, err = capsys.readouterr()
+    return rc, out.splitlines(), err
+
+
 def test_deeply_nested_term_is_read_and_a_deep_head_specializes(tmp_path, capsys):
     # the reader keeps its own stack, so depth is not bounded by recursion
     (clause,) = parse_program(f"p({nested(5000)}).").clauses
@@ -343,20 +353,39 @@ def test_deeply_nested_term_is_read_and_a_deep_head_specializes(tmp_path, capsys
     head = write(tmp_path / "head.pl", f"p({nested(600)}).\n")
     assert main([head, "--entry", "p/1 gr {}"]) == 0
     assert "internal error" not in capsys.readouterr().err
-    # the specializer still recurses over the terms an unfolding builds
-    body = write(tmp_path / "body.pl", f"p(X) :- q({nested(600)}).\nq(_).\n")
-    assert main([body, "--entry", "p/1 gr {}"]) == 4
-    err = capsys.readouterr().err
-    assert "a term is nested too deeply" in err
-    assert "internal error" not in err
+    # clause compilation keeps its own stack, so a head deeper than the
+    # recursion limit is checked too
+    head = "f(" * 1200 + "X" + ")" * 1200
+    rc, out, err = specialize_and_verify(tmp_path, capsys, f"p({head}).\n", "p/1 gr {}", "p(A)")
+    assert (rc, err) == (0, "")
+    assert f"p__1({head})." in out
+    assert "query p(A) ok (1 answers)" in out
+    # memo keys are text, so the specializer takes a deep body term too
+    body = f"p(X) :- q({nested(600)}).\nq(_).\n"
+    rc, out, err = specialize_and_verify(tmp_path, capsys, body, "p/1 gr {}", "p(X)")
+    assert (rc, err) == (0, "")
+    assert f"p__1(X) :- q_1_1({nested(600)})." in out
+    assert "query p(X) ok (1 answers)" in out
 
 
-def test_specialization_that_builds_a_too_deep_term_is_an_analysis_error(tmp_path, capsys):
+def test_specialization_that_builds_a_deep_term_passes_every_check(tmp_path, capsys):
     # each unfolding wraps the argument in one more f/1
     depth = 500
     chain = "".join(f"p{i}(X) :- p{i + 1}(f(X)).\n" for i in range(depth))
-    prog = write(tmp_path / "deep.pl", chain + f"p{depth}(_).\n")
-    assert main([prog, "--entry", "p0/1 gr {}"]) == 4
+    program = chain + f"p{depth}(_).\n"
+    rc, out, err = specialize_and_verify(tmp_path, capsys, program, "p0/1 gr {}", "p0(X)")
+    assert (rc, err) == (0, "")
+    last = "f(" * depth + "X" + ")" * depth
+    assert f"p{depth}__1({last})." in out
+    assert "query p0(X) ok (1 answers)" in out
+
+
+def test_a_static_list_too_deep_for_the_whistle_is_an_analysis_error(tmp_path, capsys):
+    # msg and the embedding check still recurse over term depth: the
+    # embedding test of q(L,f(X)) against q(L,X) walks the 600-item list
+    items = ",".join(["1"] * 600)
+    prog = write(tmp_path / "deep.pl", f"q(L,X) :- q(L,f(X)).\nq(_,g).\nt(X) :- q([{items}],X).\n")
+    assert main([prog, "--entry", "t/1 gr {}"]) == 4
     err = capsys.readouterr().err
     assert "a term is nested too deeply" in err
     assert "internal error" not in err

@@ -797,6 +797,14 @@ def test_answer_key_ignores_variable_names():
     assert answer_key(["X", "Y"], one) != answer_key(["X", "Y"], three)
 
 
+def test_answer_key_tells_a_variable_from_a_constant_of_its_canonical_name():
+    query = parse_query("p(X)")
+    constant = answer_multiset(parse_program("p(v0)."), query)
+    variable = answer_multiset(parse_program("p(_)."), query)
+    assert constant == {"v0": 1}
+    assert variable == {"V0": 1}
+
+
 # -- the step budget can come from the environment
 
 

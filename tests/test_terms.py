@@ -222,11 +222,11 @@ def reference_apply_subst(x, s):
 
 
 def reference_canonical(x, names=None):
-    """Variables renamed v0, v1, ... in first-occurrence order, recursively."""
+    """Variables renamed V0, V1, ... in first-occurrence order, recursively."""
     names = {} if names is None else names
     if isinstance(x, Var):
         if x.name not in names:
-            names[x.name] = Var(f"v{len(names)}")
+            names[x.name] = Var(f"V{len(names)}")
         return names[x.name]
     if isinstance(x, Struct):
         return Struct(x.functor, tuple([reference_canonical(a, names) for a in x.args]))
@@ -258,7 +258,7 @@ def test_the_three_maps_take_a_term_deeper_than_the_recursion_limit():
     assert format_term(apply_subst(t, {"X": S("g", V("Y"))})) == "f(" * 5000 + "g(Y)" + ")" * 5000
     assert format_term(resolve(t, {"X": V("Y"), "Y": Int(1)})) == "f(" * 5000 + "1" + ")" * 5000
     atom = canonical(Atom("p", (t, V("X"), V("Z"))))
-    assert format_atom(atom) == "p(" + "f(" * 5000 + "v0" + ")" * 5000 + ",v0,v1)"
+    assert format_atom(atom) == "p(" + "f(" * 5000 + "V0" + ")" * 5000 + ",V0,V1)"
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +330,13 @@ def test_prop_format_parse_round_trip(t):
 
 # what the reader reads back: lowercase functors (never `is`, an
 # operator), lists with and without a tail, ','/2, and every operator of
-# the table at arity 2, nested
+# the table at arity 2, nested; the constants `v0` and `v1` sit beside
+# variables, which canonical forms spell `V0`, `V1`, ...
 readable_terms = st.recursive(
     st.one_of(
         _varnames.map(Var),
         st.integers(min_value=-9, max_value=9).map(Int),
-        st.sampled_from([NIL, S("a")]),
+        st.sampled_from([NIL, S("a"), S("v0"), S("v1")]),
     ),
     lambda sub: st.one_of(
         st.tuples(_functors, st.lists(sub, min_size=1, max_size=3)).map(
@@ -413,6 +414,34 @@ def test_prop_the_maps_match_their_recursive_references(x, s):
     assert canonical(x) == reference_canonical(x)
 
 
+keyed_atoms = st.tuples(st.sampled_from(["p", "q", "="]), readable_terms, readable_terms).map(
+    lambda pa: Atom(pa[0], pa[1:])
+)
+
+
+@st.composite
+def keyed_atom_pairs(draw):
+    """Two atoms; the second is drawn apart, or is the first with each
+    variable replaced by a variable or by `v0` or `v1`, not always one
+    to one."""
+    a = draw(keyed_atoms)
+    if draw(st.booleans()):
+        return a, draw(keyed_atoms)
+    names = sorted(term_vars(a))
+    image = st.one_of(_varnames.map(Var), st.sampled_from([S("v0"), S("v1")]))
+    images = draw(st.lists(image, min_size=len(names), max_size=len(names)))
+    return a, apply_subst(a, dict(zip(names, images)))
+
+
+@given(keyed_atom_pairs())
+@example((Atom("p", (S("v0"), V("X"))), Atom("p", (V("X"), S("v0")))))
+@example((Atom("p", (S("v0"),)), Atom("p", (V("Y"),))))
+def test_prop_printed_canonical_forms_are_equal_exactly_for_variants(pair):
+    a, b = pair
+    printed = format_atom(canonical(a)) == format_atom(canonical(b))
+    assert printed == (reference_canonical(a) == reference_canonical(b))
+
+
 def _flattened(binds):
     """Triangular bindings as one idempotent substitution: the bindings
     applied to their own images until nothing changes."""
@@ -479,7 +508,7 @@ def test_prop_ground_flag_is_not_part_of_equality(t):
 
 def _hash_model(t):
     """`t` with each compound term as a plain (functor, args) tuple: what
-    the dataclass would hash, built without any hash a term keeps."""
+    the dataclass hashes."""
     if isinstance(t, Struct):
         return t.functor, tuple(map(_hash_model, t.args))
     return t
